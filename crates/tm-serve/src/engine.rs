@@ -18,14 +18,9 @@ use crate::crash::{CrashPoint, ResolvedCrash};
 use crate::error::ServeError;
 use crate::route::route;
 use crate::stm::{build_stm, EngineMode, EngineStm};
-use crate::wal::{dec_seal, enc_seal, BatchSeal, Dec, Enc, StoreHandle, WalRecord, WalWriter};
-use gpu_sim::{
-    Addr, CacheCheckpoint, LaunchConfig, Sim, SimCheckpoint, SimConfig, SimStats, WARP_SIZE,
-};
-use gpu_stm::{
-    lane_addrs, recorder_with_hook, Access, CommittedTx, Recorder, SchedulerCheckpoint, Stm,
-    StmConfig, TxStats,
-};
+use crate::wal::{BatchSeal, Snapshot, StoreHandle, TaggedCommit, WalRecord, WalWriter};
+use gpu_sim::{Addr, LaunchConfig, Sim, SimConfig, SimStats, WARP_SIZE};
+use gpu_stm::{lane_addrs, recorder_with_hook, CommittedTx, Recorder, Stm, StmConfig, TxStats};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use workloads::{mix64, Variant};
@@ -266,19 +261,32 @@ pub struct ShardSummary {
 pub(crate) struct Fnv(pub u64);
 
 impl Fnv {
-    pub(crate) fn new() -> Self {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    pub(crate) const fn new() -> Self {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
     pub(crate) fn u64(&mut self, v: u64) {
         for b in v.to_le_bytes() {
             self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
         }
     }
 
     pub(crate) fn u32(&mut self, v: u32) {
         self.u64(v as u64);
+    }
+
+    /// Folds a byte string, each byte as its own zero-extended word
+    /// (`u64(b as u64)`) — the fold behind every frame checksum and
+    /// store fingerprint. The seven zero bytes of each word only
+    /// multiply by the prime, so one word is `(h ^ b) · PRIME⁸`.
+    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
+        const PRIME_8: u64 = Fnv::PRIME.wrapping_pow(8);
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(PRIME_8);
+        }
     }
 }
 
@@ -295,14 +303,15 @@ struct LaneOp {
 
 const K_IDLE: u8 = 255;
 
-/// A request-tagged commit observed by the history hook.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-struct CommitRec {
-    req: u64,
-    tid: u32,
-    version: u32, // version + 1; 0 = read-only
-    reads: u32,
-    writes: u32,
+/// Folds one entry of the request-tagged commit log: the request a
+/// committed transaction served plus its identity and set sizes.
+/// Replicas fold the same words from `Commit` records.
+fn fold_commit(h: &mut Fnv, req: u64, tx: &CommittedTx) {
+    h.u64(req);
+    h.u32(tx.tid);
+    h.u32(tx.version.map_or(0, |v| v + 1));
+    h.u32(tx.reads.len() as u32);
+    h.u32(tx.writes.len() as u32);
 }
 
 /// One shard's engine. Lives on a worker thread for the whole run.
@@ -313,7 +322,9 @@ pub(crate) struct ShardEngine {
     recorder: Recorder,
     /// Slot → request id for the launch in flight (read by the hook).
     tid_map: Rc<RefCell<Vec<u64>>>,
-    commit_log: Rc<RefCell<Vec<CommitRec>>>,
+    /// Request id of every committed transaction, parallel to the
+    /// recorder's `commits` (pushed by the hook at the commit point).
+    commit_reqs: Rc<RefCell<Vec<u64>>>,
     accounts: Addr,
     ht_keys: Addr,
     ht_vals: Addr,
@@ -347,10 +358,12 @@ struct EngineDur {
     /// `Commit` records of the most recent batch, retained after the
     /// log flush so the worker can feed the shard's replica group.
     last_commits: Vec<WalRecord>,
-    /// `commit_log` entries already folded into `log_fnv_state`.
+    /// Commits already folded into `log_fnv_state`.
     log_folded: usize,
     /// Running FNV-1a over the request-tagged commit log.
     log_fnv_state: u64,
+    /// Commits already appended to the history blob.
+    history_flushed: usize,
 }
 
 impl ShardEngine {
@@ -412,28 +425,21 @@ impl ShardEngine {
         let initial = sim.read_slice(Addr(span_base), span_len);
 
         let tid_map: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-        let commit_log: Rc<RefCell<Vec<CommitRec>>> = Rc::new(RefCell::new(Vec::new()));
+        let commit_reqs: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
         let wal_pending: Rc<RefCell<Vec<WalRecord>>> = Rc::new(RefCell::new(Vec::new()));
         let wal_enabled: Rc<Cell<bool>> = Rc::new(Cell::new(false));
         let hook_map = Rc::clone(&tid_map);
-        let hook_log = Rc::clone(&commit_log);
+        let hook_reqs = Rc::clone(&commit_reqs);
         let hook_pending = Rc::clone(&wal_pending);
         let hook_enabled = Rc::clone(&wal_enabled);
         let recorder = recorder_with_hook(Rc::new(move |tx: &CommittedTx| {
             let req = hook_map.borrow().get(tx.tid as usize).copied().unwrap_or(u64::MAX);
-            let version = tx.version.map_or(0, |v| v + 1);
-            hook_log.borrow_mut().push(CommitRec {
-                req,
-                tid: tx.tid,
-                version,
-                reads: tx.reads.len() as u32,
-                writes: tx.writes.len() as u32,
-            });
+            hook_reqs.borrow_mut().push(req);
             if hook_enabled.get() {
                 hook_pending.borrow_mut().push(WalRecord::Commit {
                     req,
                     tid: tx.tid,
-                    version,
+                    version: tx.version.map_or(0, |v| v + 1),
                     snapshot: tx.snapshot,
                     reads: tx.reads.len() as u32,
                     writes: tx.writes.iter().map(|a| (a.addr.index() as u32, a.val)).collect(),
@@ -484,6 +490,7 @@ impl ShardEngine {
                     last_commits: Vec::new(),
                     log_folded: 0,
                     log_fnv_state: Fnv::new().0,
+                    history_flushed: 0,
                 })
             }
             (Some(_), None) => {
@@ -500,7 +507,7 @@ impl ShardEngine {
             stm: Rc::new(stm),
             recorder,
             tid_map,
-            commit_log,
+            commit_reqs,
             accounts,
             ht_keys,
             ht_vals,
@@ -631,7 +638,7 @@ impl ShardEngine {
         let len = self.txl_args.index() as u32 - self.span_base;
         let words = self.sim.read_slice(Addr(self.span_base), len);
         let dur = self.dur.as_ref().expect("resync on a WAL-less engine");
-        (self.span_base, words, dur.log_fnv_state, self.commit_log.borrow().len() as u64)
+        (self.span_base, words, dur.log_fnv_state, self.commit_reqs.borrow().len() as u64)
     }
 
     /// Runs one batch through the write-ahead protocol:
@@ -658,12 +665,7 @@ impl ShardEngine {
             return Ok(DurableOutcome::Crashed(CrashPoint::PrePrepare));
         }
 
-        self.wal_pending.borrow_mut().clear();
-        let report = self.run_batch(entries)?;
-        self.flush_commits();
-        let seal = self.make_seal(seq, &report);
-        self.dur_mut().wal.append(&WalRecord::Result(seal.clone()));
-        self.dur_mut().last_seal = Some(seal);
+        let report = self.run_and_seal(seq, entries)?;
         if self.crash_fires(seq, CrashPoint::PostPrepare) {
             return Ok(DurableOutcome::Crashed(CrashPoint::PostPrepare));
         }
@@ -676,34 +678,36 @@ impl ShardEngine {
         Ok(DurableOutcome::Done(report))
     }
 
-    /// Appends the hook-staged `Commit` records of the batch just run
-    /// and retains them for replica feeding.
-    fn flush_commits(&mut self) {
-        let pending: Vec<WalRecord> = self.wal_pending.borrow_mut().drain(..).collect();
+    /// Executes a logged batch and makes its group durable: the
+    /// hook-staged `Commit` records and the sealing `Result` go to the
+    /// log as one append, and the commits are retained for replica
+    /// feeding.
+    fn run_and_seal(&mut self, seq: u64, entries: &[Entry]) -> Result<BatchReport, ServeError> {
+        self.wal_pending.borrow_mut().clear();
+        let report = self.run_batch(entries)?;
+        let commits = std::mem::take(&mut *self.wal_pending.borrow_mut());
+        let seal = self.make_seal(seq, &report);
         let dur = self.dur_mut();
-        for rec in &pending {
-            dur.wal.append(rec);
-        }
-        dur.last_commits = pending;
+        dur.wal.append_group(&commits, &seal);
+        dur.last_commits = commits;
+        dur.last_seal = Some(seal);
+        Ok(report)
     }
 
     /// Folds the batch's new commit-log entries into the running log
     /// hash and builds the sealing [`BatchSeal`].
     fn make_seal(&mut self, seq: u64, report: &BatchReport) -> BatchSeal {
-        {
-            let log = self.commit_log.borrow();
-            let dur = self.dur.as_mut().expect("make_seal on a WAL-less engine");
-            let mut h = Fnv(dur.log_fnv_state);
-            for rec in &log[dur.log_folded..] {
-                h.u64(rec.req);
-                h.u32(rec.tid);
-                h.u32(rec.version);
-                h.u32(rec.reads);
-                h.u32(rec.writes);
-            }
-            dur.log_folded = log.len();
-            dur.log_fnv_state = h.0;
+        let data_fnv = self.data_fnv();
+        let history = self.recorder.borrow();
+        let reqs = self.commit_reqs.borrow();
+        assert_eq!(reqs.len(), history.commits.len(), "the hook tags every recorded commit");
+        let dur = self.dur.as_mut().expect("make_seal on a WAL-less engine");
+        let mut h = Fnv(dur.log_fnv_state);
+        for (&req, tx) in reqs[dur.log_folded..].iter().zip(&history.commits[dur.log_folded..]) {
+            fold_commit(&mut h, req, tx);
         }
+        dur.log_folded = reqs.len();
+        dur.log_fnv_state = h.0;
         BatchSeal {
             seq,
             outcomes: report.outcomes.clone(),
@@ -711,21 +715,31 @@ impl ShardEngine {
             commits: report.commits,
             aborts: report.aborts,
             storm: report.storm,
-            data_fnv: self.data_fnv(),
-            log_fnv: self.dur.as_ref().unwrap().log_fnv_state,
+            data_fnv,
+            log_fnv: h.0,
         }
     }
 
-    /// Snapshot cadence: every `segment_batches`-th batch, snapshot the
-    /// engine, roll to a fresh segment, and (optionally) compact.
+    /// Snapshot cadence: every `segment_batches`-th batch, append the
+    /// commits since the previous cadence to the history blob, snapshot
+    /// the engine at that history position, roll to a fresh segment,
+    /// and (optionally) compact.
     fn maybe_cadence(&mut self, seq: u64) {
         let params = self.dur.as_ref().expect("cadence on a WAL-less engine").params;
         if !seq.is_multiple_of(params.segment_batches) {
             return;
         }
-        let payload = self.snapshot_payload(seq);
+        {
+            let history = self.recorder.borrow();
+            let reqs = self.commit_reqs.borrow();
+            let dur = self.dur.as_mut().expect("cadence on a WAL-less engine");
+            let from = dur.history_flushed;
+            dur.wal.append_history(&reqs[from..], &history.commits[from..]);
+            dur.history_flushed = history.commits.len();
+        }
+        let snap = self.snapshot(seq);
         let dur = self.dur_mut();
-        dur.wal.put_snapshot(seq, &payload);
+        dur.wal.put_snapshot(&snap);
         dur.wal.roll();
         if params.compact {
             dur.wal.compact();
@@ -736,11 +750,9 @@ impl ShardEngine {
     /// accounts, hashtable and TXL counters, *excluding* the
     /// host-written TXL argument buffer (replicas never see it).
     pub(crate) fn data_fnv(&self) -> u64 {
-        let len = self.txl_args.index() as u32 - self.span_base;
-        let words = self.sim.read_slice(Addr(self.span_base), len);
         let mut h = Fnv::new();
-        for w in words {
-            h.u32(w);
+        for a in self.span_base..self.txl_args.index() as u32 {
+            h.u32(self.sim.read(Addr(a)));
         }
         h.0
     }
@@ -765,7 +777,7 @@ impl ShardEngine {
         let fail = |m: String| ServeError::Engine { shard, message: m };
         self.wal_pending.borrow_mut().clear();
         let report = self.run_batch(entries)?;
-        let regenerated: Vec<WalRecord> = self.wal_pending.borrow_mut().drain(..).collect();
+        let regenerated = std::mem::take(&mut *self.wal_pending.borrow_mut());
         if regenerated != logged_commits {
             return Err(fail(format!(
                 "replay of batch {seq} regenerated {} commit records, log has {} (diverged)",
@@ -797,311 +809,91 @@ impl ShardEngine {
         seq: u64,
         entries: &[Entry],
     ) -> Result<BatchReport, ServeError> {
-        self.wal_pending.borrow_mut().clear();
-        let report = self.run_batch(entries)?;
-        self.flush_commits();
-        let seal = self.make_seal(seq, &report);
-        self.dur_mut().wal.append(&WalRecord::Result(seal.clone()));
-        self.dur_mut().last_seal = Some(seal);
+        let report = self.run_and_seal(seq, entries)?;
         self.maybe_cadence(seq);
         self.dur_mut().next_seq = seq + 1;
         Ok(report)
     }
 
-    // ---- snapshot encode / restore -------------------------------------
+    // ---- snapshot / restore ----------------------------------------------
 
-    /// Serializes the complete engine state after batch `seq`: the full
-    /// simulator image (memory, L2 tags, lifetime counters), STM
-    /// transaction stats, host-side wrapper state (scheduler window,
-    /// backoff RNG), the committed history, the request-tagged commit
-    /// log, and the last batch seal.
-    fn snapshot_payload(&self, seq: u64) -> Vec<u8> {
-        let mut e = Enc::new();
-        e.u32(1); // payload format version
-        e.u64(seq);
-
-        let ck = self.sim.checkpoint();
-        e.u32(ck.memory.len() as u32);
-        for &w in &ck.memory {
-            e.u32(w);
-        }
-        e.u32(ck.cache.tags.len() as u32);
-        for &t in &ck.cache.tags {
-            e.u64(t);
-        }
-        for &s in &ck.cache.stamps {
-            e.u64(s);
-        }
-        e.u64(ck.cache.tick);
-        let SimStats {
-            instructions,
-            loads,
-            stores,
-            atomics,
-            fences,
-            mem_transactions,
-            uncoalesced_transactions,
-            l2_hits,
-            l2_misses,
-            divergent_instructions,
-            active_lanes,
-            lane_slots,
-            idle_cycles,
-            blocks_completed,
-            spurious_cas_failures,
-            injected_jitter_cycles,
-            parks,
-            wakes,
-        } = ck.stats;
-        for v in [
-            instructions,
-            loads,
-            stores,
-            atomics,
-            fences,
-            mem_transactions,
-            uncoalesced_transactions,
-            l2_hits,
-            l2_misses,
-            divergent_instructions,
-            active_lanes,
-            lane_slots,
-            idle_cycles,
-            blocks_completed,
-            spurious_cas_failures,
-            injected_jitter_cycles,
-            parks,
-            wakes,
-        ] {
-            e.u64(v);
-        }
-        e.u64(ck.cycles);
-        e.u64(ck.launches);
-
-        let tx = self.stm.stats().borrow().encode();
-        e.u32(tx.len() as u32);
-        for w in tx {
-            e.u64(w);
-        }
-
-        match self.stm.sched().map(|s| s.checkpoint()) {
-            Some(sc) => {
-                e.u8(1);
-                e.u32(sc.limit);
-                e.u32(sc.in_flight);
-                e.u64(sc.window_commits);
-                e.u64(sc.window_aborts);
-                e.u64(sc.adaptations);
-                e.u8(sc.storm as u8);
-            }
-            None => e.u8(0),
-        }
-        match self.stm.robust().map(|r| r.rng_state()) {
-            Some(rng) => {
-                e.u8(1);
-                e.u64(rng);
-            }
-            None => e.u8(0),
-        }
-
-        let history = self.recorder.borrow();
-        e.u64(history.aborts);
-        e.u32(history.commits.len() as u32);
-        for tx in &history.commits {
-            e.u32(tx.tid);
-            e.u32(tx.version.map_or(0, |v| v + 1));
-            e.u32(tx.snapshot);
-            e.u32(tx.reads.len() as u32);
-            for a in &tx.reads {
-                e.u32(a.addr.index() as u32);
-                e.u32(a.val);
-            }
-            e.u32(tx.writes.len() as u32);
-            for a in &tx.writes {
-                e.u32(a.addr.index() as u32);
-                e.u32(a.val);
-            }
-        }
-        drop(history);
-
-        let log = self.commit_log.borrow();
-        e.u32(log.len() as u32);
-        for rec in log.iter() {
-            e.u64(rec.req);
-            e.u32(rec.tid);
-            e.u32(rec.version);
-            e.u32(rec.reads);
-            e.u32(rec.writes);
-        }
-        drop(log);
-
+    /// The engine's fixed-size state after batch `seq`, at the history
+    /// blob's current end (`maybe_cadence` has just flushed the history
+    /// up to here).
+    fn snapshot(&self, seq: u64) -> Snapshot {
         let dur = self.dur.as_ref().expect("snapshot on a WAL-less engine");
-        e.u64(dur.log_fnv_state);
-        e.u64(self.txl_launch_seq);
-        match &dur.last_seal {
-            Some(seal) => {
-                e.u8(1);
-                enc_seal(&mut e, seal);
-            }
-            None => e.u8(0),
+        let history = self.recorder.borrow();
+        Snapshot {
+            seq,
+            sim: self.sim.checkpoint(),
+            tx: self.stm.stats().borrow().clone(),
+            sched: self.stm.sched().map(|s| s.checkpoint()),
+            robust_rng: self.stm.robust().map(|r| r.rng_state()),
+            aborts: history.aborts,
+            commits: history.commits.len() as u64,
+            log_fnv_state: dur.log_fnv_state,
+            txl_launch_seq: self.txl_launch_seq,
+            last_seal: dur.last_seal.clone(),
+            history: dur.wal.history_pos(),
         }
-        e.0
     }
 
-    /// Restores state captured by `snapshot_payload` into this freshly
-    /// constructed engine (same config ⇒ same deterministic device
-    /// allocations). Returns the snapshot's batch sequence number.
+    /// Restores a snapshot and the history prefix it points at into
+    /// this freshly constructed engine (same config ⇒ same deterministic
+    /// device allocations).
     ///
     /// # Errors
     ///
-    /// Fails on a corrupt or layout-incompatible payload.
-    pub(crate) fn restore_snapshot(&mut self, payload: &[u8]) -> Result<u64, ServeError> {
+    /// Fails when the snapshot was taken from a differently shaped
+    /// engine or disagrees with the history about how much committed.
+    pub(crate) fn restore(
+        &mut self,
+        snap: Snapshot,
+        history: Vec<TaggedCommit>,
+    ) -> Result<(), ServeError> {
         let shard = self.cfg.shard;
         let fail = |m: &str| ServeError::Engine { shard, message: format!("snapshot: {m}") };
-        let mut d = Dec::new(payload);
-        let mut go = || -> Option<u64> {
-            if d.u32()? != 1 {
-                return None;
-            }
-            let seq = d.u64()?;
+        let fresh = self.sim.checkpoint();
+        if snap.sim.memory.len() != fresh.memory.len()
+            || snap.sim.cache.tags.len() != fresh.cache.tags.len()
+            || snap.sim.cache.stamps.len() != fresh.cache.stamps.len()
+        {
+            return Err(fail("simulator image does not fit this engine's configuration"));
+        }
+        if snap.sched.is_some() != self.stm.sched().is_some()
+            || snap.robust_rng.is_some() != self.stm.robust().is_some()
+        {
+            return Err(fail("wrapper state does not match this engine's mode"));
+        }
+        if snap.commits != history.len() as u64 {
+            return Err(fail("commit count disagrees with the history blob"));
+        }
+        let dur = self.dur.as_mut().ok_or_else(|| fail("restore on a WAL-less engine"))?;
 
-            let mem_len = d.u32()? as usize;
-            let mut memory = Vec::with_capacity(mem_len);
-            for _ in 0..mem_len {
-                memory.push(d.u32()?);
-            }
-            let lines = d.u32()? as usize;
-            let mut tags = Vec::with_capacity(lines);
-            for _ in 0..lines {
-                tags.push(d.u64()?);
-            }
-            let mut stamps = Vec::with_capacity(lines);
-            for _ in 0..lines {
-                stamps.push(d.u64()?);
-            }
-            let tick = d.u64()?;
-            let mut sim_stats = [0u64; 18];
-            for v in sim_stats.iter_mut() {
-                *v = d.u64()?;
-            }
-            let cycles = d.u64()?;
-            let launches = d.u64()?;
-
-            let tx_len = d.u32()? as usize;
-            let mut tx_words = Vec::with_capacity(tx_len);
-            for _ in 0..tx_len {
-                tx_words.push(d.u64()?);
-            }
-            let tx = TxStats::decode(&tx_words)?;
-
-            let sched = if d.u8()? == 1 {
-                Some(SchedulerCheckpoint {
-                    limit: d.u32()?,
-                    in_flight: d.u32()?,
-                    window_commits: d.u64()?,
-                    window_aborts: d.u64()?,
-                    adaptations: d.u64()?,
-                    storm: d.u8()? != 0,
-                })
-            } else {
-                None
-            };
-            let robust_rng = if d.u8()? == 1 { Some(d.u64()?) } else { None };
-
-            let aborts = d.u64()?;
-            let n_commits = d.u32()? as usize;
-            let mut commits = Vec::with_capacity(n_commits);
-            for _ in 0..n_commits {
-                let tid = d.u32()?;
-                let version = d.u32()?;
-                let snapshot = d.u32()?;
-                let n_reads = d.u32()? as usize;
-                let mut reads = Vec::with_capacity(n_reads);
-                for _ in 0..n_reads {
-                    reads.push(Access { addr: Addr(d.u32()?), val: d.u32()? });
-                }
-                let n_writes = d.u32()? as usize;
-                let mut writes = Vec::with_capacity(n_writes);
-                for _ in 0..n_writes {
-                    writes.push(Access { addr: Addr(d.u32()?), val: d.u32()? });
-                }
-                commits.push(CommittedTx {
-                    tid,
-                    version: version.checked_sub(1),
-                    snapshot,
-                    reads,
-                    writes,
-                });
-            }
-
-            let n_log = d.u32()? as usize;
-            let mut log = Vec::with_capacity(n_log);
-            for _ in 0..n_log {
-                log.push(CommitRec {
-                    req: d.u64()?,
-                    tid: d.u32()?,
-                    version: d.u32()?,
-                    reads: d.u32()?,
-                    writes: d.u32()?,
-                });
-            }
-            let log_fnv_state = d.u64()?;
-            let txl_launch_seq = d.u64()?;
-            let last_seal = if d.u8()? == 1 { Some(dec_seal(&mut d)?) } else { None };
-            d.done()?;
-
-            let [instructions, loads, stores, atomics, fences, mem_transactions, uncoalesced_transactions, l2_hits, l2_misses, divergent_instructions, active_lanes, lane_slots, idle_cycles, blocks_completed, spurious_cas_failures, injected_jitter_cycles, parks, wakes] =
-                sim_stats;
-            let ck = SimCheckpoint {
-                memory,
-                cache: CacheCheckpoint { tags, stamps, tick },
-                stats: SimStats {
-                    instructions,
-                    loads,
-                    stores,
-                    atomics,
-                    fences,
-                    mem_transactions,
-                    uncoalesced_transactions,
-                    l2_hits,
-                    l2_misses,
-                    divergent_instructions,
-                    active_lanes,
-                    lane_slots,
-                    idle_cycles,
-                    blocks_completed,
-                    spurious_cas_failures,
-                    injected_jitter_cycles,
-                    parks,
-                    wakes,
-                },
-                cycles,
-                launches,
-            };
-            self.sim.restore_checkpoint(&ck);
-            *self.stm.stats().borrow_mut() = tx;
-            if let (Some(sched_stm), Some(sc)) = (self.stm.sched(), sched.as_ref()) {
-                sched_stm.restore_checkpoint(sc);
-            }
-            if let (Some(robust_stm), Some(rng)) = (self.stm.robust(), robust_rng) {
-                robust_stm.restore_rng_state(rng);
-            }
-            {
-                let mut h = self.recorder.borrow_mut();
-                h.commits = commits;
-                h.aborts = aborts;
-            }
-            let folded = log.len();
-            *self.commit_log.borrow_mut() = log;
-            self.txl_launch_seq = txl_launch_seq;
-            let dur = self.dur.as_mut()?;
-            dur.next_seq = seq + 1;
-            dur.last_seal = last_seal;
-            dur.log_folded = folded;
-            dur.log_fnv_state = log_fnv_state;
-            Some(seq)
-        };
-        go().ok_or_else(|| fail("corrupt or incompatible payload"))
+        self.sim.restore_checkpoint(&snap.sim);
+        *self.stm.stats().borrow_mut() = snap.tx;
+        if let (Some(sched), Some(sc)) = (self.stm.sched(), snap.sched.as_ref()) {
+            sched.restore_checkpoint(sc);
+        }
+        if let (Some(robust), Some(rng)) = (self.stm.robust(), snap.robust_rng) {
+            robust.restore_rng_state(rng);
+        }
+        let commits = history.len();
+        let (reqs, txs) = history.into_iter().unzip();
+        *self.commit_reqs.borrow_mut() = reqs;
+        {
+            let mut h = self.recorder.borrow_mut();
+            h.commits = txs;
+            h.aborts = snap.aborts;
+        }
+        self.txl_launch_seq = snap.txl_launch_seq;
+        dur.next_seq = snap.seq + 1;
+        dur.last_seal = snap.last_seal;
+        dur.log_folded = commits;
+        dur.log_fnv_state = snap.log_fnv_state;
+        dur.history_flushed = commits;
+        dur.wal.resume_history(snap.history);
+        Ok(())
     }
 
     fn run_ops_launch(
@@ -1399,12 +1191,8 @@ impl ShardEngine {
             }
         }
         let mut log_fnv = Fnv::new();
-        for rec in self.commit_log.borrow().iter() {
-            log_fnv.u64(rec.req);
-            log_fnv.u32(rec.tid);
-            log_fnv.u32(rec.version);
-            log_fnv.u32(rec.reads);
-            log_fnv.u32(rec.writes);
+        for (&req, tx) in self.commit_reqs.borrow().iter().zip(&history.commits) {
+            fold_commit(&mut log_fnv, req, tx);
         }
 
         let acc_base = (self.accounts.index() as u32 - span_base) as usize;

@@ -4,17 +4,26 @@
 //! Recovery healing is *byte-exact*: after a crash at any injected
 //! [`CrashPoint`](crate::CrashPoint) the recovered shard's log, state
 //! and subsequent execution are identical to an uncrashed run with the
-//! same seed. The steps:
+//! same seed. Everything is read and verified before anything is
+//! written; then:
 //!
 //! 1. **Tail normalization** — a torn final record (crash mid-append)
-//!    is truncated off the final segment. Record encoding is
-//!    deterministic, so rewriting the kept records reproduces the
-//!    segment's original bytes.
+//!    is truncated off the final segment, and so are the `Commit`
+//!    records of a final group that never got its sealing `Result`
+//!    (commits and seal are one append, so a crash inside it can leave
+//!    any prefix): the group shrinks back to its `Batch` record and
+//!    step 3 re-executes it. Bytes in the history blob past the latest
+//!    snapshot's recorded position (a crash between the history append
+//!    and the snapshot put) are truncated the same way. Encoding is
+//!    deterministic, so what is kept reproduces its original bytes and
+//!    what is dropped is appended again, identically, by the replay.
 //! 2. **Snapshot restore** — a fresh engine (same config ⇒ same
 //!    deterministic device allocations) absorbs the latest checksummed
-//!    snapshot: simulator memory + L2 tags, lifetime counters, STM
-//!    stats, scheduler/backoff wrapper state, the committed history and
-//!    the request-tagged commit log.
+//!    snapshot — simulator memory + L2 tags, lifetime counters, STM
+//!    stats, scheduler/backoff wrapper state, running hashes — and the
+//!    history-blob prefix the snapshot points at: the committed history
+//!    with its request tags, verified frame by frame against the
+//!    snapshot's `(length, checksum chain)`.
 //! 3. **Tail replay** — batches logged after the snapshot re-execute.
 //!    A *complete* group (its sealing `Result` is durable) re-executes
 //!    without re-appending, and the regenerated commit stream and seal
@@ -30,7 +39,8 @@
 use crate::engine::{BatchReport, DurableOutcome, EngineConfig, Entry, ShardEngine, ShardOp};
 use crate::error::ServeError;
 use crate::wal::{
-    latest_snapshot, read_decisions, read_shard_wal, seg_name, BatchSeal, StoreHandle, WalRecord,
+    latest_snapshot, read_decisions, read_shard_wal, restore_history, BatchSeal, HistoryPos,
+    StoreHandle, WalRecord,
 };
 use std::collections::BTreeMap;
 
@@ -83,35 +93,30 @@ struct Group {
 /// # Errors
 ///
 /// Fails on log corruption outside the legal torn tail, on a corrupt
-/// snapshot, or when replay diverges from a logged seal.
+/// snapshot or history blob, or when replay diverges from a logged
+/// seal.
 pub(crate) fn recover(cfg: EngineConfig, store: StoreHandle) -> Result<RecoveredShard, ServeError> {
     let shard = cfg.shard;
     let fail = |m: String| ServeError::Engine { shard, message: m };
-    let wal = read_shard_wal(&store, shard).map_err(&fail)?;
+    let mut wal = read_shard_wal(&store, shard).map_err(&fail)?;
+    let snapshot = latest_snapshot(&store, shard).map_err(&fail)?;
 
-    // 1. Tail normalization: drop torn bytes by rewriting the final
-    // segment from its decoded (deterministically re-encodable) records.
+    // 1. Tail normalization: the history blob back to the snapshot's
+    // position, the final segment back to its last whole record — or,
+    // if its final group was never sealed, back to that group's `Batch`.
+    let history_pos = snapshot.as_ref().map_or(HistoryPos::START, |s| s.history);
+    let history = restore_history(&store, shard, history_pos).map_err(&fail)?;
     let torn_truncated = wal.torn;
-    if wal.torn {
-        let (seg, recs) = wal.segs.last().expect("torn WAL has a final segment");
-        let mut bytes = Vec::new();
-        for rec in recs {
-            bytes.extend(rec.encode());
-        }
-        store.put(&seg_name(shard, *seg), &bytes);
+    if wal.drop_unsealed_commits() || wal.torn {
+        wal.rewrite_final_segment(&store, shard);
     }
 
     // 2. Fresh engine + snapshot restore.
     let mut engine = ShardEngine::with_store(cfg, Some(store.clone()))?;
     let mut snapshot_seq = 0;
-    if let Some((seq, payload)) = latest_snapshot(&store, shard) {
-        let restored = engine.restore_snapshot(&payload)?;
-        if restored != seq {
-            return Err(fail(format!(
-                "snapshot blob named for batch {seq} carries payload for batch {restored}"
-            )));
-        }
-        snapshot_seq = seq;
+    if let Some(snap) = snapshot {
+        snapshot_seq = snap.seq;
+        engine.restore(snap, history)?;
     }
 
     // 3. Tail replay.
