@@ -9,17 +9,15 @@
 //! - **write-set Bloom filter** on/off;
 //! - **order-preserving hash-table lock-log** vs flat O(n²) sorted list;
 //! - **pre-commit value validation** (Algorithm 3 line 71) on/off.
-//!
-//! Usage: `cargo run -p bench --release --bin ablations`
 
-use bench::{print_table, thousands, Suite};
+use crate::{print_table, thousands, Suite};
 use gpu_sim::LaunchConfig;
 use gpu_stm::StmConfig;
 use workloads::ra::{self, RaParams};
 use workloads::{RunConfig, Variant};
 
-fn main() {
-    let suite = Suite::from_args();
+/// Runs the subcommand.
+pub fn run(suite: &Suite) {
     let params = RaParams {
         shared_words: suite.n_locks() * 8,
         actions_per_tx: 8,

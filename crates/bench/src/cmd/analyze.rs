@@ -12,18 +12,14 @@
 //! The acceptance gate: the variant the analysis recommends must be
 //! within 15% of the best measured variant's throughput on every
 //! workload (`cycles(recommended) ≤ cycles(best) / 0.85`).
-//!
-//! Usage:
-//! ```text
-//! cargo run -p bench --release --bin analyze            # compare + gate
-//! cargo run -p bench --release --bin analyze -- --bless # regenerate golden
-//! ```
 
+use super::fixtures;
+use crate::args::Args;
+use crate::golden::Mode;
+use crate::{Error, Job};
 use gpu_sim::{JsonWriter, LaunchConfig, Sim, SimConfig};
 use gpu_stm::{Stm, StmConfig};
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
-use std::process::ExitCode;
 use std::rc::Rc;
 use txl::{analyze_source, ArrayBinding, CostConfig, StaticProfile};
 use workloads::{dispatch, RunError, StmRunner, Variant};
@@ -94,33 +90,16 @@ const WORKLOADS: [Workload; 5] = [
     },
 ];
 
-fn fixtures_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../txl/tests/fixtures")
-}
-
-fn golden_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/analyze.golden")
-}
+/// The committed static profiles of the fixture corpus.
+pub const GOLDEN: &str = "crates/bench/golden/analyze.golden";
+/// The committed calibration sweep.
+pub const GOLDEN_CALIBRATION: &str = "BENCH_analyze.json";
 
 /// The golden half: every fixture's rendered static profile.
-fn render_golden() -> Result<String, String> {
-    let dir = fixtures_dir();
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.extension().is_some_and(|x| x == "txl"))
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return Err(format!("no .txl fixtures under {}", dir.display()));
-    }
-
+pub fn render() -> Result<String, Error> {
     let cfg = CostConfig { threads: THREADS, write_set_capacity: Some(32) };
     let mut out = String::new();
-    for path in &files {
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        let src = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    for (name, src) in fixtures(".txl")? {
         let profile =
             analyze_source(&src, &cfg).map_err(|e| format!("{name}: does not analyze: {e}"))?;
         let _ = writeln!(out, "=== {name}");
@@ -275,87 +254,38 @@ fn render_json(rows: &[SweepRow]) -> String {
     w.finish()
 }
 
-fn main() -> ExitCode {
-    let bless = std::env::args().any(|a| a == "--bless");
+/// The calibration half as `BENCH_analyze.json`.
+pub fn render_calibration() -> Result<String, Error> {
+    Ok(render_json(&run_sweep()?))
+}
 
-    // Golden half.
-    let report = match render_golden() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("analyze: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let golden = golden_path();
-    if bless {
-        if let Err(e) = std::fs::write(&golden, &report) {
-            eprintln!("analyze: cannot write {}: {e}", golden.display());
-            return ExitCode::FAILURE;
-        }
-        println!("blessed {}", golden.display());
-    } else {
-        match std::fs::read_to_string(&golden) {
-            Ok(expected) if expected == report => {
-                println!("golden: match ({})", golden.display());
-            }
-            Ok(expected) => {
-                eprintln!("analyze: output differs from {}:", golden.display());
-                for (i, (g, n)) in expected.lines().zip(report.lines()).enumerate() {
-                    if g != n {
-                        eprintln!("  line {}: golden `{g}`", i + 1);
-                        eprintln!("  line {}: actual `{n}`", i + 1);
-                    }
-                }
-                let (ne, nr) = (expected.lines().count(), report.lines().count());
-                if ne != nr {
-                    eprintln!("  line counts differ: golden {ne}, actual {nr}");
-                }
-                eprintln!("re-bless with: cargo run -p bench --bin analyze -- --bless");
-                return ExitCode::FAILURE;
-            }
-            Err(e) => {
-                eprintln!("analyze: cannot read {}: {e}", golden.display());
-                eprintln!("create it with: cargo run -p bench --bin analyze -- --bless");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+/// Takes `--bless` and `--out DIR`; the sweep has one configuration, so
+/// it is always pinned.
+pub fn parse(args: &mut Args) -> Result<Job, Error> {
+    let mode = Mode::parse(args, true, "")?;
+    let out = args.out()?;
+    Ok(Box::new(move || {
+        mode.settle(GOLDEN, &render()?)?;
 
-    // Calibration half.
-    let rows = match run_sweep() {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("analyze: {e}");
-            return ExitCode::FAILURE;
+        let rows = run_sweep()?;
+        for r in &rows {
+            let slack = r.recommended_cycles as f64 / r.best_cycles as f64;
+            println!(
+                "{:<11} recommended={:<11} best={:<11} rec_cycles={:<9} best_cycles={:<9} x{:.3} {}",
+                r.name,
+                r.profile.recommended().short_name(),
+                r.best.short_name(),
+                r.recommended_cycles,
+                r.best_cycles,
+                slack,
+                if r.ok { "ok" } else { "FAIL (>15% off best)" },
+            );
         }
-    };
-    let mut failed = false;
-    for r in &rows {
-        let slack = r.recommended_cycles as f64 / r.best_cycles as f64;
-        println!(
-            "{:<11} recommended={:<11} best={:<11} rec_cycles={:<9} best_cycles={:<9} x{:.3} {}",
-            r.name,
-            r.profile.recommended().short_name(),
-            r.best.short_name(),
-            r.recommended_cycles,
-            r.best_cycles,
-            slack,
-            if r.ok { "ok" } else { "FAIL (>15% off best)" },
-        );
-        failed |= !r.ok;
-    }
-
-    let json = render_json(&rows);
-    let out = bench::bench_output_path("analyze");
-    if let Err(e) = std::fs::write(&out, &json) {
-        eprintln!("analyze: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", out.display());
-
-    if failed {
-        eprintln!("analyze: a recommendation missed the 15% throughput window");
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+        let json = render_json(&rows);
+        println!("wrote {}", out.write(GOLDEN_CALIBRATION, &json)?.display());
+        if rows.iter().any(|r| !r.ok) {
+            return Err(Error::Failed("a recommendation missed the 15% throughput window".into()));
+        }
+        mode.settle(GOLDEN_CALIBRATION, &json)
+    }))
 }

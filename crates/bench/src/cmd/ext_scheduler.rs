@@ -7,10 +7,8 @@
 //! low-conflict random-array workload. Expected shape: throttling wins
 //! where aborts thrash (KM-style), and costs nothing measurable where they
 //! don't (RA-style), because the limit ramps back up.
-//!
-//! Usage: `cargo run -p bench --release --bin ext_scheduler`
 
-use bench::{print_table, thousands, Suite};
+use crate::{print_table, thousands, Error};
 use gpu_sim::{LaunchConfig, Sim, SimConfig, WarpRng};
 use gpu_stm::{
     lane_addrs, lane_vals, LockStm, Scheduled, SchedulerConfig, Stm, StmConfig, StmShared,
@@ -67,8 +65,8 @@ fn run_counters<S: Stm + 'static>(
     (report.cycles, stats, stm)
 }
 
-fn main() {
-    let _ = Suite::from_args();
+/// Runs the subcommand.
+pub fn run() -> Result<(), Error> {
     println!(
         "GPU-STM reproduction — extension: adaptive transaction scheduler (paper future work)"
     );
@@ -121,4 +119,5 @@ fn main() {
         "\n(the scheduler should win where aborts thrash and be ~neutral where they\n\
          don't; `final limit` shows the concurrency it converged to)"
     );
+    Ok(())
 }

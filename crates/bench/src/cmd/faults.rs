@@ -5,10 +5,8 @@
 //! Reports per cell: cycles, abort rate, and the injected-fault counters,
 //! so schedule sensitivity and retry cost are visible side by side with
 //! the (always-required) correctness verdict.
-//!
-//! Usage: `cargo run -p bench --release --bin faults`
 
-use bench::{print_table, thousands};
+use crate::{print_table, thousands, Error};
 use gpu_sim::{FaultPlan, LaunchConfig};
 use gpu_stm::recorder;
 use tm_check::check_history;
@@ -34,7 +32,8 @@ fn plans() -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
-fn main() {
+/// Runs the subcommand; fails when any run is not opaque and complete.
+pub fn run() -> Result<(), Error> {
     println!("GPU-STM reproduction — fault-injection sweep (RA, contended)");
     let params = RaParams {
         shared_words: 1 << 10,
@@ -97,8 +96,8 @@ fn main() {
     print_table("Fault sweep — RA under adversarial schedules", &headers, &rows);
     let bad = rows.iter().filter(|r| r[6] != "opaque").count();
     if bad > 0 {
-        println!("\n{bad} run(s) FAILED verification");
-        std::process::exit(1);
+        return Err(Error::Failed(format!("{bad} run(s) FAILED verification")));
     }
     println!("\nall {} runs verified opaque and complete", rows.len());
+    Ok(())
 }

@@ -6,20 +6,17 @@
 //! data TBV needs many locks to shed false conflicts while HV reaches
 //! near-optimal throughput (and much lower abort rates) with a fraction of
 //! the locks.
-//!
-//! Usage: `cargo run -p bench --release --bin fig4 [--data-scale N]`
 
-use bench::{print_table, square_grid, thousands, Suite};
+use crate::{print_table, square_grid, thousands, Suite};
 use workloads::eigenbench::{self, EbParams};
 use workloads::{RunConfig, Variant};
 
-fn main() {
-    let suite = Suite::from_args();
+/// Runs the subcommand.
+pub fn run(suite: &Suite) {
     // Paper sweep: shared data 1M–64M, locks 1M–64M (scaled).
     let shared_sizes: Vec<u32> =
-        [1u64 << 20, 4 << 20, 16 << 20, 64 << 20].iter().map(|s| scale(&suite, *s)).collect();
-    let lock_counts: Vec<u32> =
-        [1u64 << 20, 4 << 20, 16 << 20, 64 << 20].iter().map(|s| scale(&suite, *s)).collect();
+        [1u64 << 20, 4 << 20, 16 << 20, 64 << 20].iter().map(|s| suite.scaled_pow2(*s)).collect();
+    let lock_counts = shared_sizes.clone();
     let thread_counts = [1024u64, 4096];
 
     println!(
@@ -69,8 +66,4 @@ fn main() {
             &rows,
         );
     }
-}
-
-fn scale(suite: &Suite, paper_words: u64) -> u32 {
-    ((paper_words / suite.data_scale).max(1024) as u32).next_power_of_two()
 }

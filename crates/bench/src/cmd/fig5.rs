@@ -9,10 +9,8 @@
 //! yet still ~20x faster than CGL overall); LB and KM show large
 //! buffering shares (big read-/write-sets); KM loses a large share to
 //! aborted work.
-//!
-//! Usage: `cargo run -p bench --release --bin fig5`
 
-use bench::{print_table, Suite};
+use crate::{print_table, Suite};
 use gpu_stm::{phase_label, PHASES};
 use workloads::{genome, kmeans, labyrinth, RunConfig, Variant};
 
@@ -24,8 +22,8 @@ fn breakdown_row(name: &str, b: &gpu_stm::Breakdown) -> Vec<String> {
     row
 }
 
-fn main() {
-    let suite = Suite::from_args();
+/// Runs the subcommand.
+pub fn run(suite: &Suite) {
     println!("GPU-STM reproduction — Figure 5 (single-thread execution breakdown, STM-Optimized)");
 
     let mut rows = Vec::new();

@@ -5,48 +5,29 @@
 //! or the corpus fails CI loudly. Fixtures whose findings are
 //! residual-by-design (rules with no mechanical repair, e.g. TL008)
 //! must instead come back byte-identical with no committed twin.
-//! `--json PATH` additionally writes the machine-readable patch
+//! `--json NAME` additionally writes the machine-readable patch
 //! records CI uploads as an artifact.
-//!
-//! Usage:
-//! ```text
-//! cargo run -p bench --release --bin fix                    # compare
-//! cargo run -p bench --release --bin fix -- --bless        # regenerate golden
-//! cargo run -p bench --release --bin fix -- --json out.json
-//! ```
 
+use super::{fixtures, fixtures_dir};
+use crate::args::Args;
+use crate::golden::Mode;
+use crate::{Error, Job};
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
-use std::process::ExitCode;
 use txl::fix::dynamic_check;
 use txl::lint::LintConfig;
 use txl::{fix_source, FixConfig};
 
-fn fixtures_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../txl/tests/fixtures")
-}
-
-fn golden_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("golden/fix.golden")
-}
+/// The committed rendering of the sweep.
+pub const GOLDEN: &str = "crates/bench/golden/fix.golden";
 
 struct Sweep {
     report: String,
     json: String,
 }
 
-fn render() -> Result<Sweep, String> {
+fn sweep() -> Result<Sweep, String> {
     let dir = fixtures_dir();
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
-        .map_err(|e| format!("cannot read {}: {e}", dir.display()))?
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.to_string_lossy().ends_with("_bug.txl"))
-        .collect();
-    files.sort();
-    if files.is_empty() {
-        return Err(format!("no *_bug.txl fixtures under {}", dir.display()));
-    }
-
+    let files = fixtures("_bug.txl")?;
     let cfg = FixConfig {
         lint: LintConfig { write_set_capacity: Some(32), ..LintConfig::default() },
         ..FixConfig::default()
@@ -58,11 +39,8 @@ fn render() -> Result<Sweep, String> {
     w.key("files");
     w.begin_array();
     let mut patches = 0usize;
-    for path in &files {
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        let src = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let r = fix_source(&src, &cfg).map_err(|e| format!("{name}: {e}"))?;
+    for (name, src) in &files {
+        let r = fix_source(src, &cfg).map_err(|e| format!("{name}: {e}"))?;
         if !r.is_clean() {
             // Residual-by-design fixtures: some rules have no mechanical
             // repair (TL008 — the intended wake condition exists only in
@@ -70,7 +48,7 @@ fn render() -> Result<Sweep, String> {
             // of the repair contract: no twin is committed, the source
             // must come back byte-identical, and the dynamic gate is
             // skipped (an unwakeable retry spins into the watchdog).
-            if r.fixed != src {
+            if r.fixed != *src {
                 return Err(format!(
                     "{name}: repair left residuals yet modified the source: {:?}",
                     r.residual
@@ -96,7 +74,7 @@ fn render() -> Result<Sweep, String> {
             let _ =
                 writeln!(out, "{name}: residual by design ({}), source untouched", rules.join(","));
             w.begin_object();
-            w.field_str("file", &name);
+            w.field_str("file", name);
             w.key("residual");
             w.begin_array();
             for rule in &rules {
@@ -135,7 +113,7 @@ fn render() -> Result<Sweep, String> {
         let _ = writeln!(out, "{name}: dynamic gate clean ({} kernel(s))", gate.kernels);
 
         w.begin_object();
-        w.field_str("file", &name);
+        w.field_str("file", name);
         w.field_str("twin", &twin_name);
         w.field_u64("rounds", u64::from(r.rounds));
         w.field_bool("gate_clean", gate.is_clean());
@@ -168,60 +146,23 @@ fn render() -> Result<Sweep, String> {
     Ok(Sweep { report: out, json: w.finish() })
 }
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let bless = args.iter().any(|a| a == "--bless");
-    let json_path = args.iter().position(|a| a == "--json").and_then(|i| args.get(i + 1)).cloned();
+/// The sweep's report: patches, twin matches and gate verdicts per fixture.
+pub fn render() -> Result<String, Error> {
+    Ok(sweep()?.report)
+}
 
-    let sweep = match render() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("fix: {e}");
-            return ExitCode::FAILURE;
+/// Takes `--bless`, `--json NAME` and `--out DIR`; the sweep has one
+/// configuration, so it is always pinned.
+pub fn parse(args: &mut Args) -> Result<Job, Error> {
+    let mode = Mode::parse(args, true, "")?;
+    let json: Option<String> = args.value("--json")?;
+    let out = args.out()?;
+    Ok(Box::new(move || {
+        let sweep = sweep()?;
+        print!("{}", sweep.report);
+        if let Some(name) = json {
+            println!("wrote {}", out.write(&name, &sweep.json)?.display());
         }
-    };
-    print!("{}", sweep.report);
-    if let Some(p) = json_path {
-        if let Err(e) = std::fs::write(&p, &sweep.json) {
-            eprintln!("fix: cannot write {p}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("wrote {p}");
-    }
-
-    let golden = golden_path();
-    if bless {
-        if let Err(e) = std::fs::write(&golden, &sweep.report) {
-            eprintln!("fix: cannot write {}: {e}", golden.display());
-            return ExitCode::FAILURE;
-        }
-        println!("blessed {}", golden.display());
-        return ExitCode::SUCCESS;
-    }
-    match std::fs::read_to_string(&golden) {
-        Ok(expected) if expected == sweep.report => {
-            println!("golden: match ({})", golden.display());
-            ExitCode::SUCCESS
-        }
-        Ok(expected) => {
-            eprintln!("fix: output differs from {}:", golden.display());
-            for (i, (g, n)) in expected.lines().zip(sweep.report.lines()).enumerate() {
-                if g != n {
-                    eprintln!("  line {}: golden `{g}`", i + 1);
-                    eprintln!("  line {}: actual `{n}`", i + 1);
-                }
-            }
-            let (ne, nr) = (expected.lines().count(), sweep.report.lines().count());
-            if ne != nr {
-                eprintln!("  line counts differ: golden {ne}, actual {nr}");
-            }
-            eprintln!("re-bless with: cargo run -p bench --bin fix -- --bless");
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            eprintln!("fix: cannot read {}: {e}", golden.display());
-            eprintln!("create it with: cargo run -p bench --bin fix -- --bless");
-            ExitCode::FAILURE
-        }
-    }
+        mode.settle(GOLDEN, &sweep.report)
+    }))
 }

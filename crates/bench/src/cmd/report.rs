@@ -1,49 +1,61 @@
 //! Machine-readable run reports: executes a matrix of workloads ×
-//! variants and writes one `BENCH_<name>.json` file with per-variant
-//! cycles, abort rates, cycle breakdowns and simulator counters — the
-//! telemetry consumed by CI artifacts and offline analysis.
-//!
-//! Usage:
-//!
-//! ```text
-//! cargo run -p bench --release --bin report -- \
-//!     --name paper --threads 256 [--only ht] [--data-scale N]
-//! ```
-//!
-//! Writes `BENCH_<name>.json` (default name `report`) at the workspace
-//! root (override with `BENCH_OUT_DIR`). The default matrix covers RA
-//! and HT (the paper's two microbenchmarks) under every variant;
-//! `--full` adds GN, LB and KM.
+//! variants and writes `BENCH_telemetry.json` with per-variant cycles,
+//! abort rates, cycle breakdowns and simulator counters. The default
+//! matrix covers RA and HT (the paper's two microbenchmarks) under every
+//! variant at 256 threads and the default scales — the configuration the
+//! committed golden pins; `--full` adds GN, LB and KM.
 
-use bench::runner::{run_workload, Workload};
-use bench::Suite;
+use crate::args::Args;
+use crate::golden::Mode;
+use crate::runner::{run_workload, Workload};
+use crate::{Error, Job, Suite};
 use gpu_sim::JsonWriter;
 use workloads::Variant;
 
-fn main() {
-    let suite = Suite::from_args();
-    let argv: Vec<String> = std::env::args().collect();
-    let mut name = "report".to_string();
-    let mut threads: Option<u64> = Some(256);
-    let mut full = false;
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--name" if i + 1 < argv.len() => {
-                name = argv[i + 1].clone();
-                i += 1;
-            }
-            "--threads" if i + 1 < argv.len() => {
-                threads = Some(argv[i + 1].parse().expect("--threads wants a number"));
-                i += 1;
-            }
-            "--full" => full = true,
-            _ => {}
-        }
-        i += 1;
-    }
+/// The committed report at the default configuration.
+pub const GOLDEN: &str = "BENCH_telemetry.json";
 
-    let workloads: &[Workload] = if full {
+#[derive(PartialEq)]
+struct Opts {
+    suite: Suite,
+    threads: u64,
+    full: bool,
+}
+
+impl Opts {
+    fn parse(args: &mut Args) -> Result<Opts, Error> {
+        Ok(Opts {
+            suite: Suite::parse(args)?,
+            threads: args.value("--threads")?.unwrap_or(256),
+            full: args.flag("--full"),
+        })
+    }
+}
+
+/// The golden pins the defaults.
+const PINNED: &str = "";
+
+/// The report at the pinned configuration.
+pub fn render() -> Result<String, Error> {
+    Ok(report(&Opts::parse(&mut Args::new(PINNED))?))
+}
+
+/// Takes the suite flags, `--threads N`, `--full`, `--bless`, `--out DIR`.
+pub fn parse(args: &mut Args) -> Result<Job, Error> {
+    let o = Opts::parse(args)?;
+    let mode = Mode::parse(args, o == Opts::parse(&mut Args::new(PINNED))?, PINNED)?;
+    let out = args.out()?;
+    Ok(Box::new(move || {
+        let json = report(&o);
+        let path = out.write(GOLDEN, &json)?;
+        println!("report written to {} ({} bytes)", path.display(), json.len());
+        mode.settle(GOLDEN, &json)
+    }))
+}
+
+fn report(o: &Opts) -> String {
+    let suite = &o.suite;
+    let workloads: &[Workload] = if o.full {
         &[Workload::Ra, Workload::Ht, Workload::Gn, Workload::Lb, Workload::Km]
     } else {
         &[Workload::Ra, Workload::Ht]
@@ -76,7 +88,7 @@ fn main() {
             w.begin_object();
             w.field_str("variant", variant.short_name());
             w.field_str("label", variant.label());
-            match run_workload(&suite, wl, variant, threads) {
+            match run_workload(suite, wl, variant, Some(o.threads)) {
                 Ok(out) => {
                     eprintln!(" {} cycles", out.cycles);
                     w.field_bool("ok", true);
@@ -111,8 +123,5 @@ fn main() {
     w.end_array();
     w.end_object();
 
-    let path = bench::bench_output_path(&name);
-    let json = w.finish();
-    std::fs::write(&path, &json).expect("write report");
-    println!("report written to {} ({} bytes)", path.display(), json.len());
+    w.finish()
 }

@@ -17,54 +17,32 @@
 //! (`spurious_wake_rate`) so the revalidate-and-re-park path is pinned
 //! by the golden, not just the happy path.
 //!
-//! The artifact (`BENCH_retry.json` by default) holds only virtual
-//! metrics — simulated cycles, instruction counts, park/wake counters,
-//! phase breakdowns — so a fixed-seed sweep reproduces it
-//! byte-for-byte on any machine; CI regenerates it with `--smoke` and
-//! diffs against the committed copy.
-//!
-//! Usage:
-//!
-//! ```text
-//! cargo run -p bench --release --bin retry             # full sweep
-//! cargo run -p bench --release --bin retry -- --smoke  # CI sweep (golden)
-//! ```
+//! The artifact (`BENCH_retry.json`) holds only virtual metrics —
+//! simulated cycles, instruction counts, park/wake counters, phase
+//! breakdowns — so a fixed-seed sweep reproduces it byte-for-byte on any
+//! machine; the committed copy pins the `--smoke` sweep.
 
-use bench::{bench_output_path, print_table, thousands};
+use crate::args::Args;
+use crate::golden::Mode;
+use crate::{print_table, thousands, Error, Job};
 use gpu_sim::JsonWriter;
 use gpu_stm::Phase;
 use workloads::queue::{run_deque, run_queue, DequeParams, QueueParams};
 use workloads::{mix64, RunConfig, RunOutcome, Variant};
 
-struct Args {
-    name: String,
+/// The committed sweep (`retry --smoke`).
+pub const GOLDEN: &str = "BENCH_retry.json";
+const PINNED: &str = "--smoke";
+
+#[derive(PartialEq)]
+struct Opts {
     seed: u64,
     smoke: bool,
 }
 
-impl Args {
-    fn parse() -> Args {
-        let argv: Vec<String> = std::env::args().collect();
-        let mut a = Args { name: "retry".to_string(), seed: 42, smoke: false };
-        let mut i = 1;
-        while i < argv.len() {
-            let take =
-                |i: usize| argv.get(i + 1).unwrap_or_else(|| panic!("{} wants a value", argv[i]));
-            match argv[i].as_str() {
-                "--name" => {
-                    a.name = take(i).clone();
-                    i += 1;
-                }
-                "--seed" => {
-                    a.seed = take(i).parse().expect("--seed wants a number");
-                    i += 1;
-                }
-                "--smoke" => a.smoke = true,
-                _ => {}
-            }
-            i += 1;
-        }
-        a
+impl Opts {
+    fn parse(args: &mut Args) -> Result<Opts, Error> {
+        Ok(Opts { seed: args.value("--seed")?.unwrap_or(42), smoke: args.flag("--smoke") })
     }
 }
 
@@ -210,30 +188,21 @@ impl Row {
     }
 }
 
-fn run_shape(shape: &Shape, variant: Variant, args: &Args) -> Row {
-    let (park, respin, spurious) = match shape {
-        Shape::Queue(q, s) => {
-            let park = run_queue(q, variant, &cfg(*s)).unwrap_or_else(|e| {
-                panic!("queue park ({}, {}): {e}", shape.tag(), variant.short_name())
-            });
-            let base = run_queue(&QueueParams { park: false, ..*q }, variant, &cfg(*s))
-                .unwrap_or_else(|e| {
-                    panic!("queue respin ({}, {}): {e}", shape.tag(), variant.short_name())
-                });
-            (park, base, *s)
-        }
-        Shape::Deque(d, s) => {
-            let park = run_deque(d, variant, &cfg(*s)).unwrap_or_else(|e| {
-                panic!("deque park ({}, {}): {e}", shape.tag(), variant.short_name())
-            });
-            let base = run_deque(&DequeParams { park: false, ..*d }, variant, &cfg(*s))
-                .unwrap_or_else(|e| {
-                    panic!("deque respin ({}, {}): {e}", shape.tag(), variant.short_name())
-                });
-            (park, base, *s)
-        }
+fn run_shape(shape: &Shape, variant: Variant) -> Row {
+    let spurious = match shape {
+        Shape::Queue(_, s) | Shape::Deque(_, s) => *s,
     };
-    let _ = args;
+    let run = |park: bool| {
+        match shape {
+            Shape::Queue(q, s) => run_queue(&QueueParams { park, ..*q }, variant, &cfg(*s)),
+            Shape::Deque(d, s) => run_deque(&DequeParams { park, ..*d }, variant, &cfg(*s)),
+        }
+        .unwrap_or_else(|e| {
+            let mode = if park { "park" } else { "respin" };
+            panic!("{} {mode} ({}, {}): {e}", shape.kind(), shape.tag(), variant.short_name())
+        })
+    };
+    let (park, respin) = (run(true), run(false));
     let row = Row {
         kind: shape.kind(),
         tag: shape.tag(),
@@ -282,8 +251,7 @@ fn run_shape(shape: &Shape, variant: Variant, args: &Args) -> Row {
     row
 }
 
-fn main() {
-    let args = Args::parse();
+fn sweep(args: &Opts) -> Vec<Row> {
     // Blocking wraps the per-thread-lock variants; one sorting and one
     // backoff flavor keeps the sweep representative without bloating it.
     let variants = [Variant::HvSorting, Variant::TbvBackoff];
@@ -291,10 +259,13 @@ fn main() {
     for shape in shapes(args.seed, args.smoke) {
         for v in variants {
             eprintln!("[retry] {} {} under {}", shape.kind(), shape.tag(), v.short_name());
-            rows.push(run_shape(&shape, v, &args));
+            rows.push(run_shape(&shape, v));
         }
     }
+    rows
+}
 
+fn sweep_json(args: &Opts, rows: &[Row]) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
     w.field_str("schema", "gpu-stm-retry/1");
@@ -302,7 +273,7 @@ fn main() {
     w.field_bool("smoke", args.smoke);
     w.key("scenarios");
     w.begin_array();
-    for row in &rows {
+    for row in rows {
         w.begin_object();
         w.field_str("workload", row.kind);
         w.field_str("shape", &row.tag);
@@ -315,30 +286,55 @@ fn main() {
     }
     w.end_array();
     w.end_object();
-    let json = w.finish();
+    w.finish()
+}
 
-    let path = bench_output_path(&args.name);
-    std::fs::write(&path, &json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+/// `BENCH_retry.json` at its pinned configuration.
+pub fn render() -> Result<String, Error> {
+    let o = Opts::parse(&mut Args::new(PINNED))?;
+    Ok(sweep_json(&o, &sweep(&o)))
+}
 
-    let table: Vec<Vec<String>> = rows
-        .iter()
-        .map(|r| {
-            vec![
-                format!("{} {}", r.kind, r.tag),
-                r.variant.short_name().to_string(),
-                thousands(r.respin.instructions),
-                thousands(r.park.instructions),
-                format!("{:.2}x", r.respin_over_park_permille() as f64 / 1000.0),
-                r.park.parks.to_string(),
-                r.park.wakes.to_string(),
-                r.park.spurious_wakes.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "blocking retry: park vs abort-respin",
-        &["shape", "variant", "respin instr", "park instr", "ratio", "parks", "wakes", "spurious"],
-        &table,
-    );
-    println!("\nwrote {}", path.display());
+/// Takes `--seed N`, `--smoke`, `--bless` and `--out DIR`.
+pub fn parse(args: &mut Args) -> Result<Job, Error> {
+    let o = Opts::parse(args)?;
+    let mode = Mode::parse(args, o == Opts::parse(&mut Args::new(PINNED))?, PINNED)?;
+    let out = args.out()?;
+    Ok(Box::new(move || {
+        let rows = sweep(&o);
+        let json = sweep_json(&o, &rows);
+        let path = out.write(GOLDEN, &json)?;
+
+        let table: Vec<Vec<String>> = rows
+            .iter()
+            .map(|r| {
+                vec![
+                    format!("{} {}", r.kind, r.tag),
+                    r.variant.short_name().to_string(),
+                    thousands(r.respin.instructions),
+                    thousands(r.park.instructions),
+                    format!("{:.2}x", r.respin_over_park_permille() as f64 / 1000.0),
+                    r.park.parks.to_string(),
+                    r.park.wakes.to_string(),
+                    r.park.spurious_wakes.to_string(),
+                ]
+            })
+            .collect();
+        print_table(
+            "blocking retry: park vs abort-respin",
+            &[
+                "shape",
+                "variant",
+                "respin instr",
+                "park instr",
+                "ratio",
+                "parks",
+                "wakes",
+                "spurious",
+            ],
+            &table,
+        );
+        println!("\nwrote {}", path.display());
+        mode.settle(GOLDEN, &json)
+    }))
 }

@@ -3,21 +3,14 @@
 //! Runs the service over a matrix of traffic mixes × shard counts ×
 //! STM variants at a **fixed total batch capacity** (so the shard axis
 //! measures contention isolation, not extra hardware), then writes one
-//! deterministic `BENCH_<name>.json` at the workspace root and prints a
-//! console table with the wall-clock scaling figures.
-//!
-//! Usage:
-//!
-//! ```text
-//! cargo run -p bench --release --bin serve                  # full sweep
-//! cargo run -p bench --release --bin serve -- --smoke       # CI sweep
-//! cargo run -p bench --release --bin serve -- --shards 4    # single run
-//! ```
+//! deterministic `BENCH_serve.json` and prints a console table with the
+//! wall-clock scaling figures.
 //!
 //! Single-run mode (`--shards N`) accepts `--mix bank|ht|mixed|blocking`
 //! (`blocking` turns on parking admission with its bursty preset),
 //! `--variant`, `--mode plain|scheduled|robust`, `--requests`,
-//! `--workers`, `--queue-cap`, `--total-warps` and `--seed`.
+//! `--workers`, `--queue-cap`, `--total-warps`, `--seed`, `--accounts`,
+//! `--locality`, `--hot-pct` and `--hot-keys`.
 //!
 //! `--recovery` switches to the kill-and-restart sweep instead: it runs
 //! an uncrashed durable baseline, then kills each shard worker at each
@@ -26,23 +19,31 @@
 //! the baseline, finishing with a replicated run that demotes an
 //! injected divergent replica. Results land in `BENCH_recovery.json`
 //! plus a standalone `recovery-report.json`, and the process exits
-//! nonzero if any recovery diverges.
+//! nonzero if any recovery diverges. The two committed goldens pin
+//! `serve --smoke` and `serve --recovery --smoke`.
 //!
 //! Everything inside the JSON is virtual (simulated cycles, counters,
 //! FNV hashes): for a fixed seed the file is byte-identical regardless
 //! of worker-thread count or host speed. Wall-clock throughput is
 //! printed on the console only.
 
-use bench::{bench_output_path, print_table};
+use crate::args::{Args, Out};
+use crate::golden::Mode;
+use crate::{print_table, Error, Job};
 use gpu_sim::JsonWriter;
 use tm_serve::{
     store_fingerprint, CrashPlan, CrashPoint, DurabilityConfig, EngineMode, MemStore, MixConfig,
-    ReplicaFault, ServeConfig, ServeReport, Service,
+    RecoveryReport, ReplicaFault, ServeConfig, ServeReport, Service,
 };
 use workloads::Variant;
 
-struct Args {
-    name: String,
+/// The committed load sweep (`serve --smoke`).
+pub const GOLDEN: &str = "BENCH_serve.json";
+/// The committed kill-and-restart sweep (`serve --recovery --smoke`).
+pub const GOLDEN_RECOVERY: &str = "BENCH_recovery.json";
+
+#[derive(PartialEq)]
+struct Opts {
     shards: Option<usize>,
     workers: usize,
     variant: Variant,
@@ -60,98 +61,35 @@ struct Args {
     hot_keys: Option<u32>,
 }
 
-impl Args {
-    fn parse() -> Args {
-        let argv: Vec<String> = std::env::args().collect();
-        let mut a = Args {
-            name: "serve".to_string(),
-            shards: None,
-            workers: 0,
-            variant: Variant::Vbv,
+impl Opts {
+    fn parse(args: &mut Args) -> Result<Opts, Error> {
+        Ok(Opts {
+            shards: args.value_with("--shards", |s| s.parse().ok().filter(|n| *n > 0))?,
+            workers: args.value("--workers")?.unwrap_or(0),
+            variant: args.value_with("--variant", Variant::parse)?.unwrap_or(Variant::Vbv),
             // Plain by default: the AIMD scheduler deliberately damps the
             // contention collapse this sweep measures along the shard
             // axis. `--mode scheduled` benches the production setup.
-            mode: EngineMode::Plain,
-            mix: "bank".to_string(),
-            requests: 16384,
-            queue_cap: 0,
-            total_warps: 64,
-            seed: 42,
-            smoke: false,
-            recovery: false,
-            accounts: 256,
-            locality_pct: None,
-            hot_pct: None,
-            hot_keys: None,
-        };
-        let mut i = 1;
-        while i < argv.len() {
-            let take =
-                |i: usize| argv.get(i + 1).unwrap_or_else(|| panic!("{} wants a value", argv[i]));
-            match argv[i].as_str() {
-                "--name" => {
-                    a.name = take(i).clone();
-                    i += 1;
-                }
-                "--shards" => {
-                    a.shards = Some(take(i).parse().expect("--shards wants a number"));
-                    i += 1;
-                }
-                "--workers" => {
-                    a.workers = take(i).parse().expect("--workers wants a number");
-                    i += 1;
-                }
-                "--variant" => {
-                    a.variant = Variant::parse(take(i)).expect("unknown --variant");
-                    i += 1;
-                }
-                "--mode" => {
-                    a.mode = EngineMode::parse(take(i)).expect("unknown --mode");
-                    i += 1;
-                }
-                "--mix" => {
-                    a.mix = take(i).clone();
-                    i += 1;
-                }
-                "--requests" => {
-                    a.requests = take(i).parse().expect("--requests wants a number");
-                    i += 1;
-                }
-                "--queue-cap" => {
-                    a.queue_cap = take(i).parse().expect("--queue-cap wants a number");
-                    i += 1;
-                }
-                "--total-warps" => {
-                    a.total_warps = take(i).parse().expect("--total-warps wants a number");
-                    i += 1;
-                }
-                "--seed" => {
-                    a.seed = take(i).parse().expect("--seed wants a number");
-                    i += 1;
-                }
-                "--accounts" => {
-                    a.accounts = take(i).parse().expect("--accounts wants a number");
-                    i += 1;
-                }
-                "--locality" => {
-                    a.locality_pct = Some(take(i).parse().expect("--locality wants a percent"));
-                    i += 1;
-                }
-                "--hot-pct" => {
-                    a.hot_pct = Some(take(i).parse().expect("--hot-pct wants a percent"));
-                    i += 1;
-                }
-                "--hot-keys" => {
-                    a.hot_keys = Some(take(i).parse().expect("--hot-keys wants a number"));
-                    i += 1;
-                }
-                "--smoke" => a.smoke = true,
-                "--recovery" => a.recovery = true,
-                _ => {}
-            }
-            i += 1;
-        }
-        a
+            mode: args.value_with("--mode", EngineMode::parse)?.unwrap_or(EngineMode::Plain),
+            mix: args
+                .value_with("--mix", |s| MixConfig::parse(s).map(|_| s.to_string()))?
+                .unwrap_or_else(|| "bank".into()),
+            requests: args.value("--requests")?.unwrap_or(16384),
+            queue_cap: args.value("--queue-cap")?.unwrap_or(0),
+            total_warps: args.value("--total-warps")?.unwrap_or(64),
+            seed: args.value("--seed")?.unwrap_or(42),
+            smoke: args.flag("--smoke"),
+            recovery: args.flag("--recovery"),
+            accounts: args.value("--accounts")?.unwrap_or(256),
+            locality_pct: args.value("--locality")?,
+            hot_pct: args.value("--hot-pct")?,
+            hot_keys: args.value("--hot-keys")?,
+        })
+    }
+
+    /// What a golden pins: `flags` and every other option at its default.
+    fn pinned(flags: &str) -> Opts {
+        Opts::parse(&mut Args::new(flags)).expect("pinned flags parse")
     }
 }
 
@@ -159,8 +97,8 @@ impl Args {
 /// capacity (`total_warps` × 32 lanes) is held constant across shard
 /// counts: one shard runs all lanes in one conflict domain, `n` shards
 /// split the same lanes into `n` independent domains.
-fn config(args: &Args, mix_name: &str, variant: Variant, shards: usize) -> ServeConfig {
-    let mut mix = MixConfig::parse(mix_name).expect("unknown --mix");
+fn config(args: &Opts, mix_name: &str, variant: Variant, shards: usize) -> ServeConfig {
+    let mut mix = MixConfig::parse(mix_name).expect("mix names are checked when parsed");
     mix.requests = args.requests;
     // Saturating arrivals: the sweep measures service throughput, not
     // idle time waiting for an open-loop trickle.
@@ -210,33 +148,38 @@ fn config(args: &Args, mix_name: &str, variant: Variant, shards: usize) -> Serve
     }
 }
 
-fn run(cfg: &ServeConfig, mix_name: &str) -> ServeReport {
+fn run(cfg: &ServeConfig, mix_name: &str) -> Result<ServeReport, Error> {
     eprint!(
         "[serve] mix={} variant={} shards={} ...",
         mix_name,
         cfg.variant.short_name(),
         cfg.shards
     );
-    let report = Service::run(cfg).unwrap_or_else(|e| panic!("serve run failed: {e}"));
+    let report = Service::run(cfg).map_err(|e| format!("serve run failed: {e}"))?;
     eprintln!(
         " {} completed in {:.2}s ({} virtual kcycles)",
         report.completed,
         report.wall_seconds,
         report.virtual_cycles / 1000
     );
-    report
+    Ok(report)
 }
 
-/// One durable service config for the recovery sweep. Small and hot:
-/// the sweep measures healing fidelity, not throughput, so a compact
+/// The compact durable service the recovery and obs sweeps share. Small
+/// and hot: they measure healing fidelity, not throughput, so a
 /// fixed-seed run that still crosses several snapshot boundaries is
 /// ideal.
-fn recovery_config(args: &Args, dur: DurabilityConfig) -> ServeConfig {
+pub(super) fn durable_config(
+    shards: usize,
+    workers: usize,
+    seed: u64,
+    dur: DurabilityConfig,
+) -> ServeConfig {
     ServeConfig {
-        shards: args.shards.unwrap_or(2),
-        workers: args.workers,
+        shards,
+        workers,
         mix: MixConfig { requests: 96, ..MixConfig::mixed() },
-        seed: args.seed,
+        seed,
         accounts: 64,
         table_words: 256,
         txl_words: 16,
@@ -247,11 +190,24 @@ fn recovery_config(args: &Args, dur: DurabilityConfig) -> ServeConfig {
     }
 }
 
+struct Cell {
+    shard: usize,
+    point: CrashPoint,
+    identical: bool,
+    rec: RecoveryReport,
+}
+
+struct Recovery {
+    shards: usize,
+    cells: Vec<Cell>,
+    /// The replicated run's report (replica census + divergence incidents).
+    replication: RecoveryReport,
+    json: String,
+}
+
 /// Kill-and-restart sweep: every (shard × crash point) cell must heal
-/// back to the uncrashed baseline byte-for-byte. Writes
-/// `BENCH_<name>.json` and `recovery-report.json`; exits nonzero on any
-/// divergence so CI fails loudly.
-fn run_recovery(args: &Args) {
+/// back to the uncrashed baseline byte-for-byte.
+fn recovery(args: &Opts) -> Result<Recovery, Error> {
     let durability = DurabilityConfig { segment_batches: 2, ..DurabilityConfig::default() };
     let points: &[CrashPoint] = if args.smoke {
         // The two most distinctive repair paths: torn-tail truncation
@@ -260,36 +216,26 @@ fn run_recovery(args: &Args) {
     } else {
         &CrashPoint::ALL
     };
+    let shards = args.shards.unwrap_or(2);
+    let cfg = |dur| durable_config(shards, args.workers, args.seed, dur);
 
-    let base_cfg = recovery_config(args, durability);
-    let shards = base_cfg.shards;
     eprintln!("[recovery] baseline: {} shards, seed {} ...", shards, args.seed);
     let base_store = MemStore::shared();
-    let (baseline, _) = Service::run_durable(&base_cfg, base_store.clone())
-        .unwrap_or_else(|e| panic!("baseline durable run failed: {e}"));
+    let (baseline, _) = Service::run_durable(&cfg(durability), base_store.clone())
+        .map_err(|e| format!("baseline durable run failed: {e}"))?;
     let baseline_json = baseline.to_json();
     let (base_fnv, base_bytes) = store_fingerprint(&base_store);
 
-    struct Cell {
-        shard: usize,
-        point: CrashPoint,
-        identical: bool,
-        rec: tm_serve::RecoveryReport,
-    }
     let mut cells: Vec<Cell> = Vec::new();
-    let mut diverged_cells = 0usize;
     for shard in 0..shards {
         for &point in points {
             let dur =
                 DurabilityConfig { crash: Some(CrashPlan::at(shard, point, 1)), ..durability };
             let store = MemStore::shared();
-            let (report, rec) = Service::run_durable(&recovery_config(args, dur), store.clone())
-                .unwrap_or_else(|e| panic!("kill shard {shard} at {point}: {e}"));
+            let (report, rec) = Service::run_durable(&cfg(dur), store.clone())
+                .map_err(|e| format!("kill shard {shard} at {point}: {e}"))?;
             let identical = report.to_json() == baseline_json
                 && store_fingerprint(&store) == (base_fnv, base_bytes);
-            if !identical {
-                diverged_cells += 1;
-            }
             eprintln!(
                 "[recovery] shard {shard} at {point}: {}",
                 if identical { "byte-identical" } else { "DIVERGED" }
@@ -305,9 +251,8 @@ fn run_recovery(args: &Args) {
         replica_fault: Some(ReplicaFault { shard: 0, replica: 1, at_commit: 3 }),
         ..durability
     };
-    let (rep_report, rep_rec) =
-        Service::run_durable(&recovery_config(args, rep_dur), MemStore::shared())
-            .unwrap_or_else(|e| panic!("replicated run failed: {e}"));
+    let (rep_report, replication) = Service::run_durable(&cfg(rep_dur), MemStore::shared())
+        .map_err(|e| format!("replicated run failed: {e}"))?;
     assert!(rep_report.conserved, "replica fault must never touch the primary");
 
     let mut w = JsonWriter::new();
@@ -335,22 +280,22 @@ fn run_recovery(args: &Args) {
     }
     w.end_array();
     w.key("replication");
-    rep_rec.write_json(&mut w);
+    replication.write_json(&mut w);
     w.end_object();
-    // `--name` still overrides, but the default artifact name is
-    // `recovery` here so the load sweep's BENCH_serve.json survives.
-    let name = if args.name == "serve" { "recovery" } else { args.name.as_str() };
-    let path = bench_output_path(name);
-    let json = w.finish();
-    std::fs::write(&path, &json).expect("write recovery report");
+    Ok(Recovery { shards, cells, replication, json: w.finish() })
+}
 
+/// `serve --recovery`: the sweep, its two artifacts and its table; fails
+/// on any divergence so CI fails loudly.
+fn run_recovery(args: &Opts, out: &Out, mode: Mode) -> Result<(), Error> {
+    let r = recovery(args)?;
+    let path = out.write(GOLDEN_RECOVERY, &r.json)?;
     // Standalone artifact: the replicated run's structured recovery
-    // report (replica census + divergence incidents), for CI upload.
-    // Routed like every other artifact so `BENCH_OUT_DIR` moves it too.
-    let rec_path = bench::artifact_output_path("recovery-report.json");
-    std::fs::write(&rec_path, rep_rec.to_json()).expect("write recovery-report.json");
+    // report, for CI upload.
+    out.write("recovery-report.json", &r.replication.to_json())?;
 
-    let rows: Vec<Vec<String>> = cells
+    let rows: Vec<Vec<String>> = r
+        .cells
         .iter()
         .map(|c| {
             let s = &c.rec.recoveries[0];
@@ -372,29 +317,26 @@ fn run_recovery(args: &Args) {
     );
     println!(
         "\nreplication: {}/{} replicas healthy, {} divergence incident(s)",
-        rep_rec.replicas_healthy,
-        rep_rec.replicas_per_shard * shards as u64,
-        rep_rec.diverged.len()
+        r.replication.replicas_healthy,
+        r.replication.replicas_per_shard * r.shards as u64,
+        r.replication.diverged.len()
     );
-    println!("report written to {} ({} bytes)", path.display(), json.len());
-    if diverged_cells > 0 {
-        eprintln!("[recovery] {diverged_cells} cell(s) diverged from the baseline");
-        std::process::exit(1);
+    println!("report written to {} ({} bytes)", path.display(), r.json.len());
+    let diverged = r.cells.iter().filter(|c| !c.identical).count();
+    if diverged > 0 {
+        return Err(Error::Failed(format!("{diverged} cell(s) diverged from the baseline")));
     }
+    mode.settle(GOLDEN_RECOVERY, &r.json)
 }
 
-fn main() {
-    let args = Args::parse();
-    if args.recovery {
-        run_recovery(&args);
-        return;
-    }
+/// `(mix, report)` per sweep point, in deterministic sweep order.
+type Runs = Vec<(String, ServeReport)>;
 
-    // (mix, report) per sweep point, in deterministic sweep order.
-    let mut runs: Vec<(String, ServeReport)> = Vec::new();
+fn sweep(args: &Opts) -> Result<Runs, Error> {
+    let mut runs = Runs::new();
     if let Some(shards) = args.shards {
-        let cfg = config(&args, &args.mix, args.variant, shards);
-        runs.push((args.mix.clone(), run(&cfg, &args.mix)));
+        let cfg = config(args, &args.mix, args.variant, shards);
+        runs.push((args.mix.clone(), run(&cfg, &args.mix)?));
     } else {
         let mixes = ["bank", "ht"];
         let shard_axis: &[usize] = if args.smoke { &[1, 2] } else { &[1, 2, 4] };
@@ -403,22 +345,25 @@ fn main() {
         for mix in mixes {
             for &variant in &variants {
                 for &shards in shard_axis {
-                    let mut cfg = config(&args, mix, variant, shards);
+                    let mut cfg = config(args, mix, variant, shards);
                     cfg.mix.requests = sweep_requests;
                     cfg.queue_capacity = sweep_requests as usize + 8;
-                    runs.push((mix.to_string(), run(&cfg, mix)));
+                    runs.push((mix.to_string(), run(&cfg, mix)?));
                 }
             }
         }
     }
+    Ok(runs)
+}
 
-    // Deterministic artifact: stable field order, virtual metrics only.
+/// Deterministic artifact: stable field order, virtual metrics only.
+fn sweep_json(runs: &Runs) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
     w.field_str("schema", "gpu-stm-serve/1");
     w.key("runs");
     w.begin_array();
-    for (mix, report) in &runs {
+    for (mix, report) in runs {
         w.begin_object();
         w.field_str("mix", mix);
         w.key("report");
@@ -427,9 +372,37 @@ fn main() {
     }
     w.end_array();
     w.end_object();
-    let path = bench_output_path(&args.name);
-    let json = w.finish();
-    std::fs::write(&path, &json).expect("write serve report");
+    w.finish()
+}
+
+const PINNED: &str = "--smoke";
+const PINNED_RECOVERY: &str = "--recovery --smoke";
+
+/// `BENCH_serve.json` at its pinned configuration.
+pub fn render() -> Result<String, Error> {
+    Ok(sweep_json(&sweep(&Opts::pinned(PINNED))?))
+}
+
+/// `BENCH_recovery.json` at its pinned configuration.
+pub fn render_recovery() -> Result<String, Error> {
+    Ok(recovery(&Opts::pinned(PINNED_RECOVERY))?.json)
+}
+
+/// Takes the flags the module documentation lists, `--bless`, `--out DIR`.
+pub fn parse(args: &mut Args) -> Result<Job, Error> {
+    let o = Opts::parse(args)?;
+    let pinned = if o.recovery { PINNED_RECOVERY } else { PINNED };
+    let mode = Mode::parse(args, o == Opts::pinned(pinned), pinned)?;
+    let out = args.out()?;
+    Ok(Box::new(
+        move || if o.recovery { run_recovery(&o, &out, mode) } else { run_sweep(&o, &out, mode) },
+    ))
+}
+
+fn run_sweep(args: &Opts, out: &Out, mode: Mode) -> Result<(), Error> {
+    let runs = sweep(args)?;
+    let json = sweep_json(&runs);
+    let path = out.write(GOLDEN, &json)?;
 
     // Console table: wall-clock columns live here and only here.
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -472,4 +445,5 @@ fn main() {
         &rows,
     );
     println!("\nreport written to {} ({} bytes)", path.display(), json.len());
+    mode.settle(GOLDEN, &json)
 }

@@ -4,16 +4,14 @@
 //!
 //! Measured by running each workload under STM-Optimized with its default
 //! (scaled) configuration.
-//!
-//! Usage: `cargo run -p bench --release --bin table1`
 
-use bench::runner::{run_workload, Workload};
-use bench::{print_table, thousands, Suite};
+use crate::runner::{run_workload, Workload};
+use crate::{print_table, thousands, Suite};
 use gpu_stm::Phase;
 use workloads::Variant;
 
-fn main() {
-    let suite = Suite::from_args();
+/// Runs the subcommand.
+pub fn run(suite: &Suite) {
     println!(
         "GPU-STM reproduction — Table 1 (workload characteristics, measured under \
          STM-Optimized; sizes scaled 1/{})",
@@ -38,7 +36,7 @@ fn main() {
             }
             Workload::Km => suite.km().0.shared_words() as u64,
         };
-        match run_workload(&suite, w, Variant::Optimized, None) {
+        match run_workload(suite, w, Variant::Optimized, None) {
             Ok(out) => {
                 let commits = out.tx.commits.max(1);
                 let b = &out.tx.breakdown;

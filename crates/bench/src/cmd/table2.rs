@@ -5,15 +5,13 @@
 //! LB, and a tiny 64×2 grid for KM (high conflict rates make extra SIMT
 //! lanes useless). The same qualitative pattern should emerge here at the
 //! harness's scaled sizes.
-//!
-//! Usage: `cargo run -p bench --release --bin table2`
 
-use bench::runner::{run_workload, Workload};
-use bench::{print_table, thousands, Suite};
+use crate::runner::{run_workload, Workload};
+use crate::{print_table, thousands, Suite};
 use workloads::Variant;
 
-fn main() {
-    let suite = Suite::from_args();
+/// Runs the subcommand.
+pub fn run(suite: &Suite) {
     println!("GPU-STM reproduction — Table 2 (autotuned launch configurations, STM-Optimized)");
 
     let mut rows = Vec::new();
@@ -32,7 +30,7 @@ fn main() {
         let mut best: Option<(f64, u64, gpu_sim::LaunchConfig)> = None;
         for &t in &candidates {
             eprint!("[table2] {} @ {t} threads...", w.label());
-            match run_workload(&suite, w, Variant::Optimized, Some(t)) {
+            match run_workload(suite, w, Variant::Optimized, Some(t)) {
                 Ok(out) => {
                     let per_tx = out.cycles as f64 / out.tx.commits.max(1) as f64;
                     eprintln!(" {} cycles, {per_tx:.0} cyc/tx", thousands(out.cycles));

@@ -2,32 +2,21 @@
 //! over the tm-verify litmus workloads, with machine-readable exploration
 //! stats and `.sched` repro files for any violation found.
 //!
-//! Usage:
-//!
-//! ```text
-//! cargo run -p bench --release --bin verify                 # full matrix
-//! cargo run -p bench --release --bin verify -- \
-//!     --workload bank --variant hv-sorting --bound 2        # one cell
-//! cargo run -p bench --release --bin verify -- \
-//!     --mutant unsorted_locks --variant hv-sorting          # witness hunt
-//! cargo run -p bench --release --bin verify -- \
-//!     --replay witness.sched                                # reproduce
-//! ```
-//!
 //! Exit status is nonzero when any violation is found (or a `--replay`
-//! does not reproduce one), so the bin doubles as a CI gate.
+//! does not reproduce one), so the subcommand doubles as a CI gate.
+//! `--json NAME` and the `.sched` witnesses land in the output directory.
 
-use bench::print_table;
+use crate::args::{Args, Out};
+use crate::{print_table, Error, Job};
 use gpu_sim::json::JsonWriter;
 use gpu_stm::Mutation;
-use std::process::ExitCode;
 use tm_verify::{
-    finding_to_sched, minimize_finding, parse, replay, verify, ExploreStats, Litmus, VerifyConfig,
-    Workload,
+    finding_to_sched, minimize_finding, parse as parse_sched, replay, verify, ExploreStats, Litmus,
+    VerifyConfig, Workload,
 };
 use workloads::Variant;
 
-struct Args {
+struct Opts {
     workloads: Vec<Workload>,
     variants: Vec<Variant>,
     blocks: u32,
@@ -36,86 +25,53 @@ struct Args {
     max_schedules: u64,
     mutant: Option<(&'static str, Mutation)>,
     json: Option<String>,
-    sched_dir: String,
-    replay: Option<String>,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: verify [--workload bank|hashtable|stripes|all] [--variant <name>|all]\n\
-         \x20             [--blocks N] [--warps N] [--bound N] [--max-schedules N]\n\
-         \x20             [--mutant skip_validation|unsorted_locks|late_writeback]\n\
-         \x20             [--json FILE] [--sched-dir DIR] [--replay FILE.sched]"
-    );
-    std::process::exit(2)
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        workloads: Workload::ALL.to_vec(),
-        variants: Variant::ALL.to_vec(),
-        blocks: 1,
-        warps: 2,
-        bound: 2,
-        max_schedules: 3000,
-        mutant: None,
-        json: None,
-        sched_dir: ".".into(),
-        replay: None,
+/// Takes `--workload bank|hashtable|stripes|all`, `--variant NAME|all`,
+/// `--blocks N`, `--warps N`, `--bound N`, `--max-schedules N`,
+/// `--mutant skip_validation|unsorted_locks|late_writeback`,
+/// `--json NAME`, `--replay FILE.sched`, `--out DIR`.
+pub fn parse(args: &mut Args) -> Result<Job, Error> {
+    let o = Opts {
+        workloads: one_or_all(args, "--workload", &Workload::ALL, Workload::parse)?,
+        variants: one_or_all(args, "--variant", &Variant::ALL, Variant::parse)?,
+        blocks: args.value("--blocks")?.unwrap_or(1),
+        warps: args.value("--warps")?.unwrap_or(2),
+        bound: args.value("--bound")?.unwrap_or(2),
+        max_schedules: args.value("--max-schedules")?.unwrap_or(3000),
+        mutant: args.value_with("--mutant", parse_mutant)?,
+        json: args.value("--json")?,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(flag) = it.next() {
-        let mut val = || it.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--workload" => {
-                let v = val();
-                args.workloads = match v.as_str() {
-                    "all" => Workload::ALL.to_vec(),
-                    w => vec![Workload::parse(w).unwrap_or_else(|| usage())],
-                };
-            }
-            "--variant" => {
-                let v = val();
-                args.variants = match v.as_str() {
-                    "all" => Variant::ALL.to_vec(),
-                    s => vec![Variant::parse(s).unwrap_or_else(|| usage())],
-                };
-            }
-            "--blocks" => args.blocks = val().parse().unwrap_or_else(|_| usage()),
-            "--warps" => args.warps = val().parse().unwrap_or_else(|_| usage()),
-            "--bound" => args.bound = val().parse().unwrap_or_else(|_| usage()),
-            "--max-schedules" => args.max_schedules = val().parse().unwrap_or_else(|_| usage()),
-            "--mutant" => args.mutant = Some(parse_mutant(&val()).unwrap_or_else(|| usage())),
-            "--json" => args.json = Some(val()),
-            "--sched-dir" => args.sched_dir = val(),
-            "--replay" => args.replay = Some(val()),
-            _ => usage(),
-        }
-    }
-    args
+    let replay: Option<String> = args.value("--replay")?;
+    let out = args.out()?;
+    Ok(Box::new(move || match replay {
+        Some(path) => replay_file(&path),
+        None => explore(&o, &out),
+    }))
+}
+
+/// Takes `flag NAME|all`; every one of `all` when the flag is absent.
+fn one_or_all<T: Copy>(
+    args: &mut Args,
+    flag: &str,
+    all: &[T],
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, Error> {
+    let read = |s: &str| if s == "all" { Some(all.to_vec()) } else { parse(s).map(|x| vec![x]) };
+    Ok(args.value_with(flag, read)?.unwrap_or_else(|| all.to_vec()))
 }
 
 fn parse_mutant(s: &str) -> Option<(&'static str, Mutation)> {
+    let none = Mutation::default();
     match s {
-        "skip_validation" => {
-            Some(("skip_validation", Mutation { skip_validation: true, ..Default::default() }))
-        }
-        "unsorted_locks" => {
-            Some(("unsorted_locks", Mutation { unsorted_locks: true, ..Default::default() }))
-        }
-        "late_writeback" => {
-            Some(("late_writeback", Mutation { late_writeback: true, ..Default::default() }))
-        }
+        "skip_validation" => Some(("skip_validation", Mutation { skip_validation: true, ..none })),
+        "unsorted_locks" => Some(("unsorted_locks", Mutation { unsorted_locks: true, ..none })),
+        "late_writeback" => Some(("late_writeback", Mutation { late_writeback: true, ..none })),
         _ => None,
     }
 }
 
-fn main() -> ExitCode {
-    let args = parse_args();
-    if let Some(path) = &args.replay {
-        return replay_file(path);
-    }
-
+fn explore(args: &Opts, out: &Out) -> Result<(), Error> {
     println!("GPU-STM reproduction — bounded DPOR model checking");
     let mut rows = Vec::new();
     let mut cells = Vec::new();
@@ -160,18 +116,15 @@ fn main() -> ExitCode {
                 violations += report.findings.len() as u64;
                 let f = &report.findings[0];
                 let min = minimize_finding(&litmus, f);
-                let file = format!(
-                    "{}/{}-{}-{}.sched",
-                    args.sched_dir,
-                    wl.name(),
-                    variant.short_name(),
-                    f.violation.kind
-                );
-                let text = finding_to_sched(&litmus, f, &min);
-                if let Err(e) = std::fs::write(&file, text) {
-                    eprintln!("[verify] cannot write {file}: {e}");
-                }
-                format!("{} ({} choices) -> {file}", f.violation.kind, min.choices.len())
+                let name =
+                    format!("{}-{}-{}.sched", wl.name(), variant.short_name(), f.violation.kind);
+                let file = out.write(&name, &finding_to_sched(&litmus, f, &min))?;
+                format!(
+                    "{} ({} choices) -> {}",
+                    f.violation.kind,
+                    min.choices.len(),
+                    file.display()
+                )
             };
             rows.push(vec![
                 wl.name().to_string(),
@@ -208,24 +161,17 @@ fn main() -> ExitCode {
         &rows,
     );
 
-    if let Some(path) = &args.json {
-        let json = stats_json(&args, &cells);
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("[verify] cannot write {path}: {e}");
-            return ExitCode::from(2);
-        }
-        println!("wrote {path}");
+    if let Some(name) = &args.json {
+        println!("wrote {}", out.write(name, &stats_json(args, &cells))?.display());
     }
 
     if violations > 0 {
-        println!("\n{violations} violation(s) found");
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+        return Err(Error::Failed(format!("{violations} violation(s) found")));
     }
+    Ok(())
 }
 
-fn stats_json(args: &Args, cells: &[(Workload, Variant, ExploreStats, String)]) -> String {
+fn stats_json(args: &Opts, cells: &[(Workload, Variant, ExploreStats, String)]) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
     w.field_u64("bound", u64::from(args.bound));
@@ -256,28 +202,10 @@ fn stats_json(args: &Args, cells: &[(Workload, Variant, ExploreStats, String)]) 
     w.finish()
 }
 
-fn replay_file(path: &str) -> ExitCode {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let (schedule, meta) = match parse(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let litmus = match litmus_from_meta(&meta) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("{path}: {e}");
-            return ExitCode::from(2);
-        }
-    };
+fn replay_file(path: &str) -> Result<(), Error> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+    let (schedule, meta) = parse_sched(&text).map_err(|e| format!("{path}: {e}"))?;
+    let litmus = litmus_from_meta(&meta).map_err(|e| format!("{path}: {e}"))?;
     println!(
         "replaying {path}: {}/{} {}x{} warps, {} forced choices",
         litmus.workload,
@@ -288,13 +216,12 @@ fn replay_file(path: &str) -> ExitCode {
     );
     let out = replay(&litmus, &schedule);
     if out.violations.is_empty() {
-        println!("no violation reproduced");
-        return ExitCode::FAILURE;
+        return Err(Error::Failed("no violation reproduced".into()));
     }
     for v in &out.violations {
         println!("reproduced: {} {}", v.kind, v.message);
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 fn litmus_from_meta(meta: &[(String, String)]) -> Result<Litmus, String> {

@@ -1,8 +1,16 @@
 //! # bench — the evaluation harness
 //!
-//! Shared configuration and reporting utilities for the table/figure
-//! binaries (`table1`, `fig2`, `fig3`, `fig4`, `fig5`, `table2`) and the
-//! Criterion benches.
+//! One binary, `bench <subcommand>`, regenerates every table and figure
+//! of the paper and every later sweep; this library holds the
+//! subcommands ([`cmd`]), the pieces they share ([`args`], [`golden`],
+//! [`runner`]) and the scaling rules.
+//!
+//! ## Output contract
+//!
+//! A run writes its artifacts under `target/bench/` (`--out DIR`
+//! overrides); `bench check` renders all ten goldens and compares each
+//! with the committed file; `--bless` is the only writer of a committed
+//! file, and only at the golden's pinned configuration.
 //!
 //! ## Scaling
 //!
@@ -16,13 +24,85 @@
 
 #![warn(missing_docs)]
 
+pub mod args;
+pub mod cmd;
+pub mod golden;
 pub mod runner;
 
+use args::Args;
 use gpu_sim::LaunchConfig;
 use workloads::{
     eigenbench::EbParams, genome::GnParams, ht::HtParams, kmeans::KmParams, labyrinth::LbParams,
     ra::RaParams, RunConfig,
 };
+
+/// Why a subcommand did not succeed; the variant is the exit status.
+#[derive(Debug)]
+pub enum Error {
+    /// The command line was wrong (exit 2): nothing ran, nothing was written.
+    Usage(String),
+    /// The run found something — a violation, a golden mismatch, an
+    /// unreadable file (exit 1).
+    Failed(String),
+}
+
+impl std::fmt::Display for Error {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (Error::Usage(msg) | Error::Failed(msg)) = self;
+        f.write_str(msg)
+    }
+}
+
+impl From<String> for Error {
+    fn from(msg: String) -> Error {
+        Error::Failed(msg)
+    }
+}
+
+/// A fully parsed subcommand, ready to run.
+pub type Job = Box<dyn FnOnce() -> Result<(), Error>>;
+
+/// Parses `<subcommand> [flags]` completely, so a bad command line is
+/// rejected before anything runs or is written.
+///
+/// # Errors
+///
+/// [`Error::Usage`] on an unknown subcommand or flag, a missing value or
+/// a value that does not parse.
+pub fn parse(mut args: Args) -> Result<Job, Error> {
+    let name = args.subcommand()?;
+    let suite_job = |args: &mut Args, run: fn(&Suite)| -> Result<Job, Error> {
+        let suite = Suite::parse(args)?;
+        Ok(Box::new(move || {
+            run(&suite);
+            Ok(())
+        }))
+    };
+    let job: Job = match name.as_str() {
+        "table1" => suite_job(&mut args, cmd::table1::run)?,
+        "table2" => suite_job(&mut args, cmd::table2::run)?,
+        "fig2" => suite_job(&mut args, cmd::fig2::run)?,
+        "fig3" => suite_job(&mut args, cmd::fig3::run)?,
+        "fig4" => suite_job(&mut args, cmd::fig4::run)?,
+        "fig5" => suite_job(&mut args, cmd::fig5::run)?,
+        "ablations" => suite_job(&mut args, cmd::ablations::run)?,
+        "ext_scheduler" => Box::new(cmd::ext_scheduler::run),
+        "faults" => Box::new(cmd::faults::run),
+        "lint" => cmd::lint::parse(&mut args)?,
+        "fix" => cmd::fix::parse(&mut args)?,
+        "analyze" => cmd::analyze::parse(&mut args)?,
+        "report" => cmd::report::parse(&mut args)?,
+        "trace" => cmd::trace::parse(&mut args)?,
+        "verify" => cmd::verify::parse(&mut args)?,
+        "serve" => cmd::serve::parse(&mut args)?,
+        "obs" => cmd::obs::parse(&mut args)?,
+        "retry" => cmd::retry::parse(&mut args)?,
+        "check" => golden::parse_check(&mut args)?,
+        _ => return Err(Error::Usage(format!("unknown subcommand `{name}`"))),
+    };
+    args.finish()?;
+    Ok(job)
+}
 
 /// Paper-reference sizes (before scaling).
 pub mod paper {
@@ -37,7 +117,7 @@ pub mod paper {
 }
 
 /// Harness-wide scaling and filtering options.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Suite {
     /// Divisor applied to array and lock-table sizes.
     pub data_scale: u64,
@@ -54,32 +134,23 @@ impl Default for Suite {
 }
 
 impl Suite {
-    /// Parses `--data-scale N`, `--thread-scale N` and `--only NAME` from
-    /// process arguments; unknown arguments are ignored.
-    pub fn from_args() -> Suite {
-        let mut suite = Suite::default();
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--data-scale" if i + 1 < args.len() => {
-                    suite.data_scale = args[i + 1].parse().expect("--data-scale wants a number");
-                    i += 1;
-                }
-                "--thread-scale" if i + 1 < args.len() => {
-                    suite.thread_scale =
-                        args[i + 1].parse().expect("--thread-scale wants a number");
-                    i += 1;
-                }
-                "--only" if i + 1 < args.len() => {
-                    suite.only = Some(args[i + 1].to_lowercase());
-                    i += 1;
-                }
-                _ => {}
-            }
-            i += 1;
-        }
-        suite
+    /// Takes `--data-scale N`, `--thread-scale N` and `--only NAME`.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Usage`] on a zero scale or an unknown workload name.
+    pub fn parse(args: &mut Args) -> Result<Suite, Error> {
+        let nonzero = |s: &str| s.parse().ok().filter(|n| *n > 0);
+        let default = Suite::default();
+        Ok(Suite {
+            data_scale: args.value_with("--data-scale", nonzero)?.unwrap_or(default.data_scale),
+            thread_scale: args
+                .value_with("--thread-scale", nonzero)?
+                .unwrap_or(default.thread_scale),
+            only: args.value_with("--only", |s| {
+                runner::Workload::parse(s).map(|w| w.short().to_string())
+            })?,
+        })
     }
 
     /// Whether workload `name` is selected.
@@ -87,7 +158,7 @@ impl Suite {
         self.only.as_deref().is_none_or(|o| o == name)
     }
 
-    fn scaled_pow2(&self, paper_value: u64) -> u32 {
+    pub(crate) fn scaled_pow2(&self, paper_value: u64) -> u32 {
         ((paper_value / self.data_scale).max(1024) as u32).next_power_of_two()
     }
 
@@ -185,26 +256,6 @@ pub fn square_grid(threads: u64) -> LaunchConfig {
     let tpb = tpb.clamp(32, 256).next_power_of_two().min(256) as u32;
     let blocks = threads.div_ceil(tpb as u64) as u32;
     LaunchConfig::new(blocks.max(1), tpb)
-}
-
-/// Absolute path where a `BENCH_<name>.json` artifact belongs: the
-/// workspace root by default — so CI and humans find reports in one
-/// stable place regardless of the invocation directory — overridable
-/// with the `BENCH_OUT_DIR` environment variable.
-pub fn bench_output_path(name: &str) -> std::path::PathBuf {
-    artifact_output_path(&format!("BENCH_{name}.json"))
-}
-
-/// Absolute path for any non-`BENCH_`-prefixed run artifact (e.g.
-/// `recovery-report.json`, flight-recorder bundles), routed through the
-/// same `BENCH_OUT_DIR`-else-workspace-root rule as
-/// [`bench_output_path`] so every artifact a run emits lands in one
-/// place.
-pub fn artifact_output_path(file_name: &str) -> std::path::PathBuf {
-    let dir = std::env::var_os("BENCH_OUT_DIR")
-        .map(std::path::PathBuf::from)
-        .unwrap_or_else(|| std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."));
-    dir.join(file_name)
 }
 
 /// Formats `value` with thousands separators.

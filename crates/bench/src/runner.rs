@@ -1,4 +1,4 @@
-//! Uniform workload execution used by the table/figure binaries.
+//! Uniform workload execution used by the table/figure subcommands.
 
 use crate::{square_grid, Suite};
 use gpu_sim::{LaunchConfig, RunReport, SimStats, TraceSink};
@@ -90,12 +90,6 @@ pub struct TraceHooks {
     pub tx: Option<TxTraceSink>,
 }
 
-fn apply_hooks(mut cfg: RunConfig, hooks: &TraceHooks) -> RunConfig {
-    cfg.sim.trace = hooks.sim.clone();
-    cfg.trace = hooks.tx.clone();
-    cfg
-}
-
 fn merge_sim(kernels: &[RunReport]) -> SimStats {
     let mut out = SimStats::new();
     for k in kernels {
@@ -142,7 +136,7 @@ pub fn run_workload(
 }
 
 /// [`run_workload`] with optional trace sinks attached to the simulator
-/// and the STM ([`TraceHooks`]). Used by the `trace` binary and the
+/// and the STM ([`TraceHooks`]). Used by the `trace` subcommand and the
 /// telemetry tests; passing default hooks is identical to `run_workload`.
 ///
 /// # Errors
@@ -155,20 +149,17 @@ pub fn run_workload_traced(
     threads: Option<u64>,
     hooks: &TraceHooks,
 ) -> Result<WlOutcome, RunError> {
-    match workload {
+    let cfg = |data_words: u64, grid: LaunchConfig| -> RunConfig {
+        let mut cfg = suite.run_config(data_words, grid.total_threads());
+        cfg.sim.trace = hooks.sim.clone();
+        cfg.trace = hooks.tx.clone();
+        cfg
+    };
+    let (out, grid) = match workload {
         Workload::Ra => {
             let (params, grid) = suite.ra();
             let grid = threads.map_or(grid, square_grid);
-            let cfg = suite.run_config(params.shared_words as u64, grid.total_threads());
-            let cfg = apply_hooks(cfg, hooks);
-            let out = ra::run(&params, variant, grid, &cfg)?;
-            Ok(WlOutcome {
-                cycles: out.cycles(),
-                kernel_cycles: out.kernel_cycles(),
-                sim: merge_sim(&out.kernels),
-                tx: out.tx,
-                grid,
-            })
+            (ra::run(&params, variant, grid, &cfg(params.shared_words as u64, grid))?, grid)
         }
         Workload::Ht => {
             let (mut params, mut grid) = suite.ht();
@@ -178,32 +169,14 @@ pub fn run_workload_traced(
                     as u32)
                     .next_power_of_two();
             }
-            let cfg = suite.run_config(params.table_words as u64, grid.total_threads());
-            let cfg = apply_hooks(cfg, hooks);
-            let out = ht::run(&params, variant, grid, &cfg)?;
-            Ok(WlOutcome {
-                cycles: out.cycles(),
-                kernel_cycles: out.kernel_cycles(),
-                sim: merge_sim(&out.kernels),
-                tx: out.tx,
-                grid,
-            })
+            (ht::run(&params, variant, grid, &cfg(params.table_words as u64, grid))?, grid)
         }
         Workload::Eb => {
             let (params, grid) = suite.eb();
             let grid = threads.map_or(grid, square_grid);
             let data = params.hot_words as u64
                 + grid.total_threads() * (params.mild_words + params.cold_words) as u64;
-            let cfg = suite.run_config(data, grid.total_threads());
-            let cfg = apply_hooks(cfg, hooks);
-            let out = eigenbench::run(&params, variant, grid, &cfg)?;
-            Ok(WlOutcome {
-                cycles: out.cycles(),
-                kernel_cycles: out.kernel_cycles(),
-                sim: merge_sim(&out.kernels),
-                tx: out.tx,
-                grid,
-            })
+            (eigenbench::run(&params, variant, grid, &cfg(data, grid))?, grid)
         }
         Workload::Gn => {
             let (mut params, mut g1, mut g2) = suite.gn();
@@ -214,49 +187,36 @@ pub fn run_workload_traced(
                 params.table_words = (params.n_segments * 8).next_power_of_two();
                 g2 = square_grid((params.n_segments / 2).max(32) as u64);
             }
-            let cfg = suite.run_config(params.table_words as u64, g1.total_threads());
-            let cfg = apply_hooks(cfg, hooks);
-            let out = genome::run(&params, variant, g1, g2, &cfg)?;
+            let out = genome::run(&params, variant, g1, g2, &cfg(params.table_words as u64, g1))?;
             let mut sim = merge_sim(&out.k1.kernels);
             sim.merge(&merge_sim(&out.k2.kernels));
-            Ok(WlOutcome {
+            return Ok(WlOutcome {
                 cycles: out.k1.cycles() + out.k2.cycles(),
                 kernel_cycles: vec![out.k1.cycles(), out.k2.cycles()],
                 sim,
                 tx: merge_tx(&out.k1.tx, &out.k2.tx),
                 grid: g1,
-            })
+            });
         }
         Workload::Lb => {
             let (params, grid) = suite.lb();
             let grid = threads.map_or(grid, |t| LaunchConfig::new((t as u32 / 32).max(1), 32));
             let cells = (params.width * params.height) as u64;
-            let cfg = suite.run_config(cells, grid.total_threads());
-            let cfg = apply_hooks(cfg, hooks);
-            let out = labyrinth::run(&params, variant, grid, &cfg)?;
-            Ok(WlOutcome {
-                cycles: out.base.cycles(),
-                kernel_cycles: out.base.kernel_cycles(),
-                sim: merge_sim(&out.base.kernels),
-                tx: out.base.tx,
-                grid,
-            })
+            (labyrinth::run(&params, variant, grid, &cfg(cells, grid))?.base, grid)
         }
         Workload::Km => {
             let (params, grid) = suite.km();
             let grid = threads.map_or(grid, |t| LaunchConfig::new((t as u32 / 2).max(1), 2));
-            let cfg = suite.run_config(params.shared_words() as u64, grid.total_threads());
-            let cfg = apply_hooks(cfg, hooks);
-            let out = kmeans::run(&params, variant, grid, &cfg)?;
-            Ok(WlOutcome {
-                cycles: out.cycles(),
-                kernel_cycles: out.kernel_cycles(),
-                sim: merge_sim(&out.kernels),
-                tx: out.tx,
-                grid,
-            })
+            (kmeans::run(&params, variant, grid, &cfg(params.shared_words() as u64, grid))?, grid)
         }
-    }
+    };
+    Ok(WlOutcome {
+        cycles: out.cycles(),
+        kernel_cycles: out.kernel_cycles(),
+        sim: merge_sim(&out.kernels),
+        tx: out.tx,
+        grid,
+    })
 }
 
 #[cfg(test)]

@@ -17,10 +17,11 @@
 
 use crate::cache::{CacheCheckpoint, CacheConfig, L2Cache};
 use crate::error::{SimError, WarpProgress};
-use crate::fault::{splitmix64, FaultPlan, FaultState};
+use crate::fault::{FaultPlan, FaultState};
 use crate::mask::{LaneMask, WARP_SIZE};
 use crate::memory::{Addr, GlobalMemory};
 use crate::race::{RaceDetector, RaceSink};
+use crate::rng::splitmix64;
 use crate::schedule::{PolicyHandle, RunnableWarp, StepEffect, StepRecord};
 use crate::stats::SimStats;
 use crate::timing::TimingModel;

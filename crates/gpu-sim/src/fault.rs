@@ -28,6 +28,8 @@
 //!   invariants (e.g. STM opacity) must survive, which is exactly what
 //!   the stress harness asserts.
 
+use crate::rng::splitmix64;
+
 /// Seed-controlled fault-injection configuration, part of
 /// [`SimConfig`](crate::SimConfig).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -90,15 +92,6 @@ impl FaultPlan {
     pub const fn is_active(&self) -> bool {
         self.shuffle_schedule || self.latency_jitter > 0 || self.cas_fail_num > 0
     }
-}
-
-/// splitmix64 step: the shared generator behind every fault stream.
-pub(crate) fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Per-launch mutable fault state: the plan plus independent RNG streams

@@ -14,11 +14,25 @@ pub struct WarpRng {
     states: [u32; WARP_SIZE],
 }
 
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+const GAMMA: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The splitmix64 hash of `x`: the one 64-bit mixer every crate uses for
+/// key hashing and seed derivation.
+#[inline]
+pub fn mix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// One step of the splitmix64 stream held in `state`: the generator
+/// behind every seeded fault, crash and test-case stream.
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    let out = mix64(*state);
+    *state = state.wrapping_add(GAMMA);
+    out
 }
 
 impl WarpRng {
@@ -26,7 +40,7 @@ impl WarpRng {
     /// id `base_tid + l`.
     pub fn new(seed: u64, base_tid: u32) -> Self {
         let states = std::array::from_fn(|l| {
-            let mixed = splitmix64(seed ^ splitmix64(base_tid as u64 + l as u64));
+            let mixed = mix64(seed ^ mix64(base_tid as u64 + l as u64));
             // xorshift32 state must be nonzero.
             (mixed as u32) | 1
         });

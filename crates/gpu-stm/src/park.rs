@@ -47,6 +47,7 @@ use crate::stats::{Phase, StatsHandle};
 use crate::trace::{TxEventKind, TxTrace, TxTraceSink};
 use crate::validation::vbv;
 use crate::warptx::WarpTx;
+use gpu_sim::rng::mix64;
 use gpu_sim::{
     Addr, AtomicOp, LaneAddrs, LaneMask, LaneVals, ParkOutcome, Sim, SimError, WakeHandle, WarpCtx,
     WARP_SIZE,
@@ -60,15 +61,6 @@ pub const N_STRIPES: u32 = 64;
 /// Budget handed to a park that the spurious-wake fault injection picked:
 /// short enough to fire before any plausible real wake.
 const SPURIOUS_BUDGET: u64 = 256;
-
-/// 64-bit finalizer (splitmix64) used for stripe hashing and the
-/// deterministic spurious-wake draw.
-fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Maps a data address to its registry stripe.
 fn stripe_of(addr: Addr) -> u32 {

@@ -35,6 +35,7 @@ use crate::api::Stm;
 use crate::stats::StatsHandle;
 use crate::trace::{TxEventKind, TxTrace, TxTraceSink};
 use crate::warptx::WarpTx;
+use gpu_sim::rng::splitmix64;
 use gpu_sim::{Addr, LaneAddrs, LaneMask, LaneVals, Sim, SimError, WarpCtx};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -83,14 +84,6 @@ impl RobustConfig {
         }
         Ok(())
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[derive(Debug)]

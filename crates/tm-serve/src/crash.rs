@@ -20,15 +20,8 @@
 //!   snapshot cadence ran, so recovery may restore a snapshot that
 //!   already contains the batch and must answer from the log alone.
 
+use gpu_sim::rng::splitmix64;
 use std::fmt;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Where in the batch durability lifecycle the worker dies.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]

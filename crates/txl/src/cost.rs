@@ -14,7 +14,7 @@
 //! conflicting transactions issued by distinct threads correspond to a
 //! pair of blocks joined by an edge. Conversely nothing is promised about
 //! precision, and the cost ranking is a heuristic validated empirically
-//! (`bench --bin analyze` asserts the recommendation lands within 15% of
+//! (`bench analyze` asserts the recommendation lands within 15% of
 //! the best measured variant).
 //!
 //! Arrays correspond across kernels **by parameter name**: two kernels
@@ -359,7 +359,7 @@ impl StaticProfile {
 /// Cost-model coefficients, in simulated cycles per thread.
 ///
 /// Calibration provenance: fitted once against the committed
-/// `bench --bin analyze` measured sweep (`BENCH_analyze.json`: five
+/// `bench analyze` measured sweep (`BENCH_analyze.json`: five
 /// workloads × 8 variants at 256 threads, simulated cycles), with the
 /// PR-3 telemetry `Breakdown` per-phase attribution in
 /// `BENCH_telemetry.json` fixing the *shape* of each term — e.g. the
@@ -367,7 +367,7 @@ impl StaticProfile {
 /// telemetry shows LockStm revalidating the whole read log per read,
 /// and VBV carries a `VBV_CLOCK × window` term because NOrec
 /// serialises commits behind one global clock. The constants are
-/// committed as data, not re-derived at runtime; `bench --bin analyze`
+/// committed as data, not re-derived at runtime; `bench analyze`
 /// gates the resulting ranking against fresh measurements (recommended
 /// variant within 15% of the best measured throughput per workload).
 pub mod coeff {
@@ -1250,7 +1250,7 @@ fn bound_json(w: &mut JsonWriter, key: &str, b: SymBound) {
 }
 
 /// Serializes a profile into an open [`JsonWriter`] object (stable field
-/// order; shared by the CLI `--format json` and `bench --bin analyze`).
+/// order; shared by the CLI `--format json` and `bench analyze`).
 pub fn write_profile_json(w: &mut JsonWriter, profile: &StaticProfile) {
     w.field_u64("threads", profile.threads as u64);
     w.field_u64("stripes", profile.stripes as u64);

@@ -44,13 +44,7 @@ pub fn outcome<S: Stm>(kernels: Vec<RunReport>, stm: &S) -> RunOutcome {
     RunOutcome { kernels, tx }
 }
 
-/// splitmix64 hash, used by workloads for key hashing.
-pub fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+pub use gpu_sim::rng::mix64;
 
 #[cfg(test)]
 mod tests {
