@@ -80,25 +80,25 @@ impl L2Cache {
 
     /// Accesses `segment` (a 128-byte line id), updating LRU state and
     /// allocating on miss.
+    // Inlined into the warp-instruction path, which calls it once per
+    // transaction: up to 32 times per simulated instruction.
+    #[inline]
     pub fn access(&mut self, segment: u32) -> CacheOutcome {
         self.tick += 1;
         let set = (segment as usize) & (self.cfg.sets - 1);
-        let base = set * self.cfg.ways;
+        let ways = set * self.cfg.ways..(set + 1) * self.cfg.ways;
         let key = segment as u64 + 1;
-        let mut victim = base;
-        let mut victim_stamp = u64::MAX;
-        for i in base..base + self.cfg.ways {
-            if self.tags[i] == key {
-                self.stamps[i] = self.tick;
-                return CacheOutcome::Hit;
-            }
-            if self.stamps[i] < victim_stamp {
-                victim_stamp = self.stamps[i];
-                victim = i;
-            }
+        // Nearly every access hits, so the victim is sought only on a miss.
+        let tags = &self.tags[ways.clone()];
+        if let Some(way) = tags.iter().position(|&t| t == key) {
+            self.stamps[ways.start + way] = self.tick;
+            return CacheOutcome::Hit;
         }
-        self.tags[victim] = key;
-        self.stamps[victim] = self.tick;
+        // Least recently used way, the lowest-numbered among equals.
+        let stamps = &self.stamps[ways.clone()];
+        let lru = (0..stamps.len()).min_by_key(|&w| stamps[w]).expect("ways is nonzero");
+        self.tags[ways.start + lru] = key;
+        self.stamps[ways.start + lru] = self.tick;
         CacheOutcome::Miss
     }
 

@@ -8,6 +8,8 @@
 //!
 //! This module computes, for a masked warp access, the distinct segments
 //! touched — the number of memory transactions the instruction issues.
+//! It runs once per simulated memory instruction, so everything here
+//! lives on the stack and is linear in the active-lane count.
 
 use crate::mask::{LaneMask, WARP_SIZE};
 use crate::memory::Addr;
@@ -16,17 +18,98 @@ use crate::memory::Addr;
 pub const SEGMENT_WORDS: u32 = 32;
 
 /// Result of coalescing one warp-wide access.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Copy, Clone, Debug)]
 pub struct Coalesced {
-    /// Distinct 128-byte segments touched, in first-touch order.
-    pub segments: Vec<u32>,
+    segments: [u32; WARP_SIZE],
+    len: usize,
 }
 
 impl Coalesced {
+    /// Distinct 128-byte segments touched, in first-touch order.
+    pub fn segments(&self) -> &[u32] {
+        &self.segments[..self.len]
+    }
+
     /// Number of memory transactions this access costs.
     pub fn transactions(&self) -> u32 {
-        self.segments.len() as u32
+        self.len as u32
     }
+}
+
+impl PartialEq for Coalesced {
+    fn eq(&self, other: &Self) -> bool {
+        self.segments() == other.segments()
+    }
+}
+
+impl Eq for Coalesced {}
+
+/// Slots of [`distinct_keys`]'s open-addressed index: twice the most keys
+/// it can hold.
+const INDEX_SLOTS: usize = 2 * WARP_SIZE;
+
+/// Where the probe for `key` starts: Fibonacci hashing, the top six bits
+/// of the product.
+fn home_slot(key: u32) -> usize {
+    (key.wrapping_mul(0x9e37_79b9) >> 26) as usize
+}
+
+/// Groups the lanes of `mask` by `key(lane)` — a segment, or a word — in
+/// time linear in the lane count and without leaving the stack. Returns
+/// the distinct keys in first-touch order and how many there are;
+/// `on_lanes(position, n)` hears of `n` more lanes on the key at `position`.
+#[inline]
+fn distinct_keys(
+    mask: LaneMask,
+    key: impl Fn(usize) -> u32,
+    mut on_lanes: impl FnMut(usize, u32),
+) -> ([u32; WARP_SIZE], usize) {
+    let mut keys = [0; WARP_SIZE];
+    let Some(leader) = mask.leader() else {
+        return (keys, 0);
+    };
+    let first = key(leader);
+    // The lanes that do not share the leader's key: none in a coalesced or
+    // broadcast access, the case the paper's layouts aim for. A branch-free
+    // pass over all 32 lanes, so that it vectorises.
+    let mut others = 0u32;
+    for lane in 0..WARP_SIZE {
+        others |= u32::from(key(lane) != first) << lane;
+    }
+    let others = LaneMask::from_bits(others) & mask;
+    keys[0] = first;
+    let mut len = 1;
+    on_lanes(0, mask.count() - others.count());
+    if others.none() {
+        return (keys, len);
+    }
+    // `index[h]` is 1 + the position in `keys` of the key whose probe ended
+    // at slot `h`, or 0 for an empty slot.
+    let mut index = [0u8; INDEX_SLOTS];
+    index[home_slot(first)] = 1;
+    // Neighbouring lanes mostly repeat a key, which then needs no probe.
+    let (mut prev, mut at) = (first, 0);
+    for lane in others.iter() {
+        let k = key(lane);
+        if k != prev {
+            prev = k;
+            let mut h = home_slot(k);
+            at = loop {
+                match index[h] {
+                    0 => {
+                        keys[len] = k;
+                        len += 1;
+                        index[h] = len as u8;
+                        break len - 1;
+                    }
+                    p if keys[p as usize - 1] == k => break p as usize - 1,
+                    _ => h = (h + 1) % INDEX_SLOTS,
+                }
+            };
+        }
+        on_lanes(at, 1);
+    }
+    (keys, len)
 }
 
 /// Coalesces the addresses of the active lanes of one warp instruction.
@@ -48,14 +131,8 @@ impl Coalesced {
 /// assert_eq!(coalesce(LaneMask::FULL, &addrs).transactions(), 1);
 /// ```
 pub fn coalesce(mask: LaneMask, addrs: &[Addr; WARP_SIZE]) -> Coalesced {
-    let mut segments: Vec<u32> = Vec::with_capacity(4);
-    for lane in mask.iter() {
-        let seg = addrs[lane].segment();
-        if !segments.contains(&seg) {
-            segments.push(seg);
-        }
-    }
-    Coalesced { segments }
+    let (segments, len) = distinct_keys(mask, |lane| addrs[lane].segment(), |_, _| {});
+    Coalesced { segments, len }
 }
 
 /// Coalesces a single-address access (every active lane hits `addr`).
@@ -63,29 +140,25 @@ pub fn coalesce(mask: LaneMask, addrs: &[Addr; WARP_SIZE]) -> Coalesced {
 /// GPU hardware broadcasts such accesses in one transaction; atomics to the
 /// same word instead serialise, which the timing model charges separately.
 pub fn coalesce_uniform(mask: LaneMask, addr: Addr) -> Coalesced {
-    if mask.none() {
-        Coalesced { segments: Vec::new() }
-    } else {
-        Coalesced { segments: vec![addr.segment()] }
-    }
+    let mut segments = [0; WARP_SIZE];
+    segments[0] = addr.segment();
+    Coalesced { segments, len: usize::from(mask.any()) }
 }
 
 /// Counts, for an atomic warp instruction, how many lanes target each
 /// distinct word. Same-word atomics serialise in hardware; the worst-case
 /// depth (max lanes on one word) bounds the serialisation latency.
 pub fn atomic_conflict_depth(mask: LaneMask, addrs: &[Addr; WARP_SIZE]) -> u32 {
-    let mut seen: Vec<(Addr, u32)> = Vec::with_capacity(8);
+    let mut lanes_on = [0u32; WARP_SIZE];
     let mut depth = 0;
-    for lane in mask.iter() {
-        let a = addrs[lane];
-        match seen.iter_mut().find(|(sa, _)| *sa == a) {
-            Some((_, n)) => *n += 1,
-            None => seen.push((a, 1)),
-        }
-    }
-    for (_, n) in &seen {
-        depth = depth.max(*n);
-    }
+    distinct_keys(
+        mask,
+        |lane| addrs[lane].0,
+        |word, n| {
+            lanes_on[word] += n;
+            depth = depth.max(lanes_on[word]);
+        },
+    );
     depth
 }
 
@@ -102,7 +175,7 @@ mod tests {
         let addrs = addrs_from(|i| 128 + i);
         let c = coalesce(LaneMask::FULL, &addrs);
         assert_eq!(c.transactions(), 1);
-        assert_eq!(c.segments, vec![4]);
+        assert_eq!(c.segments(), [4]);
     }
 
     #[test]
@@ -132,7 +205,20 @@ mod tests {
         let c = coalesce(LaneMask::FULL, &addrs);
         assert_eq!(c.transactions(), 2);
         // First-touch order: lane 0 touches segment 0 first.
-        assert_eq!(c.segments, vec![0, 1]);
+        assert_eq!(c.segments(), [0, 1]);
+    }
+
+    #[test]
+    fn colliding_keys_probe_past_the_table_end() {
+        // 32 distinct keys that all start their probe in the last slot.
+        let mut colliding = (0u32..).filter(|&k| home_slot(k) == INDEX_SLOTS - 1);
+        let keys: [u32; WARP_SIZE] = std::array::from_fn(|_| colliding.next().unwrap());
+        // As segments, each touched by two lanes 16 apart.
+        let addrs = addrs_from(|i| keys[(i % 16) as usize] * SEGMENT_WORDS + i);
+        assert_eq!(coalesce(LaneMask::FULL, &addrs).segments(), &keys[..16]);
+        // As words: all distinct, except that lane 31 repeats lane 0.
+        let words = addrs_from(|i| keys[(i % 31) as usize]);
+        assert_eq!(atomic_conflict_depth(LaneMask::FULL, &words), 2);
     }
 
     #[test]

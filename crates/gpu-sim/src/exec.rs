@@ -21,15 +21,15 @@ use crate::fault::{FaultPlan, FaultState};
 use crate::mask::{LaneMask, WARP_SIZE};
 use crate::memory::{Addr, GlobalMemory};
 use crate::race::{RaceDetector, RaceSink};
+use crate::ready::ReadyQueue;
 use crate::rng::splitmix64;
 use crate::schedule::{PolicyHandle, RunnableWarp, StepEffect, StepRecord};
 use crate::stats::SimStats;
 use crate::timing::TimingModel;
 use crate::trace::{SimEvent, SimEventKind, TraceSink};
-use crate::warp::{ParkSignal, WarpCtx};
+use crate::warp::{Mailbox, ParkSignal, WarpCtx};
 use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -240,8 +240,11 @@ pub(crate) struct SimState {
     pub(crate) progress: ProgressBoard,
     pub(crate) race: Option<RaceDetector>,
     pub(crate) trace: Option<TraceSink>,
-    /// Whether warp ops should record their [`StepEffect`] (true iff a
-    /// schedule policy is installed; keeps uncontrolled runs allocation-free).
+    /// Whether warp ops should record their [`StepEffect`]: true iff a
+    /// schedule policy is installed, since building an effect allocates its
+    /// address list. With no policy, race sink or trace sink attached a
+    /// warp instruction allocates nothing and borrows this state once;
+    /// `tests/no_alloc.rs` enforces the first half of that.
     pub(crate) observe_effects: bool,
     /// The effect of the instruction currently being executed, taken by the
     /// event loop after each poll and reported to the schedule policy.
@@ -507,6 +510,7 @@ impl Sim {
         Fut: Future<Output = ()> + 'static,
     {
         grid.validate()?;
+        let wake_queue = Rc::new(RefCell::new(Vec::new()));
         {
             let st = &mut *self.state.borrow_mut();
             st.now = 0;
@@ -521,8 +525,10 @@ impl Sim {
             st.last_effect = None;
             // Fresh wake queue per launch: wake handles are scoped to the
             // launch whose warps created them.
-            st.wake_queue = Rc::new(RefCell::new(Vec::new()));
+            st.wake_queue = Rc::clone(&wake_queue);
         }
+        let mailbox = Rc::new(Mailbox::default());
+        let jitter = self.config.fault.latency_jitter > 0;
 
         let wpb = grid.warps_per_block();
         let tail_threads = grid.threads_per_block - (wpb - 1) * WARP_SIZE as u32;
@@ -568,25 +574,16 @@ impl Sim {
                         threads_per_block: grid.threads_per_block,
                         launch_mask,
                     };
-                    let pending = Rc::new(Cell::new(0u64));
-                    let park = Rc::new(Cell::new(ParkSignal::None));
                     let pslot = {
                         let st = &mut *self.state.borrow_mut();
                         st.emit(b, w, SimEventKind::WarpStart);
                         st.progress.register(b, w, now)
                     };
-                    let ctx = WarpCtx::new(
-                        Rc::clone(&self.state),
-                        id,
-                        Rc::clone(&pending),
-                        Rc::clone(&park),
-                        pslot,
-                    );
+                    let ctx = WarpCtx::new(Rc::clone(&self.state), id, Rc::clone(&mailbox), pslot);
                     let fut: Pin<Box<dyn Future<Output = ()>>> = Box::pin(kernel(ctx));
                     let entry = WarpSlot {
                         fut,
-                        pending_cost: pending,
-                        pending_park: park,
+                        resume: ParkSignal::None,
                         block: b,
                         warp_in_block: w,
                         pslot,
@@ -614,33 +611,27 @@ impl Sim {
             // before every scheduling decision; wakes for warps that are
             // not parked are consumed as no-ops, making wake/park races
             // safe by construction.
-            let pending_wakes = {
-                let st = self.state.borrow();
-                let taken = std::mem::take(&mut *st.wake_queue.borrow_mut());
-                taken
-            };
-            for pslot in pending_wakes {
+            for pslot in wake_queue.borrow_mut().drain(..) {
                 scheduler.unpark(pslot, ParkSignal::Woken, last_cycle);
             }
             // A finite park budget expiring no later than the next
             // runnable warp's ready time fires first — a busy run queue
             // must not starve timeouts until it drains.
-            if let Some((deadline, pslot)) = scheduler.earliest_parked() {
-                if deadline != u64::MAX && scheduler.next_ready().is_some_and(|r| deadline <= r) {
+            if let Some((deadline, pslot)) = scheduler.earliest_deadline() {
+                if scheduler.next_ready().is_some_and(|r| deadline <= r) {
                     scheduler.unpark(pslot, ParkSignal::TimedOut, deadline.max(last_cycle));
                     continue;
                 }
             }
             let Some((ready, slot)) = scheduler.pop() else {
-                match scheduler.earliest_parked() {
+                match scheduler.earliest_deadline() {
                     // Every live warp is parked and at least one has a
                     // finite budget: advance the clock straight to the
                     // nearest deadline (the interval costs the parked
                     // warps nothing) and resume that warp with a timeout.
-                    Some((deadline, pslot)) if deadline != u64::MAX => {
+                    Some((deadline, pslot)) => {
                         let wake_at = deadline.max(last_cycle);
-                        self.check_progress(wake_at)?;
-                        self.state.borrow_mut().now = wake_at;
+                        self.advance_clock(wake_at)?;
                         last_cycle = wake_at;
                         scheduler.unpark(pslot, ParkSignal::TimedOut, wake_at);
                         continue;
@@ -650,7 +641,7 @@ impl Sim {
                     // wakes). Report the deadlock immediately — with the
                     // watched addresses in the per-warp diagnostics —
                     // instead of burning the watchdog budget.
-                    Some(_) => {
+                    None if scheduler.any_parked() => {
                         let st = self.state.borrow();
                         return Err(SimError::Deadlock {
                             cycle: last_cycle,
@@ -661,11 +652,12 @@ impl Sim {
                 }
             };
             let now = ready;
-            self.check_progress(now)?;
-            self.state.borrow_mut().now = now;
+            self.advance_clock(now)?;
             last_cycle = last_cycle.max(now);
 
-            let poll = scheduler.poll_slot(slot, &mut cx);
+            let poll = scheduler.poll_slot(slot, &mut cx, &mailbox.park);
+            let cost = mailbox.cost.take();
+            let park_request = mailbox.park.take();
             if let Some(p) = &policy {
                 let (block, warp_in_block) = scheduler.identity(slot);
                 let effect = match poll {
@@ -678,20 +670,21 @@ impl Sim {
             }
             match poll {
                 Poll::Pending => {
-                    let cost = scheduler.take_pending_cost(slot);
-                    if let Some(deadline) = scheduler.take_park_request(slot) {
+                    if let ParkSignal::Request { deadline } = park_request {
                         // The instruction was a park: deschedule instead of
                         // requeueing. Its cost is dropped — a parked warp
                         // burns zero cycles by definition.
                         scheduler.park(slot, deadline);
                     } else {
-                        let jitter = {
+                        let extra = if jitter {
                             let st = &mut *self.state.borrow_mut();
                             let j = st.fault.jitter();
                             st.stats.injected_jitter_cycles += j;
                             j
+                        } else {
+                            0
                         };
-                        scheduler.requeue(slot, now + cost + jitter);
+                        scheduler.requeue(slot, now + cost + extra);
                     }
                 }
                 Poll::Ready(()) => {
@@ -731,8 +724,9 @@ impl Sim {
         Ok(RunReport { cycles: last_cycle, stats })
     }
 
-    /// Aborts the launch with a classified non-progress error once the
-    /// cycle budget is spent or the stall limit (if configured) is hit.
+    /// Moves the simulated clock to `now`, or aborts the launch with a
+    /// classified non-progress error once the cycle budget is spent or the
+    /// stall limit (if configured) is hit.
     ///
     /// Diagnosis: if warps progressed recently the budget is simply too
     /// small ([`SimError::BudgetExceeded`]); otherwise recent device-memory
@@ -740,15 +734,16 @@ impl Sim {
     /// lockstep retry churn) from fully blocked ([`SimError::Deadlock`],
     /// e.g. spinning on a lock that can never be released — spinning
     /// reads/failed CASes mutate nothing).
-    fn check_progress(&self, now: u64) -> Result<(), SimError> {
+    fn advance_clock(&self, now: u64) -> Result<(), SimError> {
         let budget = self.config.watchdog_cycles;
         let stall = self.config.stall_cycles;
-        let st = self.state.borrow();
+        let st = &mut *self.state.borrow_mut();
         let board = &st.progress;
         let since_progress = now.saturating_sub(board.last_progress_cycle);
         let budget_hit = now > budget;
         let stalled = stall != u64::MAX && since_progress > stall;
         if !budget_hit && !stalled {
+            st.now = now;
             return Ok(());
         }
         // How far back "recent" reaches for classification: the stall
@@ -772,8 +767,8 @@ impl Sim {
 
 struct WarpSlot {
     fut: Pin<Box<dyn Future<Output = ()>>>,
-    pending_cost: Rc<Cell<u64>>,
-    pending_park: Rc<Cell<ParkSignal>>,
+    // Why the warp's park ended, held from the unpark until its next poll.
+    resume: ParkSignal,
     block: u32,
     warp_in_block: u32,
     pslot: usize,
@@ -782,24 +777,31 @@ struct WarpSlot {
 struct Scheduler {
     slots: Vec<Option<WarpSlot>>,
     free: Vec<usize>,
-    // Min-heap on (ready_cycle, key): FIFO among equal ready times, unless
+    // Ordered by (ready_cycle, key): FIFO among equal ready times, unless
     // a fault plan shuffles same-cycle dispatch with seeded-random keys.
-    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    queue: ReadyQueue,
     seq: u64,
     shuffle_rng: Option<u64>,
     live: usize,
-    // External schedule control: when set, queued warps go to `ctl_queue`
-    // and the policy picks the next one; the heap (and shuffle) are unused.
+    // External schedule control: when set, queued warps go to the `ctl_*` pair
+    // and the policy picks the next one; `queue` (and shuffle) are unused.
     policy: Option<PolicyHandle>,
-    ctl_queue: Vec<(u64, usize)>,
+    // The queued warps as the policy sees them, kept in `(block,
+    // warp_in_block)` order, and the scheduler slot of each beside it.
+    ctl_runnable: Vec<RunnableWarp>,
+    ctl_slots: Vec<usize>,
     // Monotonic clock for controlled mode: picking a warp whose ready cycle
     // lies before an already-issued instruction must not rewind time.
     ctl_now: u64,
     // Warps descheduled by [`WarpCtx::park`], keyed by progress-board slot
     // (the identity WakeHandles carry), holding (deadline, scheduler slot).
-    // A parked warp is in neither the heap nor `ctl_queue`: it consumes no
+    // A parked warp is in neither `queue` nor the `ctl_*` pair: it consumes no
     // scheduling decisions and burns no cycles until unparked.
     parked: BTreeMap<usize, (u64, usize)>,
+    // The `(deadline, pslot)` of every parked warp with a finite budget,
+    // so the nearest timeout is the first element and a launch whose
+    // parks are all unbounded pays nothing per turn to learn there is none.
+    deadlines: BTreeSet<(u64, usize)>,
 }
 
 impl Scheduler {
@@ -807,14 +809,16 @@ impl Scheduler {
         Scheduler {
             slots: Vec::new(),
             free: Vec::new(),
-            heap: BinaryHeap::new(),
+            queue: ReadyQueue::new(),
             seq: 0,
             shuffle_rng: shuffle_seed,
             live: 0,
             policy,
-            ctl_queue: Vec::new(),
+            ctl_runnable: Vec::new(),
+            ctl_slots: Vec::new(),
             ctl_now: 0,
             parked: BTreeMap::new(),
+            deadlines: BTreeSet::new(),
         }
     }
 
@@ -835,22 +839,27 @@ impl Scheduler {
 
     fn push(&mut self, slot: usize, ready: u64) {
         if self.policy.is_some() {
-            self.ctl_queue.push((ready, slot));
+            let (block, warp_in_block) = self.identity(slot);
+            let at = self
+                .ctl_runnable
+                .partition_point(|r| (r.block, r.warp_in_block) < (block, warp_in_block));
+            self.ctl_runnable.insert(at, RunnableWarp { block, warp_in_block, ready });
+            self.ctl_slots.insert(at, slot);
             return;
         }
         let key = match &mut self.shuffle_rng {
             Some(state) => splitmix64(state),
             None => self.seq,
         };
-        self.heap.push(Reverse((ready, key, slot)));
+        self.queue.push(slot, ready, key);
         self.seq += 1;
     }
 
     fn pop(&mut self) -> Option<(u64, usize)> {
-        if let Some(policy) = self.policy.clone() {
-            return self.pop_controlled(&policy);
+        if self.policy.is_some() {
+            return self.pop_controlled();
         }
-        self.heap.pop().map(|Reverse((ready, _, slot))| (ready, slot))
+        self.queue.pop()
     }
 
     /// Ready time of the next runnable warp, if any. `None` under an
@@ -860,34 +869,24 @@ impl Scheduler {
         if self.policy.is_some() {
             return None;
         }
-        self.heap.peek().map(|Reverse((ready, _, _))| *ready)
+        self.queue.next_ready()
     }
 
     /// One scheduling decision under external control: present the queued
     /// warps sorted by identity, let the policy pick, and advance the
     /// monotonic clock to the pick's ready cycle.
-    fn pop_controlled(&mut self, policy: &PolicyHandle) -> Option<(u64, usize)> {
-        if self.ctl_queue.is_empty() {
+    fn pop_controlled(&mut self) -> Option<(u64, usize)> {
+        if self.ctl_runnable.is_empty() {
             return None;
         }
-        let Scheduler { slots, ctl_queue, ctl_now, .. } = self;
-        let ident = |slot: usize| {
-            let s = slots[slot].as_ref().expect("queued warp has a slot");
-            (s.block, s.warp_in_block)
-        };
-        ctl_queue.sort_by_key(|&(_, slot)| ident(slot));
-        let runnable: Vec<RunnableWarp> = ctl_queue
-            .iter()
-            .map(|&(ready, slot)| {
-                let (block, warp_in_block) = ident(slot);
-                RunnableWarp { block, warp_in_block, ready }
-            })
-            .collect();
-        let idx = policy.pick(*ctl_now, &runnable);
-        assert!(idx < runnable.len(), "SchedulePolicy::pick returned {idx} of {}", runnable.len());
-        let (ready, slot) = ctl_queue.remove(idx);
-        *ctl_now = (*ctl_now).max(ready);
-        Some((*ctl_now, slot))
+        let policy = self.policy.as_ref().expect("controlled mode has a policy");
+        let idx = policy.pick(self.ctl_now, &self.ctl_runnable);
+        let queued = self.ctl_runnable.len();
+        assert!(idx < queued, "SchedulePolicy::pick returned {idx} of {queued}");
+        let ready = self.ctl_runnable.remove(idx).ready;
+        let slot = self.ctl_slots.remove(idx);
+        self.ctl_now = self.ctl_now.max(ready);
+        Some((self.ctl_now, slot))
     }
 
     fn identity(&self, slot: usize) -> (u32, u32) {
@@ -899,50 +898,49 @@ impl Scheduler {
         self.push(slot, ready);
     }
 
-    fn poll_slot(&mut self, slot: usize, cx: &mut Context<'_>) -> Poll<()> {
+    /// Polls the warp in `slot`, first handing it the outcome of the park
+    /// it is resuming from, if it is.
+    fn poll_slot(
+        &mut self,
+        slot: usize,
+        cx: &mut Context<'_>,
+        park: &Cell<ParkSignal>,
+    ) -> Poll<()> {
         let entry = self.slots[slot].as_mut().expect("polling retired warp");
-        entry.fut.as_mut().poll(cx)
-    }
-
-    fn take_pending_cost(&mut self, slot: usize) -> u64 {
-        let entry = self.slots[slot].as_ref().expect("retired warp");
-        entry.pending_cost.take()
-    }
-
-    /// Consumes a park request armed by the warp's last instruction, if
-    /// any, returning its deadline.
-    fn take_park_request(&mut self, slot: usize) -> Option<u64> {
-        let entry = self.slots[slot].as_ref().expect("retired warp");
-        match entry.pending_park.get() {
-            ParkSignal::Request { deadline } => {
-                entry.pending_park.set(ParkSignal::None);
-                Some(deadline)
-            }
-            _ => None,
+        if entry.resume != ParkSignal::None {
+            park.set(std::mem::take(&mut entry.resume));
         }
+        entry.fut.as_mut().poll(cx)
     }
 
     /// Moves a pending warp onto the parked set instead of requeueing it.
     fn park(&mut self, slot: usize, deadline: u64) {
         let pslot = self.slots[slot].as_ref().expect("parking retired warp").pslot;
         self.parked.insert(pslot, (deadline, slot));
+        if deadline != u64::MAX {
+            self.deadlines.insert((deadline, pslot));
+        }
     }
 
     /// Makes a parked warp runnable again at `ready`, storing `signal` for
     /// its suspended `park` call to read. Waking a warp that is not parked
     /// (a wake/park race, or a duplicate wake) is a no-op.
     fn unpark(&mut self, pslot: usize, signal: ParkSignal, ready: u64) {
-        if let Some((_, slot)) = self.parked.remove(&pslot) {
-            let entry = self.slots[slot].as_ref().expect("parked warp has a slot");
-            entry.pending_park.set(signal);
+        if let Some((deadline, slot)) = self.parked.remove(&pslot) {
+            self.deadlines.remove(&(deadline, pslot));
+            self.slots[slot].as_mut().expect("parked warp has a slot").resume = signal;
             self.push(slot, ready);
         }
     }
 
-    /// The parked warp with the nearest deadline (ties by pslot, so the
-    /// order is deterministic), if any warp is parked.
-    fn earliest_parked(&self) -> Option<(u64, usize)> {
-        self.parked.iter().map(|(&pslot, &(deadline, _))| (deadline, pslot)).min()
+    /// The nearest finite park deadline and its warp (ties by pslot, so
+    /// the order is deterministic), if any parked warp has a budget.
+    fn earliest_deadline(&self) -> Option<(u64, usize)> {
+        self.deadlines.first().copied()
+    }
+
+    fn any_parked(&self) -> bool {
+        !self.parked.is_empty()
     }
 
     fn retire(&mut self, slot: usize) -> (u32, usize) {

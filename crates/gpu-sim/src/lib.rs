@@ -47,6 +47,7 @@ pub mod json;
 pub mod mask;
 pub mod memory;
 pub mod race;
+mod ready;
 pub mod rng;
 pub mod schedule;
 pub mod simt;

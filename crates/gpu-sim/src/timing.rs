@@ -7,7 +7,6 @@
 //! memory ≫ L2 ≫ local ≫ ALU, extra coalesced transactions serialise —
 //! rather than exact magnitudes.
 
-use crate::cache::CacheOutcome;
 use crate::json::JsonWriter;
 
 /// Cycle costs charged per warp instruction.
@@ -66,16 +65,16 @@ impl TimingModel {
     }
 
     /// Latency of a memory instruction that issued `transactions`
-    /// transactions with the given per-transaction cache outcomes.
+    /// transactions, `any_miss` telling whether one of them missed in L2.
     ///
     /// The slowest transaction dominates the latency; each extra
     /// transaction adds issue serialisation on top.
-    pub fn memory_cost(&self, outcomes: &[CacheOutcome]) -> u64 {
-        if outcomes.is_empty() {
+    pub fn memory_cost(&self, transactions: u32, any_miss: bool) -> u64 {
+        if transactions == 0 {
             return self.alu;
         }
-        let worst = if outcomes.contains(&CacheOutcome::Miss) { self.dram } else { self.l2_hit };
-        worst + (outcomes.len() as u64 - 1) * self.extra_transaction
+        let worst = if any_miss { self.dram } else { self.l2_hit };
+        worst + (transactions as u64 - 1) * self.extra_transaction
     }
 
     /// Latency of an atomic warp instruction: `transactions` distinct
@@ -115,32 +114,31 @@ impl Default for TimingModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::CacheOutcome::{Hit, Miss};
 
     #[test]
     fn memory_cost_orders_hit_below_miss() {
         let t = TimingModel::fermi();
-        assert!(t.memory_cost(&[Hit]) < t.memory_cost(&[Miss]));
+        assert!(t.memory_cost(1, false) < t.memory_cost(1, true));
     }
 
     #[test]
     fn one_miss_dominates() {
         let t = TimingModel::fermi();
-        assert_eq!(t.memory_cost(&[Hit, Miss]), t.dram + t.extra_transaction);
+        assert_eq!(t.memory_cost(2, true), t.dram + t.extra_transaction);
     }
 
     #[test]
     fn empty_access_costs_alu() {
         let t = TimingModel::fermi();
-        assert_eq!(t.memory_cost(&[]), t.alu);
+        assert_eq!(t.memory_cost(0, false), t.alu);
         assert_eq!(t.atomic_cost(0, 0), t.alu);
     }
 
     #[test]
     fn uncoalesced_costs_more() {
         let t = TimingModel::fermi();
-        let one = t.memory_cost(&[Hit]);
-        let many = t.memory_cost(&[Hit; 32]);
+        let one = t.memory_cost(1, false);
+        let many = t.memory_cost(32, false);
         assert_eq!(many - one, 31 * t.extra_transaction);
     }
 
@@ -155,7 +153,7 @@ mod tests {
     #[test]
     fn unit_model_is_unit() {
         let t = TimingModel::unit();
-        assert_eq!(t.memory_cost(&[Miss; 4]), 1);
+        assert_eq!(t.memory_cost(4, true), 1);
         assert_eq!(t.atomic_cost(4, 8), 1);
     }
 }

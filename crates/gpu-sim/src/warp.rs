@@ -12,11 +12,13 @@
 //! re-activated, the model reproduces SIMT pathologies such as the
 //! spin-lock deadlock and multi-lock livelock of the paper's Section 2.2.
 
-use crate::coalesce::{atomic_conflict_depth, coalesce, coalesce_uniform, Coalesced};
+use crate::cache::CacheOutcome;
+use crate::coalesce::{atomic_conflict_depth, coalesce, coalesce_uniform};
 use crate::exec::{SimState, WarpId};
 use crate::mask::{LaneMask, WARP_SIZE};
 use crate::memory::{Addr, AtomicOp};
 use crate::schedule::{effect_addrs, StepEffect};
+use crate::trace::{MemOp, SimEventKind};
 use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::Pin;
@@ -28,10 +30,21 @@ pub type LaneVals = [u32; WARP_SIZE];
 /// Per-lane addresses for one warp instruction.
 pub type LaneAddrs = [Addr; WARP_SIZE];
 
-/// Park/wake handshake between a warp and the event loop, carried in a
-/// shared cell exactly like `pending_cost`: [`WarpCtx::park`] writes
-/// `Request`, the executor moves the warp onto the parked set, and the
-/// eventual unpark writes `Woken`/`TimedOut` before requeueing.
+/// What passes between the event loop and the one warp it is polling: the
+/// cycles the warp's instruction costs, and the park/wake handshake. One
+/// per launch serves every warp, because warps only run one at a time and
+/// the loop empties it after each poll.
+#[derive(Debug, Default)]
+pub(crate) struct Mailbox {
+    /// Cycles charged by the instruction just issued.
+    pub(crate) cost: Cell<u64>,
+    /// [`WarpCtx::park`] writes `Request` and the executor moves the warp
+    /// onto the parked set; when it resumes the warp, the executor writes
+    /// `Woken`/`TimedOut` here just before the poll.
+    pub(crate) park: Cell<ParkSignal>,
+}
+
+/// Park/wake handshake between a warp and the event loop.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub(crate) enum ParkSignal {
     /// No park in flight.
@@ -89,8 +102,7 @@ impl WakeHandle {
 pub struct WarpCtx {
     st: Rc<RefCell<SimState>>,
     id: WarpId,
-    pending_cost: Rc<Cell<u64>>,
-    pending_park: Rc<Cell<ParkSignal>>,
+    mailbox: Rc<Mailbox>,
     /// Index of this warp's entry on the launch's progress board.
     pslot: usize,
 }
@@ -101,6 +113,7 @@ impl std::fmt::Debug for WarpCtx {
     }
 }
 
+#[derive(Copy, Clone)]
 enum MemKind {
     Load,
     Store,
@@ -111,11 +124,10 @@ impl WarpCtx {
     pub(crate) fn new(
         st: Rc<RefCell<SimState>>,
         id: WarpId,
-        pending_cost: Rc<Cell<u64>>,
-        pending_park: Rc<Cell<ParkSignal>>,
+        mailbox: Rc<Mailbox>,
         pslot: usize,
     ) -> Self {
-        WarpCtx { st, id, pending_cost, pending_park, pslot }
+        WarpCtx { st, id, mailbox, pslot }
     }
 
     /// This warp's identity (block, warp index, launch mask, thread ids).
@@ -128,7 +140,12 @@ impl WarpCtx {
         self.st.borrow().now
     }
 
-    fn note_instruction(&self, mask: LaneMask) {
+    /// Executes one warp instruction of the lanes in `mask`: counts it,
+    /// then runs `op` — its cache and timing charge, its memory effect and
+    /// its observer hooks — under the instruction's only borrow of the
+    /// simulator state. Returns what `op` returns (the cycle cost, and the
+    /// loaded value where there is one).
+    fn issue<R>(&self, mask: LaneMask, op: impl FnOnce(&mut SimState) -> R) -> R {
         let st = &mut *self.st.borrow_mut();
         st.stats.instructions += 1;
         st.stats.active_lanes += mask.count() as u64;
@@ -137,6 +154,7 @@ impl WarpCtx {
             st.stats.divergent_instructions += 1;
         }
         st.progress.warps[self.pslot].instructions += 1;
+        op(st)
     }
 
     /// Declares that this warp made forward progress (e.g. committed a
@@ -175,78 +193,99 @@ impl WarpCtx {
     }
 
     fn charge(&self, cost: u64) -> YieldOnce {
-        self.pending_cost.set(self.pending_cost.get() + cost);
+        self.mailbox.cost.set(self.mailbox.cost.get() + cost);
         YieldOnce(false)
     }
 
-    fn mem_access(&self, kind: MemKind, mask: LaneMask, co: &Coalesced, depth: u32) -> u64 {
-        let st = &mut *self.st.borrow_mut();
-        let outcomes: Vec<_> = co.segments.iter().map(|s| st.cache.access(*s)).collect();
-        st.stats.mem_transactions += co.transactions() as u64;
-        st.stats.uncoalesced_transactions += mask.count() as u64;
-        let mut hits = 0u32;
+    /// Sends the `segments` of one memory instruction through the L2 and
+    /// returns its latency (`depth` is the same-word contention of an
+    /// atomic, unused otherwise).
+    fn mem_access(
+        &self,
+        st: &mut SimState,
+        kind: MemKind,
+        mask: LaneMask,
+        segments: &[u32],
+        depth: u32,
+    ) -> u64 {
+        let transactions = segments.len() as u32;
         let mut misses = 0u32;
-        for o in &outcomes {
-            match o {
-                crate::cache::CacheOutcome::Hit => hits += 1,
-                crate::cache::CacheOutcome::Miss => misses += 1,
-            }
+        for &s in segments {
+            misses += u32::from(st.cache.access(s) == CacheOutcome::Miss);
         }
+        let hits = transactions - misses;
+        st.stats.mem_transactions += transactions as u64;
+        st.stats.uncoalesced_transactions += mask.count() as u64;
         st.stats.l2_hits += hits as u64;
         st.stats.l2_misses += misses as u64;
         let op = match kind {
             MemKind::Load => {
                 st.stats.loads += 1;
-                crate::trace::MemOp::Load
+                MemOp::Load
             }
             MemKind::Store => {
                 st.stats.stores += 1;
-                crate::trace::MemOp::Store
+                MemOp::Store
             }
             MemKind::Atomic => {
                 st.stats.atomics += 1;
-                crate::trace::MemOp::Atomic
+                MemOp::Atomic
             }
         };
         st.emit(
             self.id.block,
             self.id.warp_in_block,
-            crate::trace::SimEventKind::Mem {
+            SimEventKind::Mem {
                 op,
                 lanes: mask.count(),
-                transactions: co.transactions(),
+                transactions,
                 l2_hits: hits,
                 l2_misses: misses,
             },
         );
         match kind {
-            MemKind::Atomic => st.timing.atomic_cost(co.transactions(), depth),
-            _ => st.timing.memory_cost(&outcomes),
+            MemKind::Atomic => st.timing.atomic_cost(transactions, depth),
+            _ => st.timing.memory_cost(transactions, misses > 0),
+        }
+    }
+
+    /// The observer half of a memory instruction: feeds the race detector
+    /// and records the [`StepEffect`] for the schedule policy. Does nothing
+    /// (and allocates nothing) when neither is attached.
+    fn observe_access(&self, st: &mut SimState, kind: MemKind, mask: LaneMask, addrs: &LaneAddrs) {
+        if let Some(r) = st.race.as_mut() {
+            for lane in mask.iter() {
+                let (l, a) = (lane as u32, addrs[lane]);
+                match kind {
+                    MemKind::Load => r.on_read(self.pslot, self.id, l, a, st.now),
+                    MemKind::Store => r.on_write(self.pslot, self.id, l, a, st.now),
+                    MemKind::Atomic => r.on_atomic(self.pslot, self.id, a, st.now),
+                }
+            }
+        }
+        if st.observe_effects {
+            let touched = effect_addrs(mask, addrs);
+            st.last_effect = Some(match kind {
+                MemKind::Load => StepEffect::Load(touched),
+                MemKind::Store => StepEffect::Store(touched),
+                MemKind::Atomic => StepEffect::Atomic(touched),
+            });
         }
     }
 
     /// Warp load: each active lane reads its address. Returns per-lane
     /// values (inactive lanes read 0).
     pub async fn load(&self, mask: LaneMask, addrs: &LaneAddrs) -> LaneVals {
-        self.note_instruction(mask);
-        let mut out = [0u32; WARP_SIZE];
-        let cost = {
+        let (cost, out) = self.issue(mask, |st| {
             let co = coalesce(mask, addrs);
-            let cost = self.mem_access(MemKind::Load, mask, &co, 0);
-            let st = &mut *self.st.borrow_mut();
+            let cost = self.mem_access(st, MemKind::Load, mask, co.segments(), 0);
+            let mut out = [0u32; WARP_SIZE];
             for lane in mask.iter() {
                 out[lane] = st.mem.read(addrs[lane]);
             }
-            if let Some(r) = st.race.as_mut() {
-                for lane in mask.iter() {
-                    r.on_read(self.pslot, self.id, lane as u32, addrs[lane], st.now);
-                }
-            }
-            if st.observe_effects {
-                st.last_effect = Some(StepEffect::Load(effect_addrs(mask, addrs)));
-            }
-            cost
-        };
+            self.observe_access(st, MemKind::Load, mask, addrs);
+            (cost, out)
+        });
         self.charge(cost).await;
         out
     }
@@ -254,13 +293,9 @@ impl WarpCtx {
     /// Warp load where every active lane reads the same address
     /// (a hardware broadcast). Returns the value.
     pub async fn load_uniform(&self, mask: LaneMask, addr: Addr) -> u32 {
-        self.note_instruction(mask);
-        let cost = {
+        let (cost, v) = self.issue(mask, |st| {
             let co = coalesce_uniform(mask, addr);
-            self.mem_access(MemKind::Load, mask, &co, 0)
-        };
-        let v = {
-            let st = &mut *self.st.borrow_mut();
+            let cost = self.mem_access(st, MemKind::Load, mask, co.segments(), 0);
             if let Some(r) = st.race.as_mut() {
                 let lane = mask.iter().next().unwrap_or(0) as u32;
                 r.on_read(self.pslot, self.id, lane, addr, st.now);
@@ -268,8 +303,8 @@ impl WarpCtx {
             if st.observe_effects {
                 st.last_effect = Some(StepEffect::Load(vec![addr]));
             }
-            st.mem.read(addr)
-        };
+            (cost, st.mem.read(addr))
+        });
         self.charge(cost).await;
         v
     }
@@ -279,27 +314,25 @@ impl WarpCtx {
     /// (hardware leaves the winner unspecified; we fix lane order for
     /// determinism).
     pub async fn store(&self, mask: LaneMask, addrs: &LaneAddrs, vals: &LaneVals) {
-        self.note_instruction(mask);
-        let cost = {
+        let cost = self.issue(mask, |st| {
             let co = coalesce(mask, addrs);
-            let cost = self.mem_access(MemKind::Store, mask, &co, 0);
-            let st = &mut *self.st.borrow_mut();
+            let cost = self.mem_access(st, MemKind::Store, mask, co.segments(), 0);
             let m0 = st.mem.mutations();
             for lane in mask.iter() {
                 st.mem.write(addrs[lane], vals[lane]);
             }
-            if let Some(r) = st.race.as_mut() {
-                for lane in mask.iter() {
-                    r.on_write(self.pslot, self.id, lane as u32, addrs[lane], st.now);
-                }
-            }
             Self::note_mutation(st, m0);
-            if st.observe_effects {
-                st.last_effect = Some(StepEffect::Store(effect_addrs(mask, addrs)));
-            }
+            self.observe_access(st, MemKind::Store, mask, addrs);
             cost
-        };
+        });
         self.charge(cost).await;
+    }
+
+    /// The charge of an atomic warp instruction, which both flavours share.
+    fn atomic_access(&self, st: &mut SimState, mask: LaneMask, addrs: &LaneAddrs) -> u64 {
+        let co = coalesce(mask, addrs);
+        let depth = atomic_conflict_depth(mask, addrs);
+        self.mem_access(st, MemKind::Atomic, mask, co.segments(), depth)
     }
 
     /// Warp compare-and-swap: per lane, if `*addr == cmp` store `new`.
@@ -312,13 +345,9 @@ impl WarpCtx {
         cmps: &LaneVals,
         news: &LaneVals,
     ) -> LaneVals {
-        self.note_instruction(mask);
-        let mut out = [0u32; WARP_SIZE];
-        let cost = {
-            let co = coalesce(mask, addrs);
-            let depth = atomic_conflict_depth(mask, addrs);
-            let cost = self.mem_access(MemKind::Atomic, mask, &co, depth);
-            let st = &mut *self.st.borrow_mut();
+        let (cost, out) = self.issue(mask, |st| {
+            let cost = self.atomic_access(st, mask, addrs);
+            let mut out = [0u32; WARP_SIZE];
             let m0 = st.mem.mutations();
             for lane in mask.iter() {
                 if st.fault.cas_should_fail() {
@@ -334,17 +363,10 @@ impl WarpCtx {
                 }
                 out[lane] = st.mem.atomic_cas(addrs[lane], cmps[lane], news[lane]);
             }
-            if let Some(r) = st.race.as_mut() {
-                for lane in mask.iter() {
-                    r.on_atomic(self.pslot, self.id, addrs[lane], st.now);
-                }
-            }
             Self::note_mutation(st, m0);
-            if st.observe_effects {
-                st.last_effect = Some(StepEffect::Atomic(effect_addrs(mask, addrs)));
-            }
-            cost
-        };
+            self.observe_access(st, MemKind::Atomic, mask, addrs);
+            (cost, out)
+        });
         self.charge(cost).await;
         out
     }
@@ -357,13 +379,9 @@ impl WarpCtx {
         addrs: &LaneAddrs,
         vals: &LaneVals,
     ) -> LaneVals {
-        self.note_instruction(mask);
-        let mut out = [0u32; WARP_SIZE];
-        let cost = {
-            let co = coalesce(mask, addrs);
-            let depth = atomic_conflict_depth(mask, addrs);
-            let cost = self.mem_access(MemKind::Atomic, mask, &co, depth);
-            let st = &mut *self.st.borrow_mut();
+        let (cost, out) = self.issue(mask, |st| {
+            let cost = self.atomic_access(st, mask, addrs);
+            let mut out = [0u32; WARP_SIZE];
             let m0 = st.mem.mutations();
             for lane in mask.iter() {
                 // The fault plan's spurious-failure injection also covers
@@ -379,17 +397,10 @@ impl WarpCtx {
                 }
                 out[lane] = st.mem.atomic_rmw(op, addrs[lane], vals[lane]);
             }
-            if let Some(r) = st.race.as_mut() {
-                for lane in mask.iter() {
-                    r.on_atomic(self.pslot, self.id, addrs[lane], st.now);
-                }
-            }
             Self::note_mutation(st, m0);
-            if st.observe_effects {
-                st.last_effect = Some(StepEffect::Atomic(effect_addrs(mask, addrs)));
-            }
-            cost
-        };
+            self.observe_access(st, MemKind::Atomic, mask, addrs);
+            (cost, out)
+        });
         self.charge(cost).await;
         out
     }
@@ -436,16 +447,14 @@ impl WarpCtx {
     /// issues it wherever the paper's algorithm does, so fence traffic is
     /// faithfully accounted.
     pub async fn fence(&self, mask: LaneMask) {
-        self.note_instruction(mask);
-        let cost = {
-            let st = &mut *self.st.borrow_mut();
+        let cost = self.issue(mask, |st| {
             st.stats.fences += 1;
-            st.emit(self.id.block, self.id.warp_in_block, crate::trace::SimEventKind::Fence);
+            st.emit(self.id.block, self.id.warp_in_block, SimEventKind::Fence);
             if st.observe_effects {
                 st.last_effect = Some(StepEffect::Fence);
             }
             st.timing.fence
-        };
+        });
         self.charge(cost).await;
     }
 
@@ -454,19 +463,14 @@ impl WarpCtx {
         {
             let st = &mut *self.st.borrow_mut();
             st.stats.idle_cycles += cycles;
-            st.emit(
-                self.id.block,
-                self.id.warp_in_block,
-                crate::trace::SimEventKind::Idle { cycles },
-            );
+            st.emit(self.id.block, self.id.warp_in_block, SimEventKind::Idle { cycles });
         }
         self.charge(cycles).await;
     }
 
     /// Charges the cost of an arithmetic warp instruction.
     pub async fn alu(&self, mask: LaneMask) {
-        self.note_instruction(mask);
-        let cost = self.st.borrow().timing.alu;
+        let cost = self.issue(mask, |st| st.timing.alu);
         self.charge(cost).await;
     }
 
@@ -475,8 +479,7 @@ impl WarpCtx {
     /// warp-wide set append is one such access; uncoalesced layouts charge
     /// one per lane (see the ablation benches).
     pub async fn local_access(&self, mask: LaneMask, ops: u32) {
-        self.note_instruction(mask);
-        let cost = self.st.borrow().timing.local_access * ops as u64;
+        let cost = self.issue(mask, |st| st.timing.local_access * ops as u64);
         self.charge(cost).await;
     }
 
@@ -505,9 +508,7 @@ impl WarpCtx {
     /// the executor only switches warps at awaits — so no wake can slip
     /// between them unobserved).
     pub async fn park(&self, mask: LaneMask, watched: &[Addr], budget_cycles: u64) -> ParkOutcome {
-        self.note_instruction(mask);
-        let deadline = {
-            let st = &mut *self.st.borrow_mut();
+        let deadline = self.issue(mask, |st| {
             let e = &mut st.progress.warps[self.pslot];
             e.parked = true;
             e.parked_addrs = watched.to_vec();
@@ -515,7 +516,7 @@ impl WarpCtx {
             st.emit(
                 self.id.block,
                 self.id.warp_in_block,
-                crate::trace::SimEventKind::Park { watched: watched.len() as u32 },
+                SimEventKind::Park { watched: watched.len() as u32 },
             );
             if st.observe_effects {
                 st.last_effect = Some(StepEffect::Local);
@@ -525,9 +526,9 @@ impl WarpCtx {
             } else {
                 st.now.saturating_add(budget_cycles.max(1))
             }
-        };
-        self.pending_park.set(ParkSignal::Request { deadline });
-        let signal = ParkWait { cell: Rc::clone(&self.pending_park), polled: false }.await;
+        });
+        self.mailbox.park.set(ParkSignal::Request { deadline });
+        let signal = ParkWait { cell: &self.mailbox.park, polled: false }.await;
         let outcome = match signal {
             ParkSignal::TimedOut => ParkOutcome::TimedOut,
             // `Woken` is the expected resume; treat anything unexpected as
@@ -543,7 +544,7 @@ impl WarpCtx {
             st.emit(
                 self.id.block,
                 self.id.warp_in_block,
-                crate::trace::SimEventKind::Wake { timed_out: outcome == ParkOutcome::TimedOut },
+                SimEventKind::Wake { timed_out: outcome == ParkOutcome::TimedOut },
             );
         }
         outcome
@@ -552,12 +553,12 @@ impl WarpCtx {
 
 /// The suspension point of [`WarpCtx::park`]: yields once with the park
 /// request armed, then reads the outcome the executor stored in the cell.
-struct ParkWait {
-    cell: Rc<Cell<ParkSignal>>,
+struct ParkWait<'a> {
+    cell: &'a Cell<ParkSignal>,
     polled: bool,
 }
 
-impl Future for ParkWait {
+impl Future for ParkWait<'_> {
     type Output = ParkSignal;
 
     fn poll(mut self: Pin<&mut Self>, _: &mut Context<'_>) -> Poll<ParkSignal> {

@@ -1,0 +1,122 @@
+//! The hot-path contract of DESIGN.md §2: with no trace sink, race
+//! detector or schedule policy attached, a warp instruction never touches
+//! the heap. Spawning a launch's warps allocates (futures, queue slots);
+//! running them does not — so the allocation count of a launch may depend
+//! on its grid, but not on how many instructions each warp issues.
+
+use gpu_sim::{Addr, AtomicOp, LaunchConfig, Sim, SimConfig, WarpCtx, WARP_SIZE};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+thread_local! {
+    /// Allocations made by this thread, so that tests running side by side
+    /// do not count each other's.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread is torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; counting touches no allocator state.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's `layout` obligations pass straight through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: as for `dealloc`, and `new_size` is the caller's to vouch for.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+#[derive(Copy, Clone, Debug)]
+enum Op {
+    LoadCoalesced,
+    LoadStrided,
+    Store,
+    RmwOneWord,
+    RmwSpread,
+    Cas,
+    Fence,
+    Alu,
+}
+
+const OPS: [Op; 8] = [
+    Op::LoadCoalesced,
+    Op::LoadStrided,
+    Op::Store,
+    Op::RmwOneWord,
+    Op::RmwSpread,
+    Op::Cas,
+    Op::Fence,
+    Op::Alu,
+];
+
+/// Words the kernels roam over: 64 segments.
+const BUF_WORDS: u32 = 64 * 32;
+
+async fn kernel(ctx: WarpCtx, op: Op, buf: Addr, rounds: u32) {
+    let id = ctx.id();
+    let mask = id.launch_mask;
+    let ones = [1u32; WARP_SIZE];
+    for round in 0..rounds {
+        let start = id.thread_id(0) + round * 7;
+        let at = |i: u32| buf.offset((start + i) % BUF_WORDS);
+        let contiguous: [Addr; WARP_SIZE] = std::array::from_fn(|l| at(l as u32));
+        let strided: [Addr; WARP_SIZE] = std::array::from_fn(|l| at(l as u32 * 32));
+        match op {
+            Op::LoadCoalesced => drop(ctx.load(mask, &contiguous).await),
+            Op::LoadStrided => drop(ctx.load(mask, &strided).await),
+            Op::Store => ctx.store(mask, &contiguous, &ones).await,
+            Op::RmwOneWord => drop(ctx.atomic_rmw(mask, AtomicOp::Add, &[buf; 32], &ones).await),
+            Op::RmwSpread => drop(ctx.atomic_rmw(mask, AtomicOp::Add, &strided, &ones).await),
+            Op::Cas => drop(ctx.atomic_cas(mask, &strided, &[round; 32], &ones).await),
+            Op::Fence => ctx.fence(mask).await,
+            Op::Alu => ctx.alu(mask).await,
+        }
+    }
+}
+
+/// Heap allocations made by one launch of `op` over `grid`, each warp
+/// issuing `rounds` instructions.
+fn launch_allocations(op: Op, grid: LaunchConfig, rounds: u32) -> u64 {
+    let mut sim = Sim::new(SimConfig::with_memory(1 << 14));
+    let buf = sim.alloc(BUF_WORDS).unwrap();
+    let before = ALLOCATIONS.get();
+    let report = sim.launch(grid, move |ctx| kernel(ctx, op, buf, rounds)).unwrap();
+    let allocations = ALLOCATIONS.get() - before;
+    let warps = u64::from(grid.blocks * grid.warps_per_block());
+    assert_eq!(report.stats.instructions, warps * u64::from(rounds), "{op:?}");
+    allocations
+}
+
+#[test]
+fn steady_state_instructions_do_not_allocate() {
+    // One warp; and more blocks than the 112 the default GPU keeps
+    // resident, with a partial tail warp, so blocks are admitted mid-run.
+    for grid in [LaunchConfig::new(1, 32), LaunchConfig::new(130, 40)] {
+        for op in OPS {
+            let short = launch_allocations(op, grid, 12);
+            let long = launch_allocations(op, grid, 120);
+            // Spawning warps allocates, and the counter must see it.
+            assert!(short > 0, "{op:?} on {grid:?}: no allocation counted");
+            assert_eq!(short, long, "{op:?} on {grid:?}: allocations grew with the round count");
+        }
+    }
+}

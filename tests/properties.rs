@@ -6,12 +6,13 @@
 //! each property is exercised over a few hundred pseudo-random cases, and a
 //! failing case prints its seed so it can be replayed exactly.
 
+use gpu_sim::cache::CacheOutcome;
 use gpu_sim::coalesce::{atomic_conflict_depth, coalesce, SEGMENT_WORDS};
-use gpu_sim::{Addr, LaneMask, LaunchConfig, Sim, SimConfig, WARP_SIZE};
+use gpu_sim::{Addr, CacheConfig, L2Cache, LaneMask, LaunchConfig, Sim, SimConfig, WARP_SIZE};
 use gpu_stm::locklog::LockLog;
 use gpu_stm::sets::WriteSet;
 use gpu_stm::{lane_addrs, lane_vals, LockStm, Stm, StmConfig, StmShared};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 /// Deterministic case generator: splitmix64 stream.
@@ -56,24 +57,123 @@ fn lane_mask_set_algebra() {
     }
 }
 
-/// Coalescing: the transaction count equals the number of distinct
-/// segments, is at most the active-lane count, and is at least one when
-/// any lane is active.
+/// The masks and address patterns a warp instruction can present, edge
+/// cases first: `case % 8` picks the mask shape, `case / 8 % 4` the pattern.
+fn lane_case(g: &mut Gen, case: usize) -> (LaneMask, [Addr; WARP_SIZE]) {
+    let mask = match case % 8 {
+        0 => LaneMask::EMPTY,
+        1 => LaneMask::lane(g.below(32) as usize),
+        2 => LaneMask::FULL,
+        3 => LaneMask::first_n(g.below(33) as usize),
+        _ => LaneMask::from_bits(g.next_u32()),
+    };
+    let base = g.below(1 << 20);
+    let addrs: [Addr; WARP_SIZE] = match case / 8 % 4 {
+        // Every lane on one word.
+        0 => [Addr(base); WARP_SIZE],
+        // Every lane in a segment of its own, consecutive or scattered.
+        1 => {
+            let (first, stride) = (base / SEGMENT_WORDS, 1 + g.below(40));
+            std::array::from_fn(|l| {
+                Addr((first + l as u32 * stride) * SEGMENT_WORDS + g.below(SEGMENT_WORDS))
+            })
+        }
+        // Contiguous words from an arbitrary, mostly unaligned, start.
+        2 => std::array::from_fn(|l| Addr(base + l as u32)),
+        // A few segments and words shared between many lanes.
+        _ => std::array::from_fn(|_| Addr(base + g.below(4) * SEGMENT_WORDS + g.below(3))),
+    };
+    (mask, addrs)
+}
+
+/// Coalescing against its definition: the segments are the distinct ones
+/// in first-touch order, and the conflict depth is the largest number of
+/// active lanes on one word.
 #[test]
 fn coalesce_counts_distinct_segments() {
     let mut g = Gen::new(0xc0);
-    for case in 0..512 {
-        let mask = LaneMask::from_bits(g.next_u32());
-        let addrs: [Addr; WARP_SIZE] = std::array::from_fn(|_| Addr(g.below(4096)));
-        let c = coalesce(mask, &addrs);
-        let distinct: HashSet<u32> = mask.iter().map(|l| addrs[l].0 / SEGMENT_WORDS).collect();
-        assert_eq!(c.transactions() as usize, distinct.len(), "case {case}");
-        assert!(c.transactions() <= mask.count(), "case {case}");
-        if mask.any() {
-            assert!(c.transactions() >= 1, "case {case}");
+    for case in 0..4096 {
+        let (mask, addrs) = lane_case(&mut g, case);
+        let mut first_touch: Vec<u32> = Vec::new();
+        let mut lanes_on: BTreeMap<Addr, u32> = BTreeMap::new();
+        for lane in mask.iter() {
+            let seg = addrs[lane].0 / SEGMENT_WORDS;
+            if !first_touch.contains(&seg) {
+                first_touch.push(seg);
+            }
+            *lanes_on.entry(addrs[lane]).or_default() += 1;
         }
+        let c = coalesce(mask, &addrs);
+        assert_eq!(c.segments(), first_touch, "case {case}: {mask:?} {addrs:?}");
+        assert_eq!(c.transactions() as usize, first_touch.len(), "case {case}");
         let depth = atomic_conflict_depth(mask, &addrs);
-        assert!(depth <= mask.count(), "case {case}");
+        assert_eq!(depth, lanes_on.values().copied().max().unwrap_or(0), "case {case}: {mask:?}");
+        if case / 8 % 4 == 1 {
+            assert_eq!((c.transactions(), depth), (mask.count(), u32::from(mask.any())));
+        }
+    }
+}
+
+/// The L2 model as one loop over the set, the way it was first written:
+/// the oracle `L2Cache::access` must agree with, access by access.
+struct OracleCache {
+    cfg: CacheConfig,
+    tags: Vec<u64>,
+    stamps: Vec<u64>,
+    tick: u64,
+}
+
+impl OracleCache {
+    fn new(cfg: CacheConfig) -> Self {
+        OracleCache { cfg, tags: vec![0; cfg.lines()], stamps: vec![0; cfg.lines()], tick: 0 }
+    }
+
+    fn access(&mut self, segment: u32) -> CacheOutcome {
+        self.tick += 1;
+        let base = (segment as usize & (self.cfg.sets - 1)) * self.cfg.ways;
+        let key = segment as u64 + 1;
+        let mut victim = base;
+        let mut victim_stamp = u64::MAX;
+        for i in base..base + self.cfg.ways {
+            if self.tags[i] == key {
+                self.stamps[i] = self.tick;
+                return CacheOutcome::Hit;
+            }
+            if self.stamps[i] < victim_stamp {
+                victim_stamp = self.stamps[i];
+                victim = i;
+            }
+        }
+        self.tags[victim] = key;
+        self.stamps[victim] = self.tick;
+        CacheOutcome::Miss
+    }
+}
+
+/// Hit/miss outcomes, victim choice and the checkpointed tag/LRU image of
+/// the L2 model are those of the single-loop oracle, on a cache small
+/// enough to evict constantly and on the Fermi geometry.
+#[test]
+fn l2_cache_matches_single_loop_oracle() {
+    let mut g = Gen::new(0x12c);
+    for (cfg, segments, accesses) in
+        [(CacheConfig::tiny(), 7, 2_048), (CacheConfig::fermi_l2(), 12_000, 40_000)]
+    {
+        let mut cache = L2Cache::new(cfg);
+        let mut oracle = OracleCache::new(cfg);
+        for n in 0..accesses {
+            // Mostly a hot set of segments, so hits dominate as in a run.
+            let seg = if g.below(4) == 0 { g.below(segments) } else { g.below(segments / 4 + 1) };
+            assert_eq!(cache.access(seg), oracle.access(seg), "{cfg:?} access {n}: segment {seg}");
+            if n % 512 == 0 || cfg == CacheConfig::tiny() {
+                let ck = cache.checkpoint();
+                assert_eq!(
+                    (&ck.tags, &ck.stamps, ck.tick),
+                    (&oracle.tags, &oracle.stamps, oracle.tick),
+                    "{cfg:?} after access {n}"
+                );
+            }
+        }
     }
 }
 
