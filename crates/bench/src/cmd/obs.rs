@@ -24,6 +24,7 @@ use super::serve::durable_config;
 use crate::args::Args;
 use crate::golden::Mode;
 use crate::{print_table, Error, Job};
+use gpu_sim::rng::Fnv;
 use gpu_sim::JsonWriter;
 use tm_serve::{
     CrashPlan, CrashPoint, DurabilityConfig, EngineMode, FlightBundle, Incident, MemStore,
@@ -102,12 +103,9 @@ fn fault_config(args: &Opts, dur: DurabilityConfig) -> ServeConfig {
 /// FNV-64 of a text exposition — lets the artifact pin the whole
 /// Prometheus scrape without inlining kilobytes of text.
 fn fnv_text(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let mut h = Fnv::new();
+    text.bytes().for_each(|b| h.byte(b));
+    h.finish()
 }
 
 struct Scenario {

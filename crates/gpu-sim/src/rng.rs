@@ -1,10 +1,12 @@
-//! Deterministic per-lane random number generation.
+//! Deterministic per-lane random number generation, and the workspace's
+//! two hashes.
 //!
 //! Workload kernels need per-thread random streams (e.g. the random-array
 //! micro-benchmark picks random indices per transaction). [`WarpRng`] keeps
 //! one xorshift state per lane, seeded from a splitmix64 hash of
 //! `(seed, thread_id)`, so every run of a given seed is bit-identical —
-//! a property the evaluation harness relies on.
+//! a property the evaluation harness relies on. [`mix64`] is the one
+//! 64-bit mixer and [`Fnv`] the one fingerprint fold.
 
 use crate::mask::WARP_SIZE;
 
@@ -33,6 +35,83 @@ pub fn splitmix64(state: &mut u64) -> u64 {
     let out = mix64(*state);
     *state = state.wrapping_add(GAMMA);
     out
+}
+
+/// Incremental 64-bit FNV-1a: the one fingerprint fold every crate uses
+/// for history, store, trace and schedule hashes. `byte`, `u32`, `u64`
+/// and `str` are standard FNV-1a over little-endian bytes; the `_wide`
+/// folds are the serving layer's on-store format, where every value is
+/// folded as a zero-extended `u64`.
+#[derive(Copy, Clone, Debug)]
+pub struct Fnv(pub u64);
+
+impl Default for Fnv {
+    fn default() -> Self {
+        Fnv::new()
+    }
+}
+
+impl Fnv {
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    /// Fresh hasher at the FNV offset basis.
+    pub const fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    /// Absorbs one byte.
+    #[inline]
+    pub fn byte(&mut self, b: u8) {
+        self.0 = (self.0 ^ b as u64).wrapping_mul(Self::PRIME);
+    }
+
+    /// Absorbs the 4 little-endian bytes of `v`.
+    #[inline]
+    pub fn u32(&mut self, v: u32) {
+        for b in v.to_le_bytes() {
+            self.byte(b);
+        }
+    }
+
+    /// Absorbs the 8 little-endian bytes of `v`.
+    #[inline]
+    pub fn u64(&mut self, v: u64) {
+        for b in v.to_le_bytes() {
+            self.byte(b);
+        }
+    }
+
+    /// Absorbs a string, length-prefixed (`u64` length, then its bytes).
+    pub fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        for b in s.bytes() {
+            self.byte(b);
+        }
+    }
+
+    /// Absorbs `v` zero-extended to a `u64` (8 bytes).
+    #[inline]
+    pub fn u32_wide(&mut self, v: u32) {
+        self.u64(v as u64);
+    }
+
+    /// Absorbs a byte string, each byte as its own zero-extended word
+    /// (`u64(b as u64)`) — the fold behind every serving-layer frame
+    /// checksum and store fingerprint. The seven zero bytes of a word
+    /// only multiply by the prime, so one word is `(h ^ b) · PRIME⁸`.
+    #[inline]
+    pub fn bytes_wide(&mut self, bytes: &[u8]) {
+        const PRIME_8: u64 = Fnv::PRIME.wrapping_pow(8);
+        for &b in bytes {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(PRIME_8);
+        }
+    }
+
+    /// The digest.
+    #[inline]
+    pub fn finish(self) -> u64 {
+        self.0
+    }
 }
 
 impl WarpRng {
@@ -129,6 +208,54 @@ mod tests {
     #[should_panic(expected = "nonempty")]
     fn below_zero_panics() {
         WarpRng::new(0, 0).below(0, 0);
+    }
+
+    fn fnv(fold: impl FnOnce(&mut Fnv)) -> u64 {
+        let mut h = Fnv::new();
+        fold(&mut h);
+        h.finish()
+    }
+
+    #[test]
+    fn fnv_new_is_the_offset_basis() {
+        assert_eq!(fnv(|_| {}), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(Fnv::default().finish(), Fnv::new().finish());
+    }
+
+    #[test]
+    fn fnv_byte_matches_the_reference_vectors() {
+        assert_eq!(fnv(|h| h.byte(b'a')), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv(|h| b"foobar".iter().for_each(|&b| h.byte(b))), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn fnv_u32_folds_four_bytes() {
+        assert_eq!(fnv(|h| h.u32(0xdead_beef)), 0xa44e_2de0_7150_f42b);
+    }
+
+    #[test]
+    fn fnv_u64_folds_eight_bytes() {
+        assert_eq!(fnv(|h| h.u64(0x0123_4567_89ab_cdef)), 0x37eb_3f33_4776_1c55);
+    }
+
+    #[test]
+    fn fnv_str_is_length_prefixed() {
+        assert_eq!(fnv(|h| h.str("abc")), 0xc11a_b6d2_519b_c2b2);
+    }
+
+    #[test]
+    fn fnv_u32_wide_folds_a_zero_extended_word() {
+        assert_eq!(fnv(|h| h.u32_wide(0xdead_beef)), 0x7513_fc78_a110_e05b);
+        assert_eq!(fnv(|h| h.u32_wide(0xdead_beef)), fnv(|h| h.u64(0xdead_beef)));
+    }
+
+    #[test]
+    fn fnv_bytes_wide_folds_one_word_per_byte() {
+        assert_eq!(fnv(|h| h.bytes_wide(b"abc")), 0x3153_c633_8eeb_96a5);
+        assert_eq!(
+            fnv(|h| h.bytes_wide(b"abc")),
+            fnv(|h| b"abc".iter().for_each(|&b| h.u64(b as u64)))
+        );
     }
 
     #[test]

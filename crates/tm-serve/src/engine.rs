@@ -19,6 +19,7 @@ use crate::error::ServeError;
 use crate::route::route;
 use crate::stm::{build_stm, EngineMode, EngineStm};
 use crate::wal::{BatchSeal, Snapshot, StoreHandle, TaggedCommit, WalRecord, WalWriter};
+use gpu_sim::rng::Fnv;
 use gpu_sim::{Addr, LaunchConfig, Sim, SimConfig, SimStats, WARP_SIZE};
 use gpu_stm::{lane_addrs, recorder_with_hook, CommittedTx, Recorder, Stm, StmConfig, TxStats};
 use std::cell::{Cell, RefCell};
@@ -256,40 +257,6 @@ pub struct ShardSummary {
     pub txl_sum: u64,
 }
 
-/// Incremental FNV-1a over little-endian words.
-#[derive(Copy, Clone)]
-pub(crate) struct Fnv(pub u64);
-
-impl Fnv {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
-    pub(crate) const fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    pub(crate) fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(Self::PRIME);
-        }
-    }
-
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.u64(v as u64);
-    }
-
-    /// Folds a byte string, each byte as its own zero-extended word
-    /// (`u64(b as u64)`) — the fold behind every frame checksum and
-    /// store fingerprint. The seven zero bytes of each word only
-    /// multiply by the prime, so one word is `(h ^ b) · PRIME⁸`.
-    pub(crate) fn bytes(&mut self, bytes: &[u8]) {
-        const PRIME_8: u64 = Fnv::PRIME.wrapping_pow(8);
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(PRIME_8);
-        }
-    }
-}
-
 /// Per-lane op encoding for the batch kernel.
 #[derive(Copy, Clone, Default)]
 struct LaneOp {
@@ -308,10 +275,10 @@ const K_IDLE: u8 = 255;
 /// Replicas fold the same words from `Commit` records.
 fn fold_commit(h: &mut Fnv, req: u64, tx: &CommittedTx) {
     h.u64(req);
-    h.u32(tx.tid);
-    h.u32(tx.version.map_or(0, |v| v + 1));
-    h.u32(tx.reads.len() as u32);
-    h.u32(tx.writes.len() as u32);
+    h.u32_wide(tx.tid);
+    h.u32_wide(tx.version.map_or(0, |v| v + 1));
+    h.u32_wide(tx.reads.len() as u32);
+    h.u32_wide(tx.writes.len() as u32);
 }
 
 /// One shard's engine. Lives on a worker thread for the whole run.
@@ -752,7 +719,7 @@ impl ShardEngine {
     pub(crate) fn data_fnv(&self) -> u64 {
         let mut h = Fnv::new();
         for a in self.span_base..self.txl_args.index() as u32 {
-            h.u32(self.sim.read(Addr(a)));
+            h.u32_wide(self.sim.read(Addr(a)));
         }
         h.0
     }
@@ -1176,18 +1143,18 @@ impl ShardEngine {
         let mut hist_fnv = Fnv::new();
         hist_fnv.u64(history.aborts);
         for tx in &history.commits {
-            hist_fnv.u32(tx.tid);
-            hist_fnv.u32(tx.version.map_or(0, |v| v + 1));
-            hist_fnv.u32(tx.snapshot);
-            hist_fnv.u32(tx.reads.len() as u32);
+            hist_fnv.u32_wide(tx.tid);
+            hist_fnv.u32_wide(tx.version.map_or(0, |v| v + 1));
+            hist_fnv.u32_wide(tx.snapshot);
+            hist_fnv.u32_wide(tx.reads.len() as u32);
             for a in &tx.reads {
-                hist_fnv.u32(a.addr.index() as u32);
-                hist_fnv.u32(a.val);
+                hist_fnv.u32_wide(a.addr.index() as u32);
+                hist_fnv.u32_wide(a.val);
             }
-            hist_fnv.u32(tx.writes.len() as u32);
+            hist_fnv.u32_wide(tx.writes.len() as u32);
             for a in &tx.writes {
-                hist_fnv.u32(a.addr.index() as u32);
-                hist_fnv.u32(a.val);
+                hist_fnv.u32_wide(a.addr.index() as u32);
+                hist_fnv.u32_wide(a.val);
             }
         }
         let mut log_fnv = Fnv::new();

@@ -39,10 +39,11 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use gpu_sim::json::JsonWriter;
+use gpu_sim::rng::Fnv;
 use gpu_sim::trace::SimEvent;
 use gpu_stm::trace::{chrome_trace, TxEvent};
 
-use crate::engine::{BatchReport, Fnv};
+use crate::engine::BatchReport;
 
 /// Tuning knobs for the observability subsystem.
 ///
@@ -199,6 +200,11 @@ pub struct Incident {
 }
 
 impl Incident {
+    fn close(&mut self, round: u64, epoch: u64) {
+        self.close_epoch = Some(epoch);
+        self.close_round = Some(round);
+    }
+
     /// Serializes the incident with stable field order.
     pub fn write_json(&self, w: &mut JsonWriter) {
         w.begin_object();
@@ -936,34 +942,14 @@ impl ObsState {
         let closes = s.park_storming && s.park_calm_streak >= park_close;
         if opens {
             s.park_storming = true;
-            let parked_total = s.parked.total;
-            let mut f = Fnv::new();
-            f.u64(shard as u64);
-            f.u64(IncidentCause::ParkStorm.ordinal());
-            f.u64(epoch);
-            f.u64(round);
-            f.u64(depth);
-            f.u64(parked_total);
-            let bundle = self.cut_bundle(shard, IncidentCause::ParkStorm, round, epoch, 0, 0);
-            let name = bundle.name.clone();
-            self.bundles.push(bundle);
-            self.shards[shard].park_incident = Some(self.incidents.len());
-            self.incidents.push(Incident {
-                shard: shard as u32,
-                cause: IncidentCause::ParkStorm,
-                open_epoch: epoch,
-                open_round: round,
-                close_epoch: None,
-                close_round: None,
-                evidence_fnv: f.0,
-                bundle: Some(name),
-                witness: None,
-            });
+            let evidence = [depth, s.parked.total];
+            let cause = IncidentCause::ParkStorm;
+            let i = self.open_incident(shard, cause, round, epoch, &evidence, true);
+            self.shards[shard].park_incident = Some(i);
         } else if closes {
             s.park_storming = false;
             if let Some(i) = s.park_incident.take() {
-                self.incidents[i].close_epoch = Some(epoch);
-                self.incidents[i].close_round = Some(round);
+                self.incidents[i].close(round, epoch);
             }
         }
     }
@@ -1004,33 +990,14 @@ impl ObsState {
         let closes = s.storming && s.calm_streak >= storm_close;
         if opens {
             s.storming = true;
-            let mut f = Fnv::new();
-            f.u64(shard as u64);
-            f.u64(IncidentCause::AbortStorm.ordinal());
-            f.u64(epoch);
-            f.u64(round);
-            f.u64(s.aborts.total);
-            f.u64(s.commits.total);
-            let bundle = self.cut_bundle(shard, IncidentCause::AbortStorm, round, epoch, 0, 0);
-            let name = bundle.name.clone();
-            self.bundles.push(bundle);
-            self.shards[shard].storm_incident = Some(self.incidents.len());
-            self.incidents.push(Incident {
-                shard: shard as u32,
-                cause: IncidentCause::AbortStorm,
-                open_epoch: epoch,
-                open_round: round,
-                close_epoch: None,
-                close_round: None,
-                evidence_fnv: f.0,
-                bundle: Some(name),
-                witness: None,
-            });
+            let evidence = [s.aborts.total, s.commits.total];
+            let cause = IncidentCause::AbortStorm;
+            let i = self.open_incident(shard, cause, round, epoch, &evidence, true);
+            self.shards[shard].storm_incident = Some(i);
         } else if closes {
             s.storming = false;
             if let Some(i) = s.storm_incident.take() {
-                self.incidents[i].close_epoch = Some(epoch);
-                self.incidents[i].close_round = Some(round);
+                self.incidents[i].close(round, epoch);
             }
         }
     }
@@ -1052,42 +1019,18 @@ impl ObsState {
         recovery_rounds: u64,
         replicas_available: bool,
     ) {
-        let mut f = Fnv::new();
-        f.u64(shard as u64);
-        f.u64(IncidentCause::CrashRecovery.ordinal());
-        f.u64(epoch);
-        f.u64(round);
-        f.u64(wal_seq);
-        f.u64(store_fnv);
-        let bundle =
-            self.cut_bundle(shard, IncidentCause::CrashRecovery, round, epoch, wal_seq, store_fnv);
-        let name = bundle.name.clone();
-        self.rec_bundles.push(bundle);
-        let incident = Incident {
-            shard: shard as u32,
-            cause: IncidentCause::CrashRecovery,
-            open_epoch: epoch,
-            open_round: round,
-            close_epoch: None,
-            close_round: None,
-            evidence_fnv: f.0,
-            bundle: Some(name),
-            witness: None,
-        };
-        if recovery_rounds > 0 {
+        let (cause, visible) = (IncidentCause::CrashRecovery, recovery_rounds > 0);
+        let i = self.open_incident(shard, cause, round, epoch, &[wal_seq, store_fnv], visible);
+        if visible {
             let s = &mut self.shards[shard];
             s.recovering = true;
             s.replica_serving = replicas_available;
-            s.crash_incident = Some(self.incidents.len());
-            self.incidents.push(incident);
+            s.crash_incident = Some(i);
         } else {
             // Synchronous recovery heals within the round: invisible on
             // the epoch clock, so the record goes to the recovery report
             // with a zero-length span.
-            let mut closed = incident;
-            closed.close_epoch = Some(epoch);
-            closed.close_round = Some(round);
-            self.rec_incidents.push(closed);
+            self.rec_incidents[i].close(round, epoch);
         }
     }
 
@@ -1098,8 +1041,7 @@ impl ObsState {
         s.recovering = false;
         s.replica_serving = false;
         if let Some(i) = s.crash_incident.take() {
-            self.incidents[i].close_epoch = Some(epoch);
-            self.incidents[i].close_round = Some(round);
+            self.incidents[i].close(round, epoch);
         }
     }
 
@@ -1107,28 +1049,9 @@ impl ObsState {
     /// for the rest of the run and a never-closing incident lands in the
     /// recovery report.
     pub fn on_diverged(&mut self, shard: usize, round: u64, epoch: u64, replica: u64) {
-        let s = &mut self.shards[shard];
-        s.degraded = true;
-        let mut f = Fnv::new();
-        f.u64(shard as u64);
-        f.u64(IncidentCause::ReplicaDivergence.ordinal());
-        f.u64(epoch);
-        f.u64(round);
-        f.u64(replica);
-        let bundle = self.cut_bundle(shard, IncidentCause::ReplicaDivergence, round, epoch, 0, 0);
-        let name = bundle.name.clone();
-        self.rec_bundles.push(bundle);
-        self.rec_incidents.push(Incident {
-            shard: shard as u32,
-            cause: IncidentCause::ReplicaDivergence,
-            open_epoch: epoch,
-            open_round: round,
-            close_epoch: None,
-            close_round: None,
-            evidence_fnv: f.0,
-            bundle: Some(name),
-            witness: None,
-        });
+        self.shards[shard].degraded = true;
+        let cause = IncidentCause::ReplicaDivergence;
+        self.open_incident(shard, cause, round, epoch, &[replica], false);
     }
 
     /// Records tm-check violations reported by a shard at drain: the
@@ -1139,38 +1062,36 @@ impl ObsState {
             return;
         }
         self.shards[shard].degraded = true;
-        let mut f = Fnv::new();
-        f.u64(shard as u64);
-        f.u64(IncidentCause::CheckViolation.ordinal());
-        f.u64(epoch);
-        f.u64(round);
-        f.u64(violations);
-        let bundle = self.cut_bundle(shard, IncidentCause::CheckViolation, round, epoch, 0, 0);
-        let name = bundle.name.clone();
-        self.bundles.push(bundle);
-        self.incidents.push(Incident {
-            shard: shard as u32,
-            cause: IncidentCause::CheckViolation,
-            open_epoch: epoch,
-            open_round: round,
-            close_epoch: Some(epoch),
-            close_round: Some(round),
-            evidence_fnv: f.0,
-            bundle: Some(name),
-            witness: None,
-        });
+        let cause = IncidentCause::CheckViolation;
+        let i = self.open_incident(shard, cause, round, epoch, &[violations], true);
+        self.incidents[i].close(round, epoch);
     }
 
-    fn cut_bundle(
+    /// Opens an incident: fingerprints `(shard, cause, epoch, round)`
+    /// followed by the cause's `evidence`, cuts a flight bundle from the
+    /// shard's recorder, and files the incident in the serve report
+    /// (`visible`) or the recovery report. Crash and divergence bundles
+    /// always go to the recovery report; only a crash bundle carries a
+    /// WAL position and store fingerprint, its evidence
+    /// `[wal_seq, store_fnv]`. Returns the incident's index in its list.
+    fn open_incident(
         &mut self,
         shard: usize,
         cause: IncidentCause,
         round: u64,
         epoch: u64,
-        wal_seq: u64,
-        store_fnv: u64,
-    ) -> FlightBundle {
-        FlightBundle {
+        evidence: &[u64],
+        visible: bool,
+    ) -> usize {
+        let mut f = Fnv::new();
+        for &v in [shard as u64, cause.ordinal(), epoch, round].iter().chain(evidence) {
+            f.u64(v);
+        }
+        let (wal_seq, store_fnv) = match (cause, evidence) {
+            (IncidentCause::CrashRecovery, &[seq, fnv]) => (seq, fnv),
+            _ => (0, 0),
+        };
+        let bundle = FlightBundle {
             name: format!("s{:03}-r{:06}-{}", shard, round, cause.label()),
             shard: shard as u32,
             cause,
@@ -1183,7 +1104,26 @@ impl ObsState {
             seed: self.seed,
             frames: self.shards[shard].frames.iter().cloned().collect(),
             witness: None,
+        };
+        let incident = Incident {
+            shard: shard as u32,
+            cause,
+            open_epoch: epoch,
+            open_round: round,
+            close_epoch: None,
+            close_round: None,
+            evidence_fnv: f.finish(),
+            bundle: Some(bundle.name.clone()),
+            witness: None,
+        };
+        if matches!(cause, IncidentCause::CrashRecovery | IncidentCause::ReplicaDivergence) {
+            self.rec_bundles.push(bundle);
+        } else {
+            self.bundles.push(bundle);
         }
+        let list = if visible { &mut self.incidents } else { &mut self.rec_incidents };
+        list.push(incident);
+        list.len() - 1
     }
 
     /// Builds the point-in-time snapshot at `epoch`.
@@ -1250,12 +1190,6 @@ impl ObsState {
     /// Crash and divergence bundles destined for the recovery report.
     pub fn recovery_bundles(&self) -> Vec<FlightBundle> {
         self.rec_bundles.clone()
-    }
-
-    /// Per-shard histogram of retry-after hints (consumed by the shard
-    /// report serializer).
-    pub fn retry_after(&self, shard: usize) -> &Hist {
-        &self.shards[shard].retry_after
     }
 }
 

@@ -14,9 +14,9 @@
 //! silently serving corrupt state.
 
 use crate::crash::ReplicaFault;
-use crate::engine::Fnv;
 use crate::report::ReplicaDiverged;
 use crate::wal::{BatchSeal, WalRecord};
+use gpu_sim::rng::Fnv;
 
 /// Span fingerprint with the exact folding `ShardEngine::data_fnv`
 /// uses (each `u32` widened to `u64` before hashing), so a faithful
@@ -24,7 +24,7 @@ use crate::wal::{BatchSeal, WalRecord};
 fn fnv_words(words: &[u32]) -> u64 {
     let mut h = Fnv::new();
     for &w in words {
-        h.u32(w);
+        h.u32_wide(w);
     }
     h.0
 }
@@ -118,10 +118,10 @@ impl ReplicaGroup {
                 // Identical fold to `ShardEngine::make_seal`.
                 let mut h = Fnv(r.log_fnv);
                 h.u64(*req);
-                h.u32(*tid);
-                h.u32(*version);
-                h.u32(*reads);
-                h.u32(writes.len() as u32);
+                h.u32_wide(*tid);
+                h.u32_wide(*version);
+                h.u32_wide(*reads);
+                h.u32_wide(writes.len() as u32);
                 r.log_fnv = h.0;
             }
         }

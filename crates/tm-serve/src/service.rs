@@ -19,10 +19,11 @@
 
 use crate::crash::{CrashPlan, ReplicaFault, ResolvedCrash};
 use crate::engine::{
-    BatchReport, DurableOutcome, EngineConfig, Entry, ShardEngine, ShardOp, ShardSummary, WalParams,
+    BatchReport, DurableOutcome, EngineConfig, Entry, EntryOutcome, ShardEngine, ShardOp,
+    ShardSummary, WalParams,
 };
 use crate::error::ServeError;
-use crate::obs::{ObsConfig, ObsState};
+use crate::obs::{ObsConfig, ObsReport, ObsState};
 use crate::recovery::{self, RecoveryStats};
 use crate::replica::ReplicaGroup;
 use crate::report::{ClassTotals, RecoveryReport, ServeReport, ShardReport};
@@ -31,6 +32,7 @@ use crate::stm::EngineMode;
 use crate::wal::{append_decision, store_fingerprint, BatchSeal, MemStore, StoreHandle, WalRecord};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::mpsc;
+use std::time::Instant;
 use workloads::Variant;
 
 /// One batch's committed stream plus its seal, shipped to the
@@ -152,6 +154,15 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
+    /// Worker threads carrying the shards (`workers == 0`: one per shard).
+    fn worker_count(&self) -> usize {
+        if self.workers == 0 {
+            self.shards
+        } else {
+            self.workers.min(self.shards)
+        }
+    }
+
     /// Engine config for `shard`. `crash` arms the injected kill for
     /// the initial worker fleet; recovery rebuilds with `None` so the
     /// same crash cannot re-fire on replay.
@@ -331,6 +342,41 @@ struct Pending2pc {
     resolved: bool,
 }
 
+/// The coordinator's per-shard state. Per-shard counters (rejections,
+/// parks, storm rounds, folded commits and aborts) are not here: they
+/// live in the obs registry, which the report reads.
+#[derive(Default)]
+struct ShardCtl {
+    /// Adaptive cost estimate (cycles per entry) of the last folded
+    /// batch; with `storm` it prices the retry-after hint.
+    cost: u64,
+    /// Whether the last folded batch reported an abort storm.
+    storm: bool,
+    queue_peak: u64,
+    parked_depth_peak: u64,
+    hint_peak: u64,
+    /// Next engine batch sequence the shard expects (engines start at
+    /// 1); lets recovery tell a durable batch from a torn one.
+    dispatch_seq: u64,
+    /// Crash-recovery window: `(rounds left, the batch the dead worker
+    /// held)`. A shard inside one is down and rejects admissions.
+    recovering: Option<(u64, Vec<QEntry>)>,
+    /// A recovered batch whose report folds into the current round.
+    prefilled: Option<(Vec<QEntry>, BatchReport)>,
+    /// The replica group shadowing the shard, when replication is on.
+    group: Option<ReplicaGroup>,
+}
+
+impl ShardCtl {
+    fn down(&self) -> bool {
+        self.recovering.is_some()
+    }
+
+    fn hint(&self, queue_len: usize) -> u64 {
+        retry_after_hint(queue_len, self.cost, self.storm)
+    }
+}
+
 /// Bounded per-shard admission queues plus the phase-2 priority lanes.
 struct Admission {
     queues: Vec<VecDeque<QEntry>>,
@@ -351,76 +397,59 @@ impl Admission {
         }
     }
 
-    fn overloaded(&self, shard: usize, cost: u64, storm: bool) -> ServeError {
-        ServeError::Overloaded {
-            shard,
-            queue_len: self.queues[shard].len(),
-            capacity: self.capacity,
-            retry_after: retry_after_hint(self.queues[shard].len(), cost, storm),
-        }
+    fn overloaded(&self, shard: usize, ctl: &ShardCtl) -> ServeError {
+        let queue_len = self.queues[shard].len();
+        let retry_after = ctl.hint(queue_len);
+        ServeError::Overloaded { shard, queue_len, capacity: self.capacity, retry_after }
     }
 
-    /// Retry pricing for a shard whose worker is mid-recovery: same
-    /// backlog-proportional hint as [`Self::overloaded`], because the
-    /// client's best move is identical — wait out the queue.
-    fn unavailable(&self, shard: usize, cost: u64, storm: bool) -> ServeError {
-        ServeError::ShardUnavailable {
-            shard,
-            retry_after: retry_after_hint(self.queues[shard].len(), cost, storm),
-        }
-    }
-
-    /// Admits `req`, or reports the structured overload. `cost`/`storm`
-    /// feed the retry-after hint of the rejecting shard; `down` marks
-    /// shards in their crash-recovery window.
+    /// Admits `req`, or reports the structured rejection: `Overloaded`
+    /// when a queue is full, `ShardUnavailable` when a shard is inside
+    /// its crash-recovery window (same backlog-proportional hint, because
+    /// the client's best move is identical — wait out the queue). A
+    /// cross-shard transfer returns the 2PC record it opens.
     fn try_admit(
         &mut self,
         req: &Request,
-        cost: &[u64],
-        storm: &[bool],
-        down: &[bool],
-    ) -> Result<Class, ServeError> {
+        ctl: &[ShardCtl],
+    ) -> Result<Option<Pending2pc>, ServeError> {
         let (primary, secondary) = req.op.shards(self.shards, self.seed);
-        if let Some(&s) = [Some(primary), secondary].iter().flatten().find(|&&s| down[s]) {
-            return Err(self.unavailable(s, cost[s], storm[s]));
+        if let Some(&shard) = [Some(primary), secondary].iter().flatten().find(|&&s| ctl[s].down())
+        {
+            let retry_after = ctl[shard].hint(self.queues[shard].len());
+            return Err(ServeError::ShardUnavailable { shard, retry_after });
         }
+        let entry = |op, class| QEntry { req: req.id, arrival: req.arrival, op, class };
         match (req.op, secondary) {
             (Op::Transfer { from, to, amount }, Some(credit_shard)) => {
                 let debit_shard = primary;
                 // Cross-shard admission is atomic: both prepare lanes
                 // must have room or the request is rejected whole.
-                if self.queues[debit_shard].len() >= self.capacity {
-                    return Err(self.overloaded(
-                        debit_shard,
-                        cost[debit_shard],
-                        storm[debit_shard],
-                    ));
+                for s in [debit_shard, credit_shard] {
+                    if self.queues[s].len() >= self.capacity {
+                        return Err(self.overloaded(s, &ctl[s]));
+                    }
                 }
-                if self.queues[credit_shard].len() >= self.capacity {
-                    return Err(self.overloaded(
-                        credit_shard,
-                        cost[credit_shard],
-                        storm[credit_shard],
-                    ));
-                }
-                self.queues[debit_shard].push_back(QEntry {
-                    req: req.id,
+                let prepare_debit = ShardOp::PrepareDebit { from, amount };
+                let prepare_credit = ShardOp::PrepareCredit { to, amount };
+                self.queues[debit_shard].push_back(entry(prepare_debit, Class::BankCross));
+                self.queues[credit_shard].push_back(entry(prepare_credit, Class::BankCross));
+                Ok(Some(Pending2pc {
+                    to,
+                    from,
+                    amount,
                     arrival: req.arrival,
-                    op: ShardOp::PrepareDebit { from, amount },
-                    class: Class::BankCross,
-                });
-                self.queues[credit_shard].push_back(QEntry {
-                    req: req.id,
-                    arrival: req.arrival,
-                    op: ShardOp::PrepareCredit { to, amount },
-                    class: Class::BankCross,
-                });
-                Ok(Class::BankCross)
+                    debit_shard,
+                    credit_shard,
+                    debit_vote: None,
+                    credit_vote: None,
+                    resolved: false,
+                }))
             }
             (op, _) => {
                 let shard = primary;
                 if self.queues[shard].len() >= self.capacity {
-                    return Err(self.overloaded(shard, cost[shard], storm[shard]));
+                    return Err(self.overloaded(shard, &ctl[shard]));
                 }
                 let (op, class) = match op {
                     Op::Transfer { from, to, amount } => {
@@ -430,13 +459,8 @@ impl Admission {
                     Op::HtGet { key } => (ShardOp::HtGet { key }, Class::Ht),
                     Op::TxlBump { key } => (ShardOp::TxlBump { key }, Class::Txl),
                 };
-                self.queues[shard].push_back(QEntry {
-                    req: req.id,
-                    arrival: req.arrival,
-                    op,
-                    class,
-                });
-                Ok(class)
+                self.queues[shard].push_back(entry(op, class));
+                Ok(None)
             }
         }
     }
@@ -445,19 +469,9 @@ impl Admission {
     /// hold resources on other shards), then FIFO admissions.
     fn seal(&mut self, shard: usize, capacity: usize) -> Vec<QEntry> {
         let mut out = Vec::new();
-        while out.len() < capacity {
-            if let Some(e) = self.phase2[shard].pop_front() {
-                out.push(e);
-            } else {
-                break;
-            }
-        }
-        while out.len() < capacity {
-            if let Some(e) = self.queues[shard].pop_front() {
-                out.push(e);
-            } else {
-                break;
-            }
+        for lane in [&mut self.phase2[shard], &mut self.queues[shard]] {
+            let take = (capacity - out.len()).min(lane.len());
+            out.extend(lane.drain(..take));
         }
         out
     }
@@ -600,6 +614,9 @@ fn worker_main(
     }
 }
 
+/// The worker threads carrying the shards: shard `s` lives on worker
+/// `s % workers`. Dropping the pool closes every worker's channel and
+/// joins the threads, so a run shuts it down on every exit path.
 struct Pool {
     senders: Vec<mpsc::Sender<ToWorker>>,
     handles: Vec<std::thread::JoinHandle<()>>,
@@ -609,11 +626,11 @@ struct Pool {
 impl Pool {
     fn spawn(
         cfg: &ServeConfig,
-        workers: usize,
         store: Option<StoreHandle>,
         crash: Option<ResolvedCrash>,
         feed_replicas: bool,
     ) -> Pool {
+        let workers = cfg.worker_count();
         let (res_tx, results) = mpsc::channel();
         let mut senders = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
@@ -631,83 +648,566 @@ impl Pool {
         Pool { senders, handles, results }
     }
 
-    fn send(&self, worker: usize, msg: ToWorker) -> Result<(), ServeError> {
-        self.senders[worker]
+    /// Sends `msg` to the worker carrying `shard`.
+    fn send(&self, shard: usize, msg: ToWorker) -> Result<(), ServeError> {
+        self.senders[shard % self.senders.len()]
             .send(msg)
-            .map_err(|_| ServeError::Engine { shard: worker, message: "worker thread died".into() })
+            .map_err(|_| ServeError::Engine { shard, message: "worker thread died".into() })
     }
 
-    fn shutdown(self) {
-        drop(self.senders);
-        for h in self.handles {
+    /// The next worker message. A `Fatal` report or a dead pool is an
+    /// engine error.
+    fn recv(&self) -> Result<FromWorker, ServeError> {
+        match self.results.recv() {
+            Ok(FromWorker::Fatal { shard, message }) => Err(ServeError::Engine { shard, message }),
+            Ok(msg) => Ok(msg),
+            Err(_) => Err(ServeError::Engine { shard: 0, message: "worker pool died".into() }),
+        }
+    }
+
+    /// Closes every worker's channel and joins the threads.
+    fn shutdown(&mut self) {
+        self.senders.clear();
+        for h in self.handles.drain(..) {
             let _ = h.join();
         }
     }
 }
 
-/// Recovery protocol for one crashed shard, run after the round
-/// barrier has drained every other in-flight message: rebuild the
-/// engine from its WAL (crash disarmed), re-base the replica group on
-/// the recovered state, then resolve the batch the dead worker never
-/// acknowledged — answered from the log if it was sealed durably,
-/// re-dispatched to the recovered engine otherwise.
-#[allow(clippy::too_many_arguments)]
-fn recover_shard(
-    pool: &Pool,
-    workers: usize,
-    cfg: &ServeConfig,
-    s: usize,
-    expect_seq: u64,
-    entries: &[QEntry],
-    groups: &mut [Option<ReplicaGroup>],
-    rec_report: &mut RecoveryReport,
-) -> Result<BatchReport, ServeError> {
-    let proto = |m: String| ServeError::Engine { shard: s, message: m };
-    pool.send(
-        s % workers,
-        ToWorker::Recover { shard: s, cfg: Box::new(cfg.engine_config(s, None)) },
-    )?;
-    let (last_seq, report, resync) = match pool.results.recv() {
-        Ok(FromWorker::Recovered { shard, stats, last_seq, report, resync }) if shard == s => {
-            rec_report.recoveries.push(*stats);
-            (last_seq, report, resync)
-        }
-        Ok(FromWorker::Fatal { shard, message }) => {
-            return Err(ServeError::Engine { shard, message });
-        }
-        Ok(_) => return Err(proto("unexpected message during shard recovery".into())),
-        Err(_) => return Err(proto("worker pool died during shard recovery".into())),
-    };
-    if let (Some(g), Some(r)) = (groups[s].as_mut(), resync) {
-        let (_base, words, log_fnv, applied) = *r;
-        g.resync(&words, log_fnv, applied);
+impl Drop for Pool {
+    fn drop(&mut self) {
+        self.shutdown();
     }
-    if last_seq == expect_seq {
-        // The crashed batch was already durable; the log answers for
-        // the dead worker. Replicas were re-based past it above.
-        rec_report.replayed_acks += 1;
-        return report.ok_or_else(|| proto("durable batch has no replayable report".into()));
-    }
-    if last_seq + 1 != expect_seq {
-        return Err(proto(format!(
-            "recovered log at batch {last_seq} cannot resume coordinator batch {expect_seq}"
-        )));
-    }
-    // The batch never became durable (torn or pre-execution crash):
-    // re-dispatch the same sealed entries to the recovered engine.
-    let run: Vec<Entry> = entries.iter().map(|q| Entry { req: q.req, op: q.op }).collect();
-    pool.send(s % workers, ToWorker::Run { shard: s, entries: run })?;
-    match pool.results.recv() {
-        Ok(FromWorker::Batch { shard, report, feed }) if shard == s => {
-            if let (Some(g), Some(f)) = (groups[s].as_mut(), feed) {
-                g.ingest(&f.0);
-                rec_report.diverged.extend(g.check_epoch(&f.1));
+}
+
+/// A dispatched batch as the round barrier received it: the report plus
+/// the committed stream for replica ingestion (none for a batch that
+/// recovery resolved, whose replay already fed the group).
+type Landed = (BatchReport, Option<Feed>);
+
+/// The round loop's state. Each numbered stage of the determinism
+/// argument (module docs) is one method; `Service::run_inner` is the
+/// loop over them.
+struct Coordinator<'a> {
+    cfg: &'a ServeConfig,
+    store: Option<StoreHandle>,
+    pool: Pool,
+    wall_start: Instant,
+    requests: Vec<Request>,
+    /// Index of the first request not yet offered.
+    next_arr: usize,
+    adm: Admission,
+    /// Windowed metrics, health incidents and the flight recorder, all
+    /// driven by the epoch clock; also the one home of every per-shard
+    /// counter the report carries.
+    obs: ObsState,
+    ctl: Vec<ShardCtl>,
+    /// Cross-shard transfers from admission to phase-2 completion.
+    inflight: BTreeMap<u64, Pending2pc>,
+    /// Blocking admission: requests waiting, in arrival order, for queue
+    /// capacity, each tagged with the shard that last refused it (for
+    /// depth attribution).
+    parked: VecDeque<(Request, usize)>,
+    rec: RecoveryReport,
+    epoch: u64,
+    rounds: u64,
+    parked_peak: u64,
+    admitted: u64,
+    cross_admitted: u64,
+    rollbacks: u64,
+    ht_value_sum: u64,
+    first_rejection: Option<ServeError>,
+    /// `(class, ok, latency)` per completed request.
+    completed: Vec<(Class, bool, u64)>,
+}
+
+impl<'a> Coordinator<'a> {
+    /// Spawns the pool and waits for every shard engine to come up,
+    /// building replica groups from their bootstrap payloads.
+    fn start(cfg: &'a ServeConfig, store: Option<StoreHandle>) -> Result<Self, ServeError> {
+        cfg.validate()?;
+        let dur = cfg.durability.unwrap_or_default();
+        let crash = dur.crash.as_ref().map(|p| p.resolve(cfg.shards));
+        let requests =
+            request::generate(&cfg.mix, cfg.accounts, cfg.txl_words, cfg.shards, cfg.seed);
+        let wall_start = Instant::now();
+        let pool = Pool::spawn(cfg, store.clone(), crash, dur.replicas > 0);
+        let mut ctl: Vec<ShardCtl> = (0..cfg.shards)
+            .map(|_| ShardCtl { cost: 500, dispatch_seq: 1, ..ShardCtl::default() })
+            .collect();
+        let mut ready = 0;
+        while ready < cfg.shards {
+            if let FromWorker::Ready { shard, boot } = pool.recv()? {
+                if let Some(b) = boot {
+                    let (base, words, _, _) = *b;
+                    let group =
+                        ReplicaGroup::new(shard, base, &words, dur.replicas, dur.replica_fault);
+                    ctl[shard].group = Some(group);
+                }
+                ready += 1;
             }
-            Ok(report)
         }
-        Ok(FromWorker::Fatal { shard, message }) => Err(ServeError::Engine { shard, message }),
-        Ok(_) => Err(proto("unexpected message during recovery re-dispatch".into())),
-        Err(_) => Err(proto("worker pool died during recovery re-dispatch".into())),
+        let (variant, mode) = (cfg.variant.short_name(), cfg.mode.short_name());
+        Ok(Coordinator {
+            cfg,
+            store,
+            pool,
+            wall_start,
+            requests,
+            next_arr: 0,
+            adm: Admission::new(cfg.shards, cfg.queue_capacity, cfg.seed),
+            obs: ObsState::new(cfg.obs.clone(), cfg.shards, variant, mode, cfg.seed),
+            ctl,
+            inflight: BTreeMap::new(),
+            parked: VecDeque::new(),
+            rec: RecoveryReport::default(),
+            epoch: 0,
+            rounds: 0,
+            parked_peak: 0,
+            admitted: 0,
+            cross_admitted: 0,
+            rollbacks: 0,
+            ht_value_sum: 0,
+            first_rejection: None,
+            completed: Vec::new(),
+        })
+    }
+
+    /// Stage 0: progress crash-recovery windows. A shard whose window
+    /// has elapsed is rebuilt from its WAL now, and the batch its dead
+    /// worker held folds into this round.
+    fn recovery_windows(&mut self) -> Result<(), ServeError> {
+        for s in 0..self.ctl.len() {
+            match &mut self.ctl[s].recovering {
+                Some((left, _)) if *left > 0 => *left -= 1,
+                Some(_) => {
+                    let (_, entries) = self.ctl[s].recovering.take().expect("shard is recovering");
+                    let report = self.recover(s, &entries)?;
+                    self.obs.on_recovered(s, self.rounds, self.epoch);
+                    self.ctl[s].prefilled = Some((entries, report));
+                }
+                None => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Stage 1: re-offer parked requests (they arrived first, so they go
+    /// ahead of the round's new arrivals), then admit everything that
+    /// has arrived by the current epoch. With blocking admission an
+    /// `Overloaded` outcome parks the request at the back of the wait
+    /// FIFO instead of rejecting it.
+    fn admit(&mut self) {
+        let mut offers: Vec<(Request, bool)> =
+            self.parked.drain(..).map(|(r, _)| (r, true)).collect();
+        while let Some(&r) = self.requests.get(self.next_arr).filter(|r| r.arrival <= self.epoch) {
+            offers.push((r, false));
+            self.next_arr += 1;
+        }
+        for (r, was_parked) in offers {
+            match self.adm.try_admit(&r, &self.ctl) {
+                Ok(pending) => {
+                    self.admitted += 1;
+                    if let Some(p) = pending {
+                        self.cross_admitted += 1;
+                        self.inflight.insert(r.id, p);
+                    }
+                }
+                Err(ServeError::Overloaded { shard, .. }) if self.cfg.blocking => {
+                    if !was_parked {
+                        self.obs.on_park(shard);
+                    }
+                    self.parked.push_back((r, shard));
+                }
+                Err(e) => {
+                    if let ServeError::Overloaded { shard, retry_after, .. }
+                    | ServeError::ShardUnavailable { shard, retry_after } = e
+                    {
+                        let peak = &mut self.ctl[shard].hint_peak;
+                        *peak = (*peak).max(retry_after);
+                        self.obs.on_reject(shard, retry_after);
+                    }
+                    if matches!(e, ServeError::ShardUnavailable { .. }) {
+                        self.rec.unavailable_rejections += 1;
+                    }
+                    self.first_rejection.get_or_insert(e);
+                }
+            }
+        }
+        for (c, queue) in self.ctl.iter_mut().zip(&self.adm.queues) {
+            c.queue_peak = c.queue_peak.max(queue.len() as u64);
+        }
+        self.parked_peak = self.parked_peak.max(self.parked.len() as u64);
+        for s in 0..self.ctl.len() {
+            let depth = self.parked.iter().filter(|&&(_, p)| p == s).count() as u64;
+            self.ctl[s].parked_depth_peak = self.ctl[s].parked_depth_peak.max(depth);
+            self.obs.on_park_depth(s, depth, self.rounds, self.epoch);
+        }
+    }
+
+    /// Stage 2: seal one batch per shard. Down shards hold their queues;
+    /// a prefilled shard's batch for this round is the one its recovery
+    /// just resolved.
+    fn seal(&mut self) -> Vec<Vec<QEntry>> {
+        let cap = self.cfg.batch_warps as usize * gpu_sim::WARP_SIZE;
+        let (ctl, adm) = (&self.ctl, &mut self.adm);
+        (0..ctl.len())
+            .map(|s| {
+                if ctl[s].down() || ctl[s].prefilled.is_some() {
+                    Vec::new()
+                } else {
+                    adm.seal(s, cap)
+                }
+            })
+            .collect()
+    }
+
+    /// A round with nothing to run: burn a round of an open recovery
+    /// window or jump the epoch clock to the next arrival. `Ok(true)`
+    /// once the service has drained.
+    fn idle(&mut self) -> Result<bool, ServeError> {
+        if self.ctl.iter().any(ShardCtl::down) {
+            return Ok(false);
+        }
+        if let Some(next) = self.requests.get(self.next_arr) {
+            self.epoch = self.epoch.max(next.arrival);
+            self.obs.roll_to(self.epoch);
+            return Ok(false);
+        }
+        if self.inflight.is_empty() && self.adm.idle() && self.parked.is_empty() {
+            return Ok(true);
+        }
+        Err(ServeError::Stalled { rounds: self.rounds })
+    }
+
+    /// Stage 3: dispatch the sealed batches and barrier on all of them.
+    /// An injected crash surfaces as a `Crashed` message in place of the
+    /// batch report; the shard then recovers synchronously inside this
+    /// round (`recovery_rounds = 0`, which keeps the report byte-identical
+    /// to an uncrashed run) or opens an unavailability window that holds
+    /// its batch.
+    fn dispatch(&mut self, sealed: &mut [Vec<QEntry>]) -> Result<Vec<Option<Landed>>, ServeError> {
+        let mut pending = 0;
+        for (s, entries) in sealed.iter().enumerate().filter(|(_, e)| !e.is_empty()) {
+            self.run(s, entries)?;
+            pending += 1;
+        }
+        let mut landed: Vec<Option<Landed>> = (0..sealed.len()).map(|_| None).collect();
+        let mut crashed = Vec::new();
+        for _ in 0..pending {
+            match self.pool.recv()? {
+                FromWorker::Batch { shard, report, feed } => {
+                    landed[shard] = Some((report, feed.map(|f| *f)));
+                }
+                FromWorker::Crashed { shard } => crashed.push(shard),
+                _ => {}
+            }
+        }
+        crashed.sort_unstable();
+        let recovery_rounds = self.cfg.durability.map_or(0, |d| d.recovery_rounds);
+        for s in crashed {
+            // Cut the crash bundle off the coordinator's view: the WAL
+            // position the shard must resume at and the store
+            // fingerprint at the moment of death.
+            let store_fnv = self.store.as_ref().map_or(0, |st| store_fingerprint(st).0);
+            let replicas_up = self.ctl[s].group.as_ref().is_some_and(|g| g.healthy() > 0);
+            let seq = self.ctl[s].dispatch_seq;
+            let (round, epoch) = (self.rounds, self.epoch);
+            self.obs.on_crash(s, round, epoch, seq, store_fnv, recovery_rounds, replicas_up);
+            if recovery_rounds == 0 {
+                landed[s] = Some((self.recover(s, &sealed[s])?, None));
+            } else {
+                self.ctl[s].recovering = Some((recovery_rounds, std::mem::take(&mut sealed[s])));
+            }
+        }
+        Ok(landed)
+    }
+
+    /// Stage 4: advance virtual time by the slowest shard of the round
+    /// (shards execute concurrently in virtual time) and fold outcomes
+    /// back in deterministic shard order. A shard's fold comes from its
+    /// recovered prefill or its report; a shard that just went down
+    /// contributes neither.
+    fn fold(&mut self, sealed: Vec<Vec<QEntry>>, landed: Vec<Option<Landed>>) {
+        let mut folds = Vec::new();
+        for (s, (entries, landed)) in sealed.into_iter().zip(landed).enumerate() {
+            if let Some((entries, report)) = self.ctl[s].prefilled.take() {
+                folds.push((s, entries, report, None));
+            } else if let Some((report, feed)) = landed {
+                folds.push((s, entries, report, feed));
+            }
+        }
+        let quantum = folds.iter().map(|(_, _, r, _)| r.cycles).max().unwrap_or(0);
+        self.epoch += quantum.max(1);
+        self.obs.roll_to(self.epoch);
+        for (s, entries, mut report, feed) in folds {
+            self.ctl[s].dispatch_seq += 1;
+            self.ingest(s, feed);
+            let c = &mut self.ctl[s];
+            c.cost = (report.cycles / entries.len().max(1) as u64).max(1);
+            c.storm = report.storm;
+            self.obs.on_gauges(s, self.adm.queues[s].len() as u64, c.cost);
+            self.obs.on_batch(s, self.rounds, self.epoch, &mut report);
+            for (q, out) in entries.iter().zip(&report.outcomes) {
+                self.complete(q, out);
+            }
+            let c = &mut self.ctl[s];
+            c.hint_peak = c.hint_peak.max(c.hint(self.adm.queues[s].len()));
+        }
+    }
+
+    /// Books one folded entry: a 2PC vote, or a request's completion.
+    fn complete(&mut self, q: &QEntry, out: &EntryOutcome) {
+        let latency = self.epoch - q.arrival;
+        match q.op {
+            ShardOp::PrepareDebit { .. } => {
+                if let Some(p) = self.inflight.get_mut(&q.req) {
+                    p.debit_vote = Some(out.ok);
+                }
+            }
+            ShardOp::PrepareCredit { .. } => {
+                if let Some(p) = self.inflight.get_mut(&q.req) {
+                    p.credit_vote = Some(out.ok);
+                }
+            }
+            ShardOp::ApplyCredit { .. } | ShardOp::RollbackDebit { .. } => {
+                self.inflight.remove(&q.req).expect("phase 2 without a 2PC record");
+                let applied = matches!(q.op, ShardOp::ApplyCredit { .. });
+                self.rollbacks += u64::from(!applied);
+                self.completed.push((Class::BankCross, applied, latency));
+            }
+            _ => {
+                if matches!(q.op, ShardOp::HtGet { .. }) && out.ok {
+                    self.ht_value_sum += out.value as u64;
+                }
+                self.completed.push((q.class, out.ok, latency));
+            }
+        }
+    }
+
+    /// Stage 5: resolve 2PC records with both votes in (`BTreeMap` order
+    /// keeps this deterministic). The decision is logged before phase 2
+    /// can touch any shard — a crash between them leaves a hold that
+    /// cold recovery resolves from the log. Phase-2 entries bypass the
+    /// admission bound: they release held resources.
+    fn resolve_2pc(&mut self) {
+        let ready: Vec<u64> = self
+            .inflight
+            .iter()
+            .filter(|(_, p)| !p.resolved && p.debit_vote.is_some() && p.credit_vote.is_some())
+            .map(|(&id, _)| id)
+            .collect();
+        for id in ready {
+            let p = self.inflight.get_mut(&id).expect("just listed");
+            let (shard, op) = match (p.debit_vote, p.credit_vote) {
+                (Some(true), Some(true)) => {
+                    (p.credit_shard, ShardOp::ApplyCredit { to: p.to, amount: p.amount })
+                }
+                (Some(true), _) => {
+                    (p.debit_shard, ShardOp::RollbackDebit { from: p.from, amount: p.amount })
+                }
+                _ => {
+                    // No hold was applied; the transfer just fails.
+                    let arrival = p.arrival;
+                    self.inflight.remove(&id);
+                    self.completed.push((Class::BankCross, false, self.epoch - arrival));
+                    continue;
+                }
+            };
+            p.resolved = true;
+            if let Some(store) = &self.store {
+                append_decision(store, id, matches!(op, ShardOp::ApplyCredit { .. }));
+            }
+            let entry = QEntry { req: id, arrival: p.arrival, op, class: Class::BankCross };
+            self.adm.phase2[shard].push_back(entry);
+        }
+    }
+
+    /// Ships a sealed batch to shard `s`'s worker.
+    fn run(&self, s: usize, entries: &[QEntry]) -> Result<(), ServeError> {
+        let entries = entries.iter().map(|q| Entry { req: q.req, op: q.op }).collect();
+        self.pool.send(s, ToWorker::Run { shard: s, entries })
+    }
+
+    /// Feeds one batch's committed stream to shard `s`'s replica group
+    /// and runs the epoch vote; every replica it demotes is reported.
+    fn ingest(&mut self, s: usize, feed: Option<Feed>) {
+        let (Some(g), Some((records, seal))) = (self.ctl[s].group.as_mut(), feed) else {
+            return;
+        };
+        g.ingest(&records);
+        for d in g.check_epoch(&seal) {
+            self.obs.on_diverged(s, self.rounds, self.epoch, d.replica as u64);
+            self.rec.diverged.push(d);
+        }
+    }
+
+    /// Recovery protocol for one crashed shard, run after the round
+    /// barrier has drained every other in-flight message: rebuild the
+    /// engine from its WAL (crash disarmed), re-base the replica group on
+    /// the recovered state, then resolve the batch the dead worker never
+    /// acknowledged — answered from the log if it was sealed durably,
+    /// re-dispatched to the recovered engine otherwise.
+    fn recover(&mut self, s: usize, entries: &[QEntry]) -> Result<BatchReport, ServeError> {
+        let proto = |m: String| ServeError::Engine { shard: s, message: m };
+        let cfg = Box::new(self.cfg.engine_config(s, None));
+        self.pool.send(s, ToWorker::Recover { shard: s, cfg })?;
+        let (last_seq, report, resync) = match self.pool.recv()? {
+            FromWorker::Recovered { shard, stats, last_seq, report, resync } if shard == s => {
+                self.rec.recoveries.push(*stats);
+                (last_seq, report, resync)
+            }
+            _ => return Err(proto("unexpected message during shard recovery".into())),
+        };
+        if let (Some(g), Some(r)) = (self.ctl[s].group.as_mut(), resync) {
+            let (_base, words, log_fnv, applied) = *r;
+            g.resync(&words, log_fnv, applied);
+        }
+        let expect_seq = self.ctl[s].dispatch_seq;
+        if last_seq == expect_seq {
+            // The crashed batch was already durable; the log answers for
+            // the dead worker. Replicas were re-based past it above.
+            self.rec.replayed_acks += 1;
+            return report.ok_or_else(|| proto("durable batch has no replayable report".into()));
+        }
+        if last_seq + 1 != expect_seq {
+            return Err(proto(format!(
+                "recovered log at batch {last_seq} cannot resume coordinator batch {expect_seq}"
+            )));
+        }
+        // The batch never became durable (torn or pre-execution crash):
+        // re-dispatch the same sealed entries to the recovered engine.
+        self.run(s, entries)?;
+        match self.pool.recv()? {
+            FromWorker::Batch { shard, report, feed } if shard == s => {
+                self.ingest(s, feed.map(|f| *f));
+                Ok(report)
+            }
+            _ => Err(proto("unexpected message during recovery re-dispatch".into())),
+        }
+    }
+
+    /// Drain complete: collect the shard summaries, join the workers,
+    /// and build the serve and recovery reports. Every per-shard counter
+    /// the reports carry is read from the obs registry.
+    fn finish(mut self) -> Result<(ServeReport, RecoveryReport), ServeError> {
+        for s in 0..self.ctl.len() {
+            self.pool.send(s, ToWorker::Finish { shard: s })?;
+        }
+        let mut summaries: Vec<Option<ShardSummary>> = self.ctl.iter().map(|_| None).collect();
+        let mut got = 0;
+        while got < summaries.len() {
+            if let FromWorker::Summary { shard, summary } = self.pool.recv()? {
+                summaries[shard] = Some(*summary);
+                got += 1;
+            }
+        }
+        self.pool.shutdown();
+        let wall_seconds = self.wall_start.elapsed().as_secs_f64();
+
+        // Finalize the durability report: replica census, then the store
+        // fingerprint (taken after every worker has joined, so all WAL
+        // writes are in).
+        let groups = || self.ctl.iter().filter_map(|c| c.group.as_ref());
+        self.rec.replicas_per_shard = groups().map(|g| g.total() as u64).max().unwrap_or(0);
+        self.rec.replicas_healthy = groups().map(|g| g.healthy() as u64).sum();
+        if let Some(store) = &self.store {
+            (self.rec.store_fnv, self.rec.store_bytes) = store_fingerprint(store);
+        }
+        let summaries: Vec<ShardSummary> =
+            summaries.into_iter().map(|s| s.expect("collected all")).collect();
+        for (s, sum) in summaries.iter().enumerate() {
+            self.obs.on_violations(s, self.rounds, self.epoch, sum.violations.len() as u64);
+        }
+        assert_eq!(
+            self.completed.len() as u64,
+            self.admitted,
+            "every admitted request must complete exactly once (no loss, no duplication)"
+        );
+
+        let obs = self.obs.report(self.epoch);
+        let shard_reports: Vec<ShardReport> = summaries
+            .into_iter()
+            .zip(&self.ctl)
+            .zip(&obs.snapshot.shards)
+            .enumerate()
+            .map(|(s, ((sum, c), o))| ShardReport {
+                shard: s,
+                stm_name: sum.stm_name,
+                commits: sum.tx.commits,
+                aborts: sum.tx.aborts,
+                read_only: sum.read_only as u64,
+                writers: sum.writers as u64,
+                launches: sum.launches,
+                sim_cycles: sum.sim_cycles,
+                instructions: sum.sim.instructions,
+                balance_sum: sum.balance_sum,
+                txl_sum: sum.txl_sum,
+                rejected: o.rejected.total,
+                parked: o.parked.total,
+                parked_depth_peak: c.parked_depth_peak,
+                queue_peak: c.queue_peak,
+                storm_rounds: o.storm_rounds.total,
+                retry_hint_peak: c.hint_peak,
+                retry_hint_final: retry_after_hint(0, c.cost, false),
+                history_fnv: sum.history_fnv,
+                commit_log_fnv: sum.commit_log_fnv,
+                retry_after: o.retry_after.clone(),
+                violations: sum.violations,
+            })
+            .collect();
+        self.rec.incidents = self.obs.recovery_incidents();
+        self.rec.bundles = self.obs.recovery_bundles();
+        Ok((self.report(shard_reports, obs, wall_seconds), self.rec))
+    }
+
+    /// The serve report over the per-shard reports and the obs block.
+    fn report(&self, shard_reports: Vec<ShardReport>, obs: ObsReport, wall: f64) -> ServeReport {
+        let cfg = self.cfg;
+        let done = &self.completed;
+        let count = |class| done.iter().filter(|(c, ..)| *c == class).count() as u64;
+        let mut latencies: Vec<u64> = done.iter().map(|&(_, _, l)| l).collect();
+        latencies.sort_unstable();
+        // Conservation: money only moves between accounts; every shard
+        // funds its owned keys with `initial_balance`.
+        let balance_total: u64 = shard_reports.iter().map(|r| r.balance_sum).sum();
+        let txl_done = done.iter().filter(|(c, ok, _)| *c == Class::Txl && *ok).count() as u64;
+        let txl_total: u64 = shard_reports.iter().map(|r| r.txl_sum).sum();
+        ServeReport {
+            variant: cfg.variant.short_name().to_string(),
+            mode: cfg.mode.short_name().to_string(),
+            shards: cfg.shards as u64,
+            workers: cfg.worker_count() as u64,
+            seed: cfg.seed,
+            queue_capacity: cfg.queue_capacity as u64,
+            batch_capacity: (cfg.batch_warps as usize * gpu_sim::WARP_SIZE) as u64,
+            offered: self.requests.len() as u64,
+            admitted: self.admitted,
+            rejected: shard_reports.iter().map(|r| r.rejected).sum(),
+            parked: shard_reports.iter().map(|r| r.parked).sum(),
+            parked_peak: self.parked_peak,
+            completed: done.len() as u64,
+            business_failed: done.iter().filter(|(_, ok, _)| !ok).count() as u64,
+            cross_shard: self.cross_admitted,
+            rollbacks: self.rollbacks,
+            classes: ClassTotals {
+                bank_local: count(Class::BankLocal),
+                bank_cross: count(Class::BankCross),
+                ht: count(Class::Ht),
+                txl: count(Class::Txl),
+            },
+            ht_get_value_sum: self.ht_value_sum,
+            rounds: self.rounds,
+            virtual_cycles: self.epoch,
+            latencies,
+            conserved: balance_total == cfg.accounts as u64 * cfg.initial_balance as u64,
+            txl_consistent: txl_done == txl_total,
+            violations_total: shard_reports.iter().map(|r| r.violations.len()).sum(),
+            first_rejection: self.first_rejection.clone(),
+            shard_reports,
+            obs,
+            wall_seconds: wall,
+        }
     }
 }
 
@@ -771,607 +1271,32 @@ impl Service {
         Ok(out)
     }
 
+    /// The round loop: one iteration per coordinator round, one
+    /// [`Coordinator`] method per stage of the determinism argument.
     fn run_inner(
         cfg: &ServeConfig,
-        store_opt: Option<StoreHandle>,
+        store: Option<StoreHandle>,
     ) -> Result<(ServeReport, RecoveryReport), ServeError> {
-        cfg.validate()?;
-        let dur_cfg = cfg.durability.unwrap_or_default();
-        let replicas_n = if cfg.durability.is_some() { dur_cfg.replicas } else { 0 };
-        let feed_replicas = replicas_n > 0;
-        let crash =
-            cfg.durability.as_ref().and_then(|d| d.crash.as_ref()).map(|p| p.resolve(cfg.shards));
-        let workers = if cfg.workers == 0 { cfg.shards } else { cfg.workers.min(cfg.shards) };
-        let requests =
-            request::generate(&cfg.mix, cfg.accounts, cfg.txl_words, cfg.shards, cfg.seed);
-
-        let wall_start = std::time::Instant::now();
-        let pool = Pool::spawn(cfg, workers, store_opt.clone(), crash, feed_replicas);
-
-        // Wait for every shard engine to come up; collect replica
-        // bootstrap payloads when replication is on.
-        let mut groups: Vec<Option<ReplicaGroup>> = (0..cfg.shards).map(|_| None).collect();
-        let mut ready = 0usize;
-        while ready < cfg.shards {
-            match pool.results.recv() {
-                Ok(FromWorker::Ready { shard, boot }) => {
-                    if let Some(b) = boot {
-                        let (base, words, _, _) = *b;
-                        groups[shard] = Some(ReplicaGroup::new(
-                            shard,
-                            base,
-                            &words,
-                            replicas_n,
-                            dur_cfg.replica_fault,
-                        ));
-                    }
-                    ready += 1;
-                }
-                Ok(FromWorker::Fatal { shard, message }) => {
-                    pool.shutdown();
-                    return Err(ServeError::Engine { shard, message });
-                }
-                Ok(_) => {}
-                Err(_) => {
-                    pool.shutdown();
-                    return Err(ServeError::Engine {
-                        shard: 0,
-                        message: "worker pool died during startup".into(),
-                    });
-                }
-            }
-        }
-
-        let shards = cfg.shards;
-        let batch_cap = cfg.batch_warps as usize * gpu_sim::WARP_SIZE;
-        // Live observability: windowed metrics, health incidents and the
-        // per-shard flight recorder, all driven by the epoch clock below.
-        let mut obs = ObsState::new(
-            cfg.obs.clone(),
-            shards,
-            cfg.variant.short_name(),
-            cfg.mode.short_name(),
-            cfg.seed,
-        );
-        let mut adm = Admission::new(shards, cfg.queue_capacity, cfg.seed);
-        let mut inflight: BTreeMap<u64, Pending2pc> = BTreeMap::new();
-        let mut epoch = 0u64;
-        let mut rounds = 0u64;
-        let mut next_arr = 0usize;
-        // Per-shard adaptive cost model feeding retry-after hints.
-        let mut cost = vec![500u64; shards];
-        let mut storm = vec![false; shards];
-        let mut storm_rounds = vec![0u64; shards];
-        let mut queue_peak = vec![0usize; shards];
-        let mut rejected = vec![0u64; shards];
-        // Blocking admission: requests waiting, in arrival order, for
-        // queue capacity, each tagged with the shard that last refused
-        // it (for depth attribution).
-        let mut parked: VecDeque<(Request, usize)> = VecDeque::new();
-        let mut parks = vec![0u64; shards];
-        let mut parked_depth_peak = vec![0u64; shards];
-        let mut parked_total = 0u64;
-        let mut parked_peak = 0u64;
-        let mut hint_peak = vec![0u64; shards];
-        let mut commits_batched = vec![0u64; shards];
-        let mut aborts_batched = vec![0u64; shards];
-        let mut first_rejection: Option<ServeError> = None;
-        let mut admitted = 0u64;
-        let mut completed: Vec<(Class, bool, u64)> = Vec::new();
-        let mut rollbacks = 0u64;
-        let mut cross_admitted = 0u64;
-        let mut ht_value_sum = 0u64;
-
-        // Durability bookkeeping.
-        let mut rec_report = RecoveryReport::default();
-        // Shards inside their crash-recovery window reject admissions.
-        let mut down = vec![false; shards];
-        // `(rounds left in the window, the batch the dead worker held)`.
-        let mut recovering: Vec<Option<(u64, Vec<QEntry>)>> = (0..shards).map(|_| None).collect();
-        // A recovered batch whose report folds into the current round.
-        let mut prefilled: Vec<Option<(Vec<QEntry>, BatchReport)>> =
-            (0..shards).map(|_| None).collect();
-        // Next engine batch sequence each shard expects (engines start
-        // at 1); lets recovery tell a durable batch from a torn one.
-        let mut dispatch_seq = vec![1u64; shards];
-
-        let fail =
-            |pool: Pool, e: ServeError| -> Result<(ServeReport, RecoveryReport), ServeError> {
-                pool.shutdown();
-                Err(e)
-            };
-
+        let mut c = Coordinator::start(cfg, store)?;
         loop {
-            rounds += 1;
-            if rounds > cfg.max_rounds {
-                return fail(pool, ServeError::Stalled { rounds });
+            c.rounds += 1;
+            if c.rounds > cfg.max_rounds {
+                return Err(ServeError::Stalled { rounds: c.rounds });
             }
-
-            // 0. Progress crash-recovery windows: a shard whose window
-            //    has elapsed is rebuilt from its WAL now, and the batch
-            //    its dead worker held folds into this round.
-            for s in 0..shards {
-                let due = match &mut recovering[s] {
-                    Some((left, _)) if *left > 0 => {
-                        *left -= 1;
-                        false
-                    }
-                    Some(_) => true,
-                    None => false,
-                };
-                if due {
-                    let (_, entries) = recovering[s].take().expect("due shard is recovering");
-                    let div_before = rec_report.diverged.len();
-                    match recover_shard(
-                        &pool,
-                        workers,
-                        cfg,
-                        s,
-                        dispatch_seq[s],
-                        &entries,
-                        &mut groups,
-                        &mut rec_report,
-                    ) {
-                        Ok(report) => prefilled[s] = Some((entries, report)),
-                        Err(e) => return fail(pool, e),
-                    }
-                    for d in rec_report.diverged[div_before..].iter().copied() {
-                        obs.on_diverged(s, rounds, epoch, d.replica as u64);
-                    }
-                    obs.on_recovered(s, rounds, epoch);
-                    down[s] = false;
+            c.recovery_windows()?;
+            c.admit();
+            let mut sealed = c.seal();
+            if sealed.iter().all(Vec::is_empty) && c.ctl.iter().all(|s| s.prefilled.is_none()) {
+                if c.idle()? {
+                    break;
                 }
+                continue;
             }
-
-            // 1. Re-offer parked requests (they arrived first, so they
-            //    go ahead of the round's new arrivals), then admit
-            //    everything that has arrived by the current epoch. With
-            //    blocking admission, an `Overloaded` outcome parks the
-            //    request at the back of the wait FIFO instead of
-            //    rejecting it.
-            let mut offers: Vec<(Request, bool)> =
-                parked.drain(..).map(|(r, _)| (r, true)).collect();
-            while next_arr < requests.len() && requests[next_arr].arrival <= epoch {
-                offers.push((requests[next_arr], false));
-                next_arr += 1;
-            }
-            for (r, was_parked) in offers {
-                match adm.try_admit(&r, &cost, &storm, &down) {
-                    Ok(class) => {
-                        admitted += 1;
-                        if class == Class::BankCross {
-                            cross_admitted += 1;
-                            inflight.insert(
-                                r.id,
-                                match r.op {
-                                    Op::Transfer { from, to, amount } => {
-                                        let (ds, cs) = r.op.shards(shards, cfg.seed);
-                                        Pending2pc {
-                                            from,
-                                            to,
-                                            amount,
-                                            arrival: r.arrival,
-                                            debit_shard: ds,
-                                            credit_shard: cs.expect("cross-shard"),
-                                            debit_vote: None,
-                                            credit_vote: None,
-                                            resolved: false,
-                                        }
-                                    }
-                                    _ => unreachable!("BankCross is always a transfer"),
-                                },
-                            );
-                        }
-                    }
-                    Err(ServeError::Overloaded { shard, .. }) if cfg.blocking => {
-                        if !was_parked {
-                            parks[shard] += 1;
-                            parked_total += 1;
-                            obs.on_park(shard);
-                        }
-                        parked.push_back((r, shard));
-                    }
-                    Err(e) => {
-                        match e {
-                            ServeError::Overloaded { shard, retry_after, .. } => {
-                                rejected[shard] += 1;
-                                hint_peak[shard] = hint_peak[shard].max(retry_after);
-                                obs.on_reject(shard, retry_after);
-                            }
-                            ServeError::ShardUnavailable { shard, retry_after } => {
-                                rejected[shard] += 1;
-                                hint_peak[shard] = hint_peak[shard].max(retry_after);
-                                rec_report.unavailable_rejections += 1;
-                                obs.on_reject(shard, retry_after);
-                            }
-                            _ => {}
-                        }
-                        first_rejection.get_or_insert(e);
-                    }
-                }
-            }
-            for (peak, queue) in queue_peak.iter_mut().zip(&adm.queues) {
-                *peak = (*peak).max(queue.len());
-            }
-            parked_peak = parked_peak.max(parked.len() as u64);
-            let mut parked_depth = vec![0u64; shards];
-            for &(_, s) in &parked {
-                parked_depth[s] += 1;
-            }
-            for s in 0..shards {
-                parked_depth_peak[s] = parked_depth_peak[s].max(parked_depth[s]);
-                obs.on_park_depth(s, parked_depth[s], rounds, epoch);
-            }
-
-            // 2. Seal one batch per shard. Down shards hold their
-            //    queues; a prefilled shard's batch for this round is
-            //    the one its recovery just resolved.
-            let mut sealed: Vec<Vec<QEntry>> = (0..shards)
-                .map(|s| {
-                    if down[s] || prefilled[s].is_some() {
-                        Vec::new()
-                    } else {
-                        adm.seal(s, batch_cap)
-                    }
-                })
-                .collect();
-            let dispatched: Vec<usize> = (0..shards).filter(|&s| !sealed[s].is_empty()).collect();
-
-            if dispatched.is_empty() && prefilled.iter().all(|p| p.is_none()) {
-                if recovering.iter().any(|r| r.is_some()) {
-                    continue; // burn a round of the recovery window
-                }
-                if next_arr >= requests.len()
-                    && inflight.is_empty()
-                    && adm.idle()
-                    && parked.is_empty()
-                {
-                    break; // drained
-                }
-                if next_arr < requests.len() {
-                    // Idle: jump the epoch clock to the next arrival.
-                    epoch = epoch.max(requests[next_arr].arrival);
-                    obs.roll_to(epoch);
-                    continue;
-                }
-                return fail(pool, ServeError::Stalled { rounds });
-            }
-
-            // 3. Dispatch and barrier. An injected crash surfaces here
-            //    as a `Crashed` message in place of the batch report.
-            for &s in &dispatched {
-                let entries: Vec<Entry> =
-                    sealed[s].iter().map(|q| Entry { req: q.req, op: q.op }).collect();
-                if let Err(e) = pool.send(s % workers, ToWorker::Run { shard: s, entries }) {
-                    return fail(pool, e);
-                }
-            }
-            let mut reports: Vec<Option<BatchReport>> = vec![None; shards];
-            let mut feeds: Vec<Option<Feed>> = (0..shards).map(|_| None).collect();
-            let mut crashed: Vec<usize> = Vec::new();
-            for _ in 0..dispatched.len() {
-                match pool.results.recv() {
-                    Ok(FromWorker::Batch { shard, report, feed }) => {
-                        reports[shard] = Some(report);
-                        feeds[shard] = feed.map(|b| *b);
-                    }
-                    Ok(FromWorker::Crashed { shard }) => crashed.push(shard),
-                    Ok(FromWorker::Fatal { shard, message }) => {
-                        return fail(pool, ServeError::Engine { shard, message });
-                    }
-                    Ok(_) => {}
-                    Err(_) => {
-                        return fail(
-                            pool,
-                            ServeError::Engine { shard: 0, message: "worker pool died".into() },
-                        );
-                    }
-                }
-            }
-            crashed.sort_unstable();
-
-            // 3b. Crashed shards: recover synchronously inside this
-            //     round (recovery_rounds = 0, keeps the report
-            //     byte-identical to an uncrashed run) or open an
-            //     unavailability window and hold the batch.
-            for &s in &crashed {
-                // Cut the crash bundle off the coordinator's view: the
-                // WAL position the shard must resume at and the store
-                // fingerprint at the moment of death.
-                let store_fnv =
-                    store_opt.as_ref().map(|st| store_fingerprint(st).0).unwrap_or_default();
-                let replicas_up = groups[s].as_ref().is_some_and(|g| g.healthy() > 0);
-                obs.on_crash(
-                    s,
-                    rounds,
-                    epoch,
-                    dispatch_seq[s],
-                    store_fnv,
-                    dur_cfg.recovery_rounds,
-                    replicas_up,
-                );
-                if dur_cfg.recovery_rounds == 0 {
-                    let div_before = rec_report.diverged.len();
-                    match recover_shard(
-                        &pool,
-                        workers,
-                        cfg,
-                        s,
-                        dispatch_seq[s],
-                        &sealed[s],
-                        &mut groups,
-                        &mut rec_report,
-                    ) {
-                        Ok(report) => reports[s] = Some(report),
-                        Err(e) => return fail(pool, e),
-                    }
-                    for d in rec_report.diverged[div_before..].iter().copied() {
-                        obs.on_diverged(s, rounds, epoch, d.replica as u64);
-                    }
-                } else {
-                    down[s] = true;
-                    recovering[s] = Some((dur_cfg.recovery_rounds, std::mem::take(&mut sealed[s])));
-                }
-            }
-
-            // 4. Advance virtual time by the slowest shard of the round
-            //    (shards execute concurrently in virtual time) and fold
-            //    outcomes back in deterministic shard order. A shard's
-            //    fold comes from its recovered prefill or its report;
-            //    a shard that just went down contributes neither.
-            let mut folds: Vec<(usize, Vec<QEntry>, BatchReport)> = Vec::new();
-            for s in 0..shards {
-                if let Some((entries, report)) = prefilled[s].take() {
-                    folds.push((s, entries, report));
-                } else if let Some(report) = reports[s].take() {
-                    folds.push((s, std::mem::take(&mut sealed[s]), report));
-                }
-            }
-            let quantum = folds.iter().map(|(_, _, r)| r.cycles).max().unwrap_or(0);
-            epoch += quantum.max(1);
-            obs.roll_to(epoch);
-
-            for (s, entries, mut report) in folds {
-                dispatch_seq[s] += 1;
-                if let (Some(g), Some(f)) = (groups[s].as_mut(), feeds[s].take()) {
-                    g.ingest(&f.0);
-                    let div = g.check_epoch(&f.1);
-                    for d in &div {
-                        obs.on_diverged(s, rounds, epoch, d.replica as u64);
-                    }
-                    rec_report.diverged.extend(div);
-                }
-                cost[s] = (report.cycles / entries.len().max(1) as u64).max(1);
-                storm[s] = report.storm;
-                if report.storm {
-                    storm_rounds[s] += 1;
-                }
-                commits_batched[s] += report.commits;
-                aborts_batched[s] += report.aborts;
-                obs.on_gauges(s, adm.queues[s].len() as u64, cost[s]);
-                obs.on_batch(s, rounds, epoch, &mut report);
-                for (q, out) in entries.iter().zip(&report.outcomes) {
-                    match q.op {
-                        ShardOp::PrepareDebit { .. } => {
-                            if let Some(p) = inflight.get_mut(&q.req) {
-                                p.debit_vote = Some(out.ok);
-                            }
-                        }
-                        ShardOp::PrepareCredit { .. } => {
-                            if let Some(p) = inflight.get_mut(&q.req) {
-                                p.credit_vote = Some(out.ok);
-                            }
-                        }
-                        ShardOp::ApplyCredit { .. } => {
-                            let p = inflight.remove(&q.req).expect("apply without 2pc record");
-                            completed.push((Class::BankCross, true, epoch - p.arrival));
-                        }
-                        ShardOp::RollbackDebit { .. } => {
-                            let p = inflight.remove(&q.req).expect("rollback without 2pc record");
-                            completed.push((Class::BankCross, false, epoch - p.arrival));
-                            rollbacks += 1;
-                        }
-                        _ => {
-                            if matches!(q.op, ShardOp::HtGet { .. }) && out.ok {
-                                ht_value_sum += out.value as u64;
-                            }
-                            completed.push((q.class, out.ok, epoch - q.arrival));
-                        }
-                    }
-                }
-                hint_peak[s] =
-                    hint_peak[s].max(retry_after_hint(adm.queues[s].len(), cost[s], storm[s]));
-            }
-
-            // 5. Resolve 2PC records with both votes in (BTreeMap order
-            //    keeps this deterministic). Phase-2 entries bypass the
-            //    admission bound: they release held resources.
-            let ready: Vec<u64> = inflight
-                .iter()
-                .filter(|(_, p)| !p.resolved && p.debit_vote.is_some() && p.credit_vote.is_some())
-                .map(|(&id, _)| id)
-                .collect();
-            for id in ready {
-                let p = inflight.get_mut(&id).expect("just listed");
-                let debit = p.debit_vote.expect("filtered");
-                let credit = p.credit_vote.expect("filtered");
-                match (debit, credit) {
-                    (true, true) => {
-                        p.resolved = true;
-                        // Log the decision before phase 2 can touch any
-                        // shard: a crash between them leaves a hold that
-                        // cold recovery resolves from this record.
-                        if let Some(store) = &store_opt {
-                            append_decision(store, id, true);
-                        }
-                        let (to, amount, arrival, cs) = (p.to, p.amount, p.arrival, p.credit_shard);
-                        adm.phase2[cs].push_back(QEntry {
-                            req: id,
-                            arrival,
-                            op: ShardOp::ApplyCredit { to, amount },
-                            class: Class::BankCross,
-                        });
-                    }
-                    (true, false) => {
-                        p.resolved = true;
-                        if let Some(store) = &store_opt {
-                            append_decision(store, id, false);
-                        }
-                        let (from, amount, arrival, ds) =
-                            (p.from, p.amount, p.arrival, p.debit_shard);
-                        adm.phase2[ds].push_back(QEntry {
-                            req: id,
-                            arrival,
-                            op: ShardOp::RollbackDebit { from, amount },
-                            class: Class::BankCross,
-                        });
-                    }
-                    (false, _) => {
-                        // No hold was applied; the transfer just fails.
-                        let arrival = p.arrival;
-                        inflight.remove(&id);
-                        completed.push((Class::BankCross, false, epoch - arrival));
-                    }
-                }
-            }
+            let landed = c.dispatch(&mut sealed)?;
+            c.fold(sealed, landed);
+            c.resolve_2pc();
         }
-
-        // Drain complete: collect per-shard summaries.
-        for s in 0..shards {
-            if let Err(e) = pool.send(s % workers, ToWorker::Finish { shard: s }) {
-                return fail(pool, e);
-            }
-        }
-        let mut summaries: Vec<Option<ShardSummary>> = (0..shards).map(|_| None).collect();
-        let mut got = 0usize;
-        while got < shards {
-            match pool.results.recv() {
-                Ok(FromWorker::Summary { shard, summary }) => {
-                    summaries[shard] = Some(*summary);
-                    got += 1;
-                }
-                Ok(FromWorker::Fatal { shard, message }) => {
-                    return fail(pool, ServeError::Engine { shard, message });
-                }
-                Ok(_) => {}
-                Err(_) => {
-                    return fail(
-                        pool,
-                        ServeError::Engine { shard: 0, message: "worker pool died".into() },
-                    );
-                }
-            }
-        }
-        pool.shutdown();
-        let wall_seconds = wall_start.elapsed().as_secs_f64();
-
-        // Finalize the durability report: replica census, then the
-        // store fingerprint (taken after every worker has joined, so
-        // all WAL writes are in).
-        rec_report.replicas_per_shard =
-            groups.iter().flatten().map(|g| g.total() as u64).max().unwrap_or(0);
-        rec_report.replicas_healthy = groups.iter().flatten().map(|g| g.healthy() as u64).sum();
-        if let Some(store) = &store_opt {
-            let (fnv, bytes) = store_fingerprint(store);
-            rec_report.store_fnv = fnv;
-            rec_report.store_bytes = bytes;
-        }
-
-        let summaries: Vec<ShardSummary> =
-            summaries.into_iter().map(|s| s.expect("collected all")).collect();
-        for (s, sum) in summaries.iter().enumerate() {
-            obs.on_violations(s, rounds, epoch, sum.violations.len() as u64);
-        }
-
-        let offered = requests.len() as u64;
-        let rejected_total: u64 = rejected.iter().sum();
-        assert_eq!(
-            completed.len() as u64,
-            admitted,
-            "every admitted request must complete exactly once (no loss, no duplication)"
-        );
-
-        // Conservation: money only moves between accounts; every shard
-        // funds its owned keys with `initial_balance`.
-        let balance_total: u64 = summaries.iter().map(|s| s.balance_sum).sum();
-        let conserved = balance_total == cfg.accounts as u64 * cfg.initial_balance as u64;
-        let txl_done = completed.iter().filter(|(c, ok, _)| *c == Class::Txl && *ok).count() as u64;
-        let txl_total: u64 = summaries.iter().map(|s| s.txl_sum).sum();
-        let txl_consistent = txl_done == txl_total;
-
-        let mut latencies: Vec<u64> = completed.iter().map(|&(_, _, l)| l).collect();
-        latencies.sort_unstable();
-        let classes = ClassTotals {
-            bank_local: completed.iter().filter(|(c, ..)| *c == Class::BankLocal).count() as u64,
-            bank_cross: completed.iter().filter(|(c, ..)| *c == Class::BankCross).count() as u64,
-            ht: completed.iter().filter(|(c, ..)| *c == Class::Ht).count() as u64,
-            txl: completed.iter().filter(|(c, ..)| *c == Class::Txl).count() as u64,
-        };
-        let business_failed = completed.iter().filter(|(_, ok, _)| !ok).count() as u64;
-
-        let shard_reports: Vec<ShardReport> = summaries
-            .iter()
-            .enumerate()
-            .map(|(s, sum)| ShardReport {
-                shard: s,
-                stm_name: sum.stm_name.clone(),
-                commits: sum.tx.commits,
-                aborts: sum.tx.aborts,
-                read_only: sum.read_only as u64,
-                writers: sum.writers as u64,
-                launches: sum.launches,
-                sim_cycles: sum.sim_cycles,
-                instructions: sum.sim.instructions,
-                balance_sum: sum.balance_sum,
-                txl_sum: sum.txl_sum,
-                rejected: rejected[s],
-                parked: parks[s],
-                parked_depth_peak: parked_depth_peak[s],
-                queue_peak: queue_peak[s] as u64,
-                storm_rounds: storm_rounds[s],
-                retry_hint_peak: hint_peak[s],
-                retry_hint_final: retry_after_hint(0, cost[s], false),
-                history_fnv: sum.history_fnv,
-                commit_log_fnv: sum.commit_log_fnv,
-                retry_after: obs.retry_after(s).clone(),
-                violations: sum.violations.clone(),
-            })
-            .collect();
-        let violations_total = shard_reports.iter().map(|r| r.violations.len()).sum();
-
-        let report = ServeReport {
-            variant: cfg.variant.short_name().to_string(),
-            mode: cfg.mode.short_name().to_string(),
-            shards: shards as u64,
-            workers: workers as u64,
-            seed: cfg.seed,
-            queue_capacity: cfg.queue_capacity as u64,
-            batch_capacity: batch_cap as u64,
-            offered,
-            admitted,
-            rejected: rejected_total,
-            parked: parked_total,
-            parked_peak,
-            completed: completed.len() as u64,
-            business_failed,
-            cross_shard: cross_admitted,
-            rollbacks,
-            classes,
-            ht_get_value_sum: ht_value_sum,
-            rounds,
-            virtual_cycles: epoch,
-            latencies,
-            conserved,
-            txl_consistent,
-            violations_total,
-            first_rejection,
-            shard_reports,
-            obs: obs.report(epoch),
-            wall_seconds,
-        };
-        rec_report.incidents = obs.recovery_incidents();
-        rec_report.bundles = obs.recovery_bundles();
-        Ok((report, rec_report))
+        c.finish()
     }
 }
 
@@ -1387,13 +1312,11 @@ mod tests {
     fn try_admit_reports_structured_overload() {
         let shards = 1;
         let mut adm = Admission::new(shards, 2, 7);
-        let cost = vec![100u64];
-        let storm = vec![false];
-        let down = vec![false];
+        let ctl = [ShardCtl { cost: 100, ..ShardCtl::default() }];
         for i in 0..2 {
-            adm.try_admit(&req(i, Op::TxlBump { key: i as u32 }), &cost, &storm, &down).unwrap();
+            adm.try_admit(&req(i, Op::TxlBump { key: i as u32 }), &ctl).unwrap();
         }
-        let err = adm.try_admit(&req(9, Op::TxlBump { key: 0 }), &cost, &storm, &down).unwrap_err();
+        let err = adm.try_admit(&req(9, Op::TxlBump { key: 0 }), &ctl).unwrap_err();
         match err {
             ServeError::Overloaded { shard, queue_len, capacity, retry_after } => {
                 assert_eq!(shard, 0);
@@ -1424,17 +1347,16 @@ mod tests {
             })
             .expect("some cross pair exists");
         let mut adm = Admission::new(2, 1, seed);
-        let cost = vec![10u64; 2];
-        let storm = vec![false; 2];
-        let down = vec![false; 2];
+        let ctl = [
+            ShardCtl { cost: 10, ..ShardCtl::default() },
+            ShardCtl { cost: 10, ..ShardCtl::default() },
+        ];
         // Fill the credit shard's queue.
         let filler = (0..64).find(|&k| crate::route(k, 2, seed) == 1).unwrap();
-        adm.try_admit(&req(0, Op::TxlBump { key: filler }), &cost, &storm, &down).unwrap();
+        adm.try_admit(&req(0, Op::TxlBump { key: filler }), &ctl).unwrap();
         // The cross-shard transfer must be rejected whole: debit queue
         // stays empty rather than holding an orphaned prepare.
-        let err = adm
-            .try_admit(&req(1, Op::Transfer { from, to, amount: 1 }), &cost, &storm, &down)
-            .unwrap_err();
+        let err = adm.try_admit(&req(1, Op::Transfer { from, to, amount: 1 }), &ctl).unwrap_err();
         assert!(matches!(err, ServeError::Overloaded { shard: 1, .. }));
         assert!(adm.queues[0].is_empty());
     }
@@ -1442,10 +1364,7 @@ mod tests {
     #[test]
     fn seal_prefers_phase2() {
         let mut adm = Admission::new(1, 8, 1);
-        let cost = vec![10u64];
-        let storm = vec![false];
-        let down = vec![false];
-        adm.try_admit(&req(0, Op::TxlBump { key: 0 }), &cost, &storm, &down).unwrap();
+        adm.try_admit(&req(0, Op::TxlBump { key: 0 }), &[ShardCtl::default()]).unwrap();
         adm.phase2[0].push_back(QEntry {
             req: 99,
             arrival: 0,

@@ -48,7 +48,8 @@
 //! between those two writes; recovery drops them and the replayed
 //! cadence appends the identical delta again.
 
-use crate::engine::{Entry, EntryOutcome, Fnv, ShardOp};
+use crate::engine::{Entry, EntryOutcome, ShardOp};
+use gpu_sim::rng::Fnv;
 use gpu_sim::{Addr, CacheCheckpoint, SimCheckpoint, SimStats};
 use gpu_stm::{Access, CommittedTx, SchedulerCheckpoint, TxStats};
 use std::collections::BTreeMap;
@@ -91,9 +92,9 @@ pub fn store_fingerprint(store: &StoreHandle) -> (u64, u64) {
     for name in store.list("") {
         let bytes = store.get(&name).unwrap_or_default();
         h.u64(name.len() as u64);
-        h.bytes(name.as_bytes());
+        h.bytes_wide(name.as_bytes());
         h.u64(bytes.len() as u64);
-        h.bytes(&bytes);
+        h.bytes_wide(&bytes);
         total += bytes.len() as u64;
     }
     (h.0, total)
@@ -259,7 +260,7 @@ struct Enc<'a> {
 impl Sink for Enc<'_> {
     fn put(&mut self, bytes: &[u8]) {
         self.out.extend_from_slice(bytes);
-        self.sum.bytes(bytes);
+        self.sum.bytes_wide(bytes);
     }
 }
 
@@ -328,7 +329,7 @@ fn read_frame(buf: &[u8], pos: usize) -> Option<Frame<'_>> {
     let payload = rest.get(9..end)?;
     let sum = u64::from_le_bytes(rest.get(end..end.checked_add(8)?)?.try_into().unwrap());
     let mut h = frame_sum_start(kind, len);
-    h.bytes(payload);
+    h.bytes_wide(payload);
     (h.0 == sum).then_some(Frame { kind, payload, sum, next: pos + end + 8 })
 }
 
@@ -1407,7 +1408,7 @@ mod tests {
     fn bytes_fold_equals_the_word_per_byte_fold() {
         let data: Vec<u8> = (0..=255u8).chain([0, 0, 255, 1]).collect();
         let mut a = Fnv::new();
-        a.bytes(&data);
+        a.bytes_wide(&data);
         let mut b = Fnv::new();
         for &byte in &data {
             b.u64(byte as u64);

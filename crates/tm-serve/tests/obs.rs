@@ -9,11 +9,15 @@
 //!    across 1, 2 and 4 workers and across two same-seed runs,
 //! 4. keep the *ServeReport* durability-independent: crash incidents
 //!    live in the `RecoveryReport`, never the serve report.
+//!
+//! It also checks that every per-shard counter the serve report carries
+//! is the obs registry's count, not a second tally kept beside it.
 
 use tm_serve::{
-    CrashPlan, CrashPoint, DurabilityConfig, HealthState, IncidentCause, MemStore, MixConfig,
-    ObsConfig, RecoveryReport, ServeConfig, ServeReport, Service,
+    CrashPlan, CrashPoint, DurabilityConfig, EngineMode, HealthState, IncidentCause, MemStore,
+    MixConfig, ObsConfig, RecoveryReport, ServeConfig, ServeReport, Service,
 };
+use workloads::Variant;
 
 fn crash_cfg(workers: usize) -> ServeConfig {
     ServeConfig {
@@ -154,4 +158,58 @@ fn synchronous_recovery_stays_invisible_in_the_serve_report() {
     assert_eq!(rec.incidents.len(), 1);
     assert!(rec.incidents[0].close_epoch.is_some());
     assert!(!rec.bundles.is_empty());
+}
+
+/// One count, one place: each shard's rejections, parks and storm rounds
+/// in the serve report are the obs snapshot's totals, and the run-level
+/// rejections and parks are the per-shard sums.
+fn assert_counts_are_the_obs_totals(r: &ServeReport) {
+    assert_eq!(r.shard_reports.len(), r.obs.snapshot.shards.len());
+    for (s, o) in r.shard_reports.iter().zip(&r.obs.snapshot.shards) {
+        assert_eq!(s.rejected, o.rejected.total, "shard {}: rejected", s.shard);
+        assert_eq!(s.parked, o.parked.total, "shard {}: parked", s.shard);
+        assert_eq!(s.storm_rounds, o.storm_rounds.total, "shard {}: storm_rounds", s.shard);
+    }
+    assert_eq!(r.rejected, r.shard_reports.iter().map(|s| s.rejected).sum::<u64>());
+    assert_eq!(r.parked, r.shard_reports.iter().map(|s| s.parked).sum::<u64>());
+}
+
+#[test]
+fn report_counters_are_the_obs_totals() {
+    // Non-blocking: a hot, saturating bank burst under the AIMD
+    // scheduler against small queues both sheds load and storms.
+    let shedding = ServeConfig {
+        shards: 2,
+        workers: 2,
+        variant: Variant::Vbv,
+        mode: EngineMode::Scheduled,
+        mix: MixConfig {
+            requests: 512,
+            mean_interarrival: 1,
+            locality_pct: 100,
+            hot_pct: 80,
+            hot_keys: 4,
+            ..MixConfig::bank()
+        },
+        seed: 11,
+        accounts: 16,
+        batch_warps: 4,
+        queue_capacity: 64,
+        ..ServeConfig::default()
+    };
+    let r = Service::run(&shedding).expect("shedding run");
+    assert_counts_are_the_obs_totals(&r);
+    assert!(r.rejected > 0, "the burst must overflow the queues");
+    assert!(r.shard_reports.iter().any(|s| s.storm_rounds > 0), "the hot set must storm");
+
+    // Blocking: the same kind of burst parks instead of rejecting.
+    let blocking = ServeConfig {
+        mix: MixConfig { requests: 192, ..MixConfig::blocking() },
+        queue_capacity: 8,
+        blocking: true,
+        ..shedding
+    };
+    let r = Service::run(&blocking).expect("blocking run");
+    assert_counts_are_the_obs_totals(&r);
+    assert!(r.parked > 0, "the burst must park");
 }

@@ -14,6 +14,9 @@
 //! so the cheapest witnesses surface first.
 
 use crate::controller::{Controller, Event, FootprintFilter, ForcedChoice, Schedule, WarpKey};
+/// FNV-1a, used for all exploration-internal hashing (deterministic
+/// across runs and platforms, with no dependency on hasher seeding).
+pub use gpu_sim::rng::Fnv;
 use gpu_sim::PolicyHandle;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -171,58 +174,6 @@ impl ExploreReport {
     /// Whether the explored space is violation-free.
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty()
-    }
-}
-
-/// FNV-1a, used for all exploration-internal hashing (deterministic
-/// across runs and platforms, unlike `DefaultHasher` in spirit — and with
-/// no dependency on hasher seeding).
-#[derive(Clone, Copy, Debug)]
-pub struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Fnv {
-    /// Fresh hasher at the FNV offset basis.
-    pub fn new() -> Self {
-        Fnv::default()
-    }
-
-    /// Absorbs one byte.
-    pub fn byte(&mut self, b: u8) {
-        self.0 ^= u64::from(b);
-        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-
-    /// Absorbs a `u32`.
-    pub fn u32(&mut self, v: u32) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    /// Absorbs a `u64`.
-    pub fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.byte(b);
-        }
-    }
-
-    /// Absorbs a string (length-prefixed).
-    pub fn str(&mut self, s: &str) {
-        self.u64(s.len() as u64);
-        for b in s.bytes() {
-            self.byte(b);
-        }
-    }
-
-    /// The digest.
-    pub fn finish(self) -> u64 {
-        self.0
     }
 }
 
