@@ -17,7 +17,8 @@ pub struct StmConfig {
     pub coalesced_sets: bool,
     /// Buckets in the order-preserving lock-log hash table. `1` degrades
     /// to the flat O(n²) sorted list the paper describes as the
-    /// unoptimised baseline.
+    /// unoptimised baseline. The log is one sorted array host-side either
+    /// way: the bucket count sets only the comparisons each insert charges.
     pub locklog_buckets: u32,
     /// Lock *read* stripes at commit as well as written ones. GPU-STM
     /// requires this under lockstep execution (Section 3.2.2's T1/T2

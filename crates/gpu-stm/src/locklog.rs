@@ -13,6 +13,12 @@
 //! incoming lock is hashed to a bucket by its high bits (so bucket order =
 //! lock order) and inserted in sorted position within the bucket. Walking
 //! buckets in order then yields the globally sorted sequence.
+//!
+//! The simulator keeps the log host-side as that sequence — one sorted
+//! array, the buckets laid end to end — and charges each insertion the
+//! comparisons a scan of its bucket would make. The bucket count sets only
+//! that charge: which entries the log holds, and in what order, is the
+//! same for every bucket count.
 
 /// One lock-log entry: a global lock index plus whether the transaction
 /// read from / wrote to the stripe it guards.
@@ -30,10 +36,11 @@ pub struct LockEntry {
 /// A per-lane order-preserving hash table of lock indices.
 #[derive(Clone, Debug)]
 pub struct LockLog {
-    buckets: Vec<Vec<LockEntry>>,
-    /// log2 of the global lock-table size, for bucket selection by high bits.
-    lock_bits: u32,
-    len: usize,
+    /// Every entry, ascending by lock. A bucket's entries are one
+    /// contiguous run of it.
+    sorted: Vec<LockEntry>,
+    /// `lock >> shift` is the bucket a lock hashes to.
+    shift: u32,
     /// Lock ids in first-insertion (encounter) order. The commit path never
     /// uses this — it exists so the seeded `unsorted_locks` mutant can
     /// acquire in the order the paper's sorting deliberately avoids, and so
@@ -54,86 +61,72 @@ impl LockLog {
         assert!(n_locks.is_power_of_two(), "lock count must be a power of two");
         assert!(n_buckets <= n_locks, "more buckets than locks");
         LockLog {
-            buckets: vec![Vec::new(); n_buckets as usize],
-            lock_bits: n_locks.trailing_zeros(),
-            len: 0,
+            sorted: Vec::new(),
+            // High bits preserve order across buckets.
+            shift: n_locks.trailing_zeros() - n_buckets.trailing_zeros(),
             order: Vec::new(),
         }
     }
 
-    #[inline]
-    fn bucket_of(&self, lock: u32) -> usize {
-        // High bits preserve order across buckets.
-        let bucket_bits = (self.buckets.len() as u32).trailing_zeros();
-        (lock >> (self.lock_bits - bucket_bits)) as usize
-    }
-
     /// Number of distinct locks recorded.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.len
+        self.sorted.len()
     }
 
     /// Whether no lock has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Whether any recorded stripe was written.
-    pub fn has_writes(&self) -> bool {
-        self.buckets.iter().flatten().any(|e| e.write)
+        self.sorted.is_empty()
     }
 
     /// Inserts `lock` with the given intent, merging bits if it is already
     /// present (duplication is avoided, Section 3.1). Returns the number
-    /// of comparison steps performed — the cost the timing model charges.
+    /// of comparison steps performed — the cost the timing model charges:
+    /// a scan of the lock's bucket compares every entry below it, plus the
+    /// equal or greater entry it stops at, if the bucket holds one.
     pub fn insert(&mut self, lock: u32, read: bool, write: bool) -> u32 {
-        let b = self.bucket_of(lock);
-        let bucket = &mut self.buckets[b];
-        let mut comparisons = 0;
-        for i in 0..bucket.len() {
-            comparisons += 1;
-            if bucket[i].lock == lock {
-                bucket[i].read |= read;
-                bucket[i].write |= write;
-                return comparisons;
-            }
-            if bucket[i].lock > lock {
-                bucket.insert(i, LockEntry { lock, read, write });
-                self.len += 1;
-                self.order.push(lock);
-                return comparisons;
-            }
+        // Linear walks down from the top: logs are short, mostly grow
+        // upward, and the second walk is as long as the charge.
+        let bucket = lock >> self.shift;
+        let mut at = self.sorted.len();
+        while at > 0 && self.sorted[at - 1].lock >= lock {
+            at -= 1;
         }
-        bucket.push(LockEntry { lock, read, write });
-        self.len += 1;
+        let mut first = at;
+        while first > 0 && self.sorted[first - 1].lock >> self.shift == bucket {
+            first -= 1;
+        }
+        let below = (at - first) as u32;
+        let comparisons = match self.sorted.get_mut(at) {
+            Some(e) if e.lock == lock => {
+                e.read |= read;
+                e.write |= write;
+                return below + 1;
+            }
+            Some(e) => below + u32::from(e.lock >> self.shift == bucket),
+            None => below,
+        };
+        self.sorted.insert(at, LockEntry { lock, read, write });
         self.order.push(lock);
         comparisons
     }
 
     /// Looks up the entry for `lock`, if present.
     pub fn get(&self, lock: u32) -> Option<LockEntry> {
-        let b = self.bucket_of(lock);
-        self.buckets[b].iter().copied().find(|e| e.lock == lock)
+        self.sorted.binary_search_by_key(&lock, |e| e.lock).ok().map(|i| self.sorted[i])
     }
 
     /// Iterates entries in ascending global lock order — the commit-time
     /// acquisition order.
     pub fn iter_sorted(&self) -> impl Iterator<Item = LockEntry> + '_ {
-        self.buckets.iter().flatten().copied()
+        self.sorted.iter().copied()
     }
 
-    /// The `k`-th entry in sorted order. O(buckets) to locate; commit
-    /// walks with an explicit cursor instead, but this is convenient for
-    /// lockstep round `k` access.
+    /// The `k`-th entry in sorted order: lockstep round `k` of commit's
+    /// acquire and release walks.
+    #[inline]
     pub fn nth_sorted(&self, k: usize) -> Option<LockEntry> {
-        let mut rem = k;
-        for b in &self.buckets {
-            if rem < b.len() {
-                return Some(b[rem]);
-            }
-            rem -= b.len();
-        }
-        None
+        self.sorted.get(k).copied()
     }
 
     /// The `k`-th entry in first-insertion (encounter) order, with its
@@ -145,10 +138,7 @@ impl LockLog {
 
     /// Clears the log.
     pub fn clear(&mut self) {
-        for b in &mut self.buckets {
-            b.clear();
-        }
-        self.len = 0;
+        self.sorted.clear();
         self.order.clear();
     }
 }
@@ -210,15 +200,6 @@ mod tests {
             assert_eq!(log.nth_sorted(k).unwrap().lock, *expect);
         }
         assert!(log.nth_sorted(4).is_none());
-    }
-
-    #[test]
-    fn has_writes() {
-        let mut log = LockLog::new(2, 16);
-        log.insert(3, true, false);
-        assert!(!log.has_writes());
-        log.insert(3, false, true);
-        assert!(log.has_writes());
     }
 
     #[test]

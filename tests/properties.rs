@@ -177,8 +177,50 @@ fn l2_cache_matches_single_loop_oracle() {
     }
 }
 
+/// The order-preserving hash table of Section 3.1 as buckets of sorted
+/// lists: the layout whose scan `LockLog::insert` charges.
+struct BucketedLog {
+    buckets: Vec<Vec<(u32, bool, bool)>>,
+    shift: u32,
+    order: Vec<u32>,
+}
+
+impl BucketedLog {
+    fn new(n_buckets: u32, n_locks: u32) -> Self {
+        let shift = n_locks.trailing_zeros() - n_buckets.trailing_zeros();
+        BucketedLog { buckets: vec![Vec::new(); n_buckets as usize], shift, order: Vec::new() }
+    }
+
+    /// Scans the lock's bucket up to its slot; returns the comparisons.
+    fn insert(&mut self, lock: u32, read: bool, write: bool) -> u32 {
+        let bucket = &mut self.buckets[(lock >> self.shift) as usize];
+        let mut comparisons = 0;
+        for i in 0..bucket.len() {
+            comparisons += 1;
+            if bucket[i].0 == lock {
+                bucket[i].1 |= read;
+                bucket[i].2 |= write;
+                return comparisons;
+            }
+            if bucket[i].0 > lock {
+                bucket.insert(i, (lock, read, write));
+                self.order.push(lock);
+                return comparisons;
+            }
+        }
+        bucket.push((lock, read, write));
+        self.order.push(lock);
+        comparisons
+    }
+
+    fn get(&self, lock: u32) -> Option<(u32, bool, bool)> {
+        self.buckets[(lock >> self.shift) as usize].iter().copied().find(|e| e.0 == lock)
+    }
+}
+
 /// The lock-log yields a sorted, deduplicated sequence whose contents and
-/// bits match a BTreeMap reference model, for any bucket count.
+/// bits match a BTreeMap reference model, for any bucket count, and charges
+/// each insert exactly the comparisons the bucketed table makes.
 #[test]
 fn locklog_matches_reference_model() {
     let mut g = Gen::new(0x10c);
@@ -188,14 +230,25 @@ fn locklog_matches_reference_model() {
         let ops: Vec<(u32, bool, bool)> =
             (0..n_ops).map(|_| (g.below(256), g.bool(), g.bool())).collect();
         let mut log = LockLog::new(1 << buckets, 256);
+        let mut bucketed = BucketedLog::new(1 << buckets, 256);
         let mut model: BTreeMap<u32, (bool, bool)> = BTreeMap::new();
-        for (lock, rd, wr) in &ops {
-            log.insert(*lock, *rd, *wr);
-            let e = model.entry(*lock).or_insert((false, false));
-            e.0 |= *rd;
-            e.1 |= *wr;
+        for (n, &(lock, rd, wr)) in ops.iter().enumerate() {
+            let charged = log.insert(lock, rd, wr);
+            assert_eq!(charged, bucketed.insert(lock, rd, wr), "case {case} insert {n}: {lock}");
+            let e = model.entry(lock).or_insert((false, false));
+            e.0 |= rd;
+            e.1 |= wr;
         }
         assert_eq!(log.len(), model.len(), "case {case}");
+        for lock in 0..256 {
+            let got = log.get(lock).map(|e| (e.lock, e.read, e.write));
+            assert_eq!(got, bucketed.get(lock), "case {case}: get({lock})");
+        }
+        for k in 0..=bucketed.order.len() {
+            let got = log.nth_inserted(k).map(|e| (e.lock, e.read, e.write));
+            let want = bucketed.order.get(k).and_then(|&lock| bucketed.get(lock));
+            assert_eq!(got, want, "case {case}: nth_inserted({k})");
+        }
         let got: Vec<(u32, bool, bool)> =
             log.iter_sorted().map(|e| (e.lock, e.read, e.write)).collect();
         let want: Vec<(u32, bool, bool)> = model.iter().map(|(k, (r, w))| (*k, *r, *w)).collect();
