@@ -25,11 +25,12 @@
 //! that. `--format json` emits machine-readable patch records.
 //!
 //! `analyze` runs the static contention & cost analysis
-//! ([`txl::analyze_source`]) and prints each file's per-transaction
+//! ([`txl::analyze_program`]) and prints each file's per-transaction
 //! profile, conflict graph, STM-variant ranking and stripe
 //! recommendation. `--threads N` sets the modeled thread count (default
 //! 256); `--capacity N` caps modeled write-set bounds. The analysis also
-//! turns on lint rules TL006/TL007 and reports their findings. `analyze`
+//! turns on lint rules TL006/TL007, which judge that same profile, and
+//! reports their findings. Each file is compiled and analyzed once. `analyze`
 //! exits 0 even when contention findings exist — they are advice, not
 //! defects; only errors exit nonzero.
 //!
@@ -281,20 +282,15 @@ fn run_analyze(files: &[&str], cfg: &LintConfig, threads: u32, format: Format) -
                 return ExitCode::from(EXIT_ERROR);
             }
         };
-        let profile = match txl::analyze_source(&source, &cost_cfg) {
+        let program = match txl::compile(&source) {
             Ok(p) => p,
             Err(e) => {
                 eprintln!("{path}: {e}");
                 return ExitCode::from(EXIT_ERROR);
             }
         };
-        let diags = match txl::lint::lint_source(&source, &lint_cfg) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("{path}: {e}");
-                return ExitCode::from(EXIT_ERROR);
-            }
-        };
+        let profile = txl::analyze_program(&program, &cost_cfg);
+        let diags = txl::lint_program(&program, &lint_cfg, Some(&profile));
         let contention: Vec<&Diagnostic> =
             diags.iter().filter(|d| matches!(d.rule.id(), "TL006" | "TL007")).collect();
         match format {

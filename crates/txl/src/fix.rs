@@ -119,7 +119,7 @@ pub fn fix_source(src: &str, cfg: &FixConfig) -> Result<FixReport, TxlError> {
     let mut rounds = 0u32;
     loop {
         let program = crate::compile(&current)?;
-        let diags = lint::lint_program(&program, &cfg.lint);
+        let diags = lint::lint_program(&program, &cfg.lint, None);
         if diags.is_empty() {
             return Ok(FixReport {
                 original: src.to_string(),

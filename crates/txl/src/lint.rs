@@ -205,18 +205,35 @@ impl fmt::Display for Diagnostic {
 ///
 /// Diagnostics are sorted by kernel order, then source position, then
 /// rule ID, so output is deterministic and golden-file friendly.
-pub fn lint_program(program: &Program, cfg: &LintConfig) -> Vec<Diagnostic> {
+///
+/// TL006/TL007 judge `profile`, the program's static profile, when the
+/// caller already has one (`txl analyze` hands over the profile it
+/// prints); with `None` and either rule on, the profile is computed here
+/// at the default [`crate::cost::CostConfig`] thread count.
+pub fn lint_program(
+    program: &Program,
+    cfg: &LintConfig,
+    profile: Option<&crate::cost::StaticProfile>,
+) -> Vec<Diagnostic> {
     // TL006/TL007 need the whole-program cost profile (the conflict
-    // graph spans kernels); compute it once when either rule is on.
-    let profile = (cfg.hot_degree.is_some() || cfg.flag_read_only).then(|| {
-        crate::cost::analyze_program(
-            program,
-            &crate::cost::CostConfig {
-                write_set_capacity: cfg.write_set_capacity,
-                ..crate::cost::CostConfig::default()
-            },
-        )
-    });
+    // graph spans kernels); without the caller's, compute it once when
+    // either rule is on.
+    let contention = cfg.hot_degree.is_some() || cfg.flag_read_only;
+    let computed;
+    let profile = match profile {
+        _ if !contention => None,
+        Some(p) => Some(p),
+        None => {
+            computed = crate::cost::analyze_program(
+                program,
+                &crate::cost::CostConfig {
+                    write_set_capacity: cfg.write_set_capacity,
+                    ..crate::cost::CostConfig::default()
+                },
+            );
+            Some(&computed)
+        }
+    };
     let mut out = Vec::new();
     for (ki, kernel) in program.kernels.iter().enumerate() {
         let mut diags = Vec::new();
@@ -226,7 +243,7 @@ pub fn lint_program(program: &Program, cfg: &LintConfig) -> Vec<Diagnostic> {
         divergent_atomic(kernel, &mut diags);
         conflicting_footprint_order(kernel, &mut diags);
         unwakeable_retry(kernel, &mut diags);
-        if let Some(profile) = &profile {
+        if let Some(profile) = profile {
             contention_rules(kernel, profile, cfg, &mut diags);
         }
         diags.sort_by_key(|d| (d.span.start, d.rule));
@@ -285,7 +302,7 @@ fn contention_rules(
 /// Any [`TxlError`] from lexing, parsing or semantic checking.
 pub fn lint_source(src: &str, cfg: &LintConfig) -> Result<Vec<Diagnostic>, TxlError> {
     let program = crate::compile(src)?;
-    Ok(lint_program(&program, cfg))
+    Ok(lint_program(&program, cfg, None))
 }
 
 /// Like [`lint_source`], but asks the repair engine ([`crate::fix`]) to
@@ -297,7 +314,7 @@ pub fn lint_source(src: &str, cfg: &LintConfig) -> Result<Vec<Diagnostic>, TxlEr
 /// Any [`TxlError`] from lexing, parsing or semantic checking.
 pub fn lint_source_with_fixes(src: &str, cfg: &LintConfig) -> Result<Vec<Diagnostic>, TxlError> {
     let program = crate::compile(src)?;
-    let mut diags = lint_program(&program, cfg);
+    let mut diags = lint_program(&program, cfg, None);
     for d in &mut diags {
         d.suggested_fix = crate::fix::plan(src, &program, d, cfg);
     }

@@ -158,3 +158,19 @@ fn fix_residual_exits_one() {
     assert_eq!(code(&out), 1, "{out:?}");
     assert!(stdout(&out).contains("residual"), "{out:?}");
 }
+
+#[test]
+fn analyze_findings_judge_the_printed_profile() {
+    // TL006 reads the profile `analyze` prints, at the requested width.
+    let bug = fixture("divergent_atomic_bug.txl");
+    let out = txl(&["analyze", "--threads", "64", &bug]);
+    assert_eq!(code(&out), 0, "{out:?}");
+    let text = stdout(&out);
+    assert!(text.contains("threads=64 "), "{text}");
+    assert!(text.contains("TL006") && text.contains("across 64 thread(s)"), "{text}");
+    // One thread has no other thread to conflict with: no edge, no TL006.
+    let out = txl(&["analyze", "--threads", "1", &bug]);
+    assert_eq!(code(&out), 0, "{out:?}");
+    let text = stdout(&out);
+    assert!(text.contains("edges=0") && !text.contains("TL006"), "{text}");
+}
