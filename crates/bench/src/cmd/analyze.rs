@@ -189,12 +189,11 @@ fn run_sweep() -> Result<Vec<SweepRow>, String> {
             .filter_map(|(v, c)| c.map(|c| (*v, c)))
             .min_by_key(|&(_, c)| c)
             .ok_or_else(|| format!("{}: no variant ran", w.name))?;
-        let rec = profile.recommended().short_name();
-        let recommended_cycles = measured
-            .iter()
-            .find(|(v, _)| v.short_name() == rec)
-            .and_then(|(_, c)| *c)
-            .ok_or_else(|| format!("{}: recommended variant `{rec}` did not run", w.name))?;
+        let rec = profile.recommended();
+        let recommended_cycles =
+            measured.iter().find(|(v, _)| *v == rec).and_then(|(_, c)| *c).ok_or_else(|| {
+                format!("{}: recommended variant `{}` did not run", w.name, rec.short_name())
+            })?;
         // Within 15% of the best throughput: cycles ≤ best / 0.85.
         let ok = (recommended_cycles as f64) * 0.85 <= best_cycles as f64;
         rows.push(SweepRow {

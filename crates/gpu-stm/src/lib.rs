@@ -73,6 +73,7 @@ mod shared;
 pub mod stats;
 pub mod trace;
 pub mod validation;
+mod variant;
 pub mod variants;
 mod version_lock;
 mod warptx;
@@ -93,6 +94,7 @@ pub use stats::{
 pub use trace::{
     chrome_trace, tx_trace_sink, TxEvent, TxEventKind, TxTrace, TxTraceBuffer, TxTraceSink,
 };
-pub use variants::{CglStm, EgpgvStm, LockStm, Mutation, NorecStm, OptimizedStm};
+pub use variant::Variant;
+pub use variants::{CglStm, EgpgvStm, LockStm, Mutation, NorecStm};
 pub use version_lock::VersionLock;
 pub use warptx::WarpTx;

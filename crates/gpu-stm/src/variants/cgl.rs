@@ -14,6 +14,7 @@ use crate::api::Stm;
 use crate::history::{Access, CommittedTx, Recorder};
 use crate::stats::{stats_handle, Phase, StatsHandle};
 use crate::trace::{TxEventKind, TxTrace, TxTraceSink};
+use crate::variant::Variant;
 use crate::warptx::WarpTx;
 use gpu_sim::{Addr, LaneAddrs, LaneMask, LaneVals, Sim, SimError, WarpCtx};
 
@@ -67,7 +68,7 @@ impl CglStm {
 
 impl Stm for CglStm {
     fn name(&self) -> &'static str {
-        "CGL"
+        Variant::Cgl.label()
     }
 
     fn new_warp(&self) -> WarpTx {

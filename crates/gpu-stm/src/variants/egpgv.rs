@@ -19,6 +19,7 @@ use crate::history::{Access, CommittedTx, Recorder};
 use crate::shared::StmShared;
 use crate::stats::{stats_handle, AbortCause, Phase, StatsHandle};
 use crate::trace::{TxEventKind, TxTrace, TxTraceSink};
+use crate::variant::Variant;
 use crate::version_lock::VersionLock;
 use crate::warptx::WarpTx;
 use gpu_sim::{
@@ -149,7 +150,7 @@ impl EgpgvStm {
 
 impl Stm for EgpgvStm {
     fn name(&self) -> &'static str {
-        "STM-EGPGV"
+        Variant::Egpgv.label()
     }
 
     fn new_warp(&self) -> WarpTx {

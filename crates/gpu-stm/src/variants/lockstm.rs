@@ -2,7 +2,7 @@
 //! validation strategy (TBV or hierarchical) and commit-lock acquisition
 //! scheme (encounter-time lock-sorting or the GPU-specific backoff).
 //!
-//! The four paper variants map to:
+//! The five lock-based variants map to:
 //!
 //! | Paper name        | Constructor                |
 //! |-------------------|----------------------------|
@@ -10,6 +10,9 @@
 //! | STM-HV-Sorting    | [`LockStm::hv_sorting`]    |
 //! | STM-HV-Backoff    | [`LockStm::hv_backoff`]    |
 //! | (ablation only)   | [`LockStm::tbv_backoff`]   |
+//! | STM-Optimized     | [`LockStm::optimized`]     |
+//!
+//! [`LockStm::for_variant`] maps the first four from a [`Variant`].
 
 use crate::api::{lane_addrs, lane_vals, Stm};
 use crate::config::{Locking, StmConfig, Validation};
@@ -18,6 +21,7 @@ use crate::shared::StmShared;
 use crate::stats::{stats_handle, AbortCause, Phase, StatsHandle};
 use crate::trace::{TxEventKind, TxTrace, TxTraceSink};
 use crate::validation::{post_validation, vbv};
+use crate::variant::Variant;
 use crate::version_lock::VersionLock;
 use crate::warptx::WarpTx;
 use gpu_sim::{AtomicOp, LaneAddrs, LaneMask, LaneVals, WarpCtx, WARP_SIZE};
@@ -63,14 +67,14 @@ pub struct LockStm {
     stats: StatsHandle,
     recorder: Option<Recorder>,
     trace: TxTrace,
-    name: &'static str,
+    variant: Variant,
     mutation: Mutation,
 }
 
 impl std::fmt::Debug for LockStm {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LockStm")
-            .field("name", &self.name)
+            .field("name", &self.variant.label())
             .field("validation", &self.validation)
             .field("locking", &self.locking)
             .finish_non_exhaustive()
@@ -81,9 +85,9 @@ impl LockStm {
     fn new(
         shared: StmShared,
         cfg: StmConfig,
+        variant: Variant,
         validation: Validation,
         locking: Locking,
-        name: &'static str,
     ) -> Self {
         LockStm {
             shared,
@@ -93,7 +97,7 @@ impl LockStm {
             stats: stats_handle(),
             recorder: None,
             trace: TxTrace::off(),
-            name,
+            variant,
             mutation: Mutation::default(),
         }
     }
@@ -101,25 +105,54 @@ impl LockStm {
     /// Timestamp-based validation with encounter-time lock-sorting
     /// (the paper's STM-TBV-Sorting).
     pub fn tbv_sorting(shared: StmShared, cfg: StmConfig) -> Self {
-        LockStm::new(shared, cfg, Validation::Tbv, Locking::Sorted, "STM-TBV-Sorting")
+        LockStm::new(shared, cfg, Variant::TbvSorting, Validation::Tbv, Locking::Sorted)
     }
 
     /// Hierarchical validation with encounter-time lock-sorting
     /// (the paper's STM-HV-Sorting).
     pub fn hv_sorting(shared: StmShared, cfg: StmConfig) -> Self {
-        LockStm::new(shared, cfg, Validation::Hv, Locking::Sorted, "STM-HV-Sorting")
+        LockStm::new(shared, cfg, Variant::HvSorting, Validation::Hv, Locking::Sorted)
     }
 
     /// Hierarchical validation with the two-step parallel-then-serial
     /// backoff lock acquisition (the paper's STM-HV-Backoff).
     pub fn hv_backoff(shared: StmShared, cfg: StmConfig) -> Self {
-        LockStm::new(shared, cfg, Validation::Hv, Locking::Backoff, "STM-HV-Backoff")
+        LockStm::new(shared, cfg, Variant::HvBackoff, Validation::Hv, Locking::Backoff)
     }
 
     /// Timestamp-based validation with backoff locking — not evaluated in
     /// the paper, provided for the ablation benches.
     pub fn tbv_backoff(shared: StmShared, cfg: StmConfig) -> Self {
-        LockStm::new(shared, cfg, Validation::Tbv, Locking::Backoff, "STM-TBV-Backoff")
+        LockStm::new(shared, cfg, Variant::TbvBackoff, Validation::Tbv, Locking::Backoff)
+    }
+
+    /// The adaptive GPU-STM (the paper's STM-Optimized) for a program
+    /// whose transactions share `shared_data_words` words of data.
+    ///
+    /// When the shared data exceeds the global version locks
+    /// (`shared_data_words > cfg.n_locks`), stripe aliasing makes false
+    /// conflicts likely and hierarchical validation pays off; otherwise
+    /// pure TBV avoids needless value-based validation. GPU programs
+    /// usually know their data size before launch, so the choice is made
+    /// here, once. Locking is always encounter-time lock-sorting.
+    pub fn optimized(shared: StmShared, cfg: StmConfig, shared_data_words: u64) -> Self {
+        let validation =
+            if shared_data_words > cfg.n_locks as u64 { Validation::Hv } else { Validation::Tbv };
+        LockStm::new(shared, cfg, Variant::Optimized, validation, Locking::Sorted)
+    }
+
+    /// The runtime of one of the four fixed lock-based variants
+    /// (TBV/HV × sorting/backoff); `None` for every other variant,
+    /// including STM-Optimized, whose validation depends on the data size
+    /// ([`LockStm::optimized`]).
+    pub fn for_variant(variant: Variant, shared: StmShared, cfg: StmConfig) -> Option<Self> {
+        match variant {
+            Variant::TbvSorting => Some(LockStm::tbv_sorting(shared, cfg)),
+            Variant::HvSorting => Some(LockStm::hv_sorting(shared, cfg)),
+            Variant::HvBackoff => Some(LockStm::hv_backoff(shared, cfg)),
+            Variant::TbvBackoff => Some(LockStm::tbv_backoff(shared, cfg)),
+            _ => None,
+        }
     }
 
     /// Seeds a correctness [`Mutation`] — verifier-validation use only.
@@ -144,12 +177,6 @@ impl LockStm {
     /// [`crate::trace`]).
     pub fn with_trace(mut self, sink: TxTraceSink) -> Self {
         self.trace = TxTrace::to(sink);
-        self
-    }
-
-    /// Renames the variant (used by STM-Optimized, which delegates here).
-    pub(crate) fn renamed(mut self, name: &'static str) -> Self {
-        self.name = name;
         self
     }
 
@@ -549,7 +576,7 @@ impl LockStm {
 
 impl Stm for LockStm {
     fn name(&self) -> &'static str {
-        self.name
+        self.variant.label()
     }
 
     fn new_warp(&self) -> WarpTx {
@@ -843,5 +870,36 @@ impl Stm for LockStm {
             ctx.mark_progress();
         }
         committed
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use gpu_sim::{Sim, SimConfig};
+
+    #[test]
+    fn optimized_selects_hv_when_data_exceeds_locks() {
+        let mut sim = Sim::new(SimConfig::with_memory(1 << 16));
+        let cfg = StmConfig::new(1 << 8);
+        let shared = StmShared::init(&mut sim, &cfg).unwrap();
+        let big = LockStm::optimized(shared, cfg, 1 << 12);
+        assert_eq!(big.validation(), Validation::Hv);
+        let small = LockStm::optimized(shared, cfg, 1 << 6);
+        assert_eq!(small.validation(), Validation::Tbv);
+        // Boundary: equal amounts select TBV (no aliasing pressure).
+        let eq = LockStm::optimized(shared, cfg, 1 << 8);
+        assert_eq!(eq.validation(), Validation::Tbv);
+        for stm in [big, small, eq] {
+            assert_eq!(stm.locking(), Locking::Sorted);
+        }
+    }
+
+    #[test]
+    fn optimized_reports_paper_name() {
+        let mut sim = Sim::new(SimConfig::with_memory(1 << 16));
+        let cfg = StmConfig::new(1 << 8);
+        let shared = StmShared::init(&mut sim, &cfg).unwrap();
+        assert_eq!(LockStm::optimized(shared, cfg, 0).name(), "STM-Optimized");
     }
 }

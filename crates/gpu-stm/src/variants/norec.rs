@@ -17,6 +17,7 @@ use crate::shared::StmShared;
 use crate::stats::{stats_handle, AbortCause, Phase, StatsHandle};
 use crate::trace::{TxEventKind, TxTrace, TxTraceSink};
 use crate::validation::vbv;
+use crate::variant::Variant;
 use crate::warptx::WarpTx;
 use gpu_sim::{LaneAddrs, LaneMask, LaneVals, WarpCtx, WARP_SIZE};
 
@@ -102,7 +103,7 @@ impl NorecStm {
 
 impl Stm for NorecStm {
     fn name(&self) -> &'static str {
-        "STM-VBV"
+        Variant::Vbv.label()
     }
 
     fn new_warp(&self) -> WarpTx {

@@ -3,8 +3,7 @@
 
 use gpu_sim::{LaunchConfig, Sim, SimConfig, WarpCtx};
 use gpu_stm::{
-    lane_addrs, lane_vals, recorder, CglStm, EgpgvStm, LockStm, NorecStm, OptimizedStm, Stm,
-    StmConfig, StmShared,
+    lane_addrs, lane_vals, recorder, CglStm, EgpgvStm, LockStm, NorecStm, Stm, StmConfig, StmShared,
 };
 use std::rc::Rc;
 
@@ -112,13 +111,13 @@ fn norec_preserves_increments() {
 
 #[test]
 fn optimized_preserves_increments() {
-    check_counter_total(|_, sh, cfg| OptimizedStm::new(sh, cfg, 64));
+    check_counter_total(|_, sh, cfg| LockStm::optimized(sh, cfg, 64));
 }
 
 #[test]
 fn optimized_hv_mode_preserves_increments() {
     // Force HV selection: pretend shared data exceeds the lock count.
-    check_counter_total(|_, sh, cfg| OptimizedStm::new(sh, cfg, 1 << 20));
+    check_counter_total(|_, sh, cfg| LockStm::optimized(sh, cfg, 1 << 20));
 }
 
 #[test]

@@ -272,9 +272,7 @@ impl ServeConfig {
     /// half of the obs layer's sense/act split, applied before any
     /// traffic arrives.
     pub fn seed_from_profile(mut self, profile: &txl::StaticProfile) -> Self {
-        if let Some(v) = Variant::parse(profile.recommended().short_name()) {
-            self.variant = v;
-        }
+        self.variant = profile.recommended();
         self.n_locks = profile.stripes;
         self
     }

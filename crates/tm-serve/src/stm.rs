@@ -1,21 +1,17 @@
 //! Shard engine STM instantiation.
 //!
-//! The workload crates dispatch through a generic `StmRunner` because
-//! each run uses exactly one concrete STM type. A serving shard instead
-//! holds its STM for its whole lifetime across many batch launches, so
-//! the concrete variant is erased once at construction into an enum
-//! ([`EngineStm`]) that delegates the warp-wide [`Stm`] API — keeping
-//! the engine object-safe-free (the trait has `async fn`s) while still
-//! letting one shard struct serve every variant of the evaluation.
+//! A serving shard holds its STM for its whole lifetime across many
+//! batch launches, so it keeps the variant as the run-time-chosen
+//! [`AnyStm`] (the trait has `async fn`s, so there is no `dyn Stm`) and
+//! wraps it per [`EngineMode`] in [`EngineStm`].
 
 use crate::error::ServeError;
 use gpu_sim::{LaneAddrs, LaneMask, LaneVals, LaunchConfig, Sim, WarpCtx};
 use gpu_stm::{
-    CglStm, EgpgvStm, LockStm, NorecStm, OptimizedStm, Recorder, Robust, Scheduled, StatsHandle,
-    Stm, StmConfig, StmShared, TxTraceSink, WarpTx,
+    Recorder, Robust, Scheduled, StatsHandle, Stm, StmConfig, TxTraceSink, Variant, WarpTx,
 };
 use std::rc::Rc;
-use workloads::Variant;
+use workloads::{AnyStm, RunError};
 
 /// How the base variant is wrapped for serving.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -51,83 +47,11 @@ impl EngineMode {
     }
 }
 
-/// One concrete base variant.
-pub(crate) enum BaseStm {
-    Cgl(CglStm),
-    Egpgv(EgpgvStm),
-    Norec(NorecStm),
-    Lock(LockStm),
-    Optimized(OptimizedStm),
-}
-
-macro_rules! base_delegate {
-    ($self:ident, $s:ident => $body:expr) => {
-        match $self {
-            BaseStm::Cgl($s) => $body,
-            BaseStm::Egpgv($s) => $body,
-            BaseStm::Norec($s) => $body,
-            BaseStm::Lock($s) => $body,
-            BaseStm::Optimized($s) => $body,
-        }
-    };
-}
-
-impl Stm for BaseStm {
-    fn name(&self) -> &'static str {
-        base_delegate!(self, s => s.name())
-    }
-
-    fn new_warp(&self) -> WarpTx {
-        base_delegate!(self, s => s.new_warp())
-    }
-
-    fn stats(&self) -> StatsHandle {
-        base_delegate!(self, s => s.stats())
-    }
-
-    async fn begin(&self, w: &mut WarpTx, ctx: &WarpCtx, want: LaneMask) -> LaneMask {
-        base_delegate!(self, s => s.begin(w, ctx, want).await)
-    }
-
-    async fn read(
-        &self,
-        w: &mut WarpTx,
-        ctx: &WarpCtx,
-        mask: LaneMask,
-        addrs: &LaneAddrs,
-    ) -> LaneVals {
-        base_delegate!(self, s => s.read(w, ctx, mask, addrs).await)
-    }
-
-    async fn write(
-        &self,
-        w: &mut WarpTx,
-        ctx: &WarpCtx,
-        mask: LaneMask,
-        addrs: &LaneAddrs,
-        vals: &LaneVals,
-    ) {
-        base_delegate!(self, s => s.write(w, ctx, mask, addrs, vals).await)
-    }
-
-    async fn commit(&self, w: &mut WarpTx, ctx: &WarpCtx, mask: LaneMask) -> LaneMask {
-        base_delegate!(self, s => s.commit(w, ctx, mask).await)
-    }
-
-    fn opaque(&self, w: &WarpTx) -> LaneMask {
-        base_delegate!(self, s => s.opaque(w))
-    }
-
-    fn abort_storm(&self) -> bool {
-        base_delegate!(self, s => s.abort_storm())
-    }
-}
-
 /// The shard's STM: a base variant, optionally wrapped.
 pub(crate) enum EngineStm {
-    Base(BaseStm),
-    Scheduled(Scheduled<BaseStm>),
-    Robust(Robust<Scheduled<BaseStm>>),
+    Base(AnyStm),
+    Scheduled(Scheduled<AnyStm>),
+    Robust(Robust<Scheduled<AnyStm>>),
 }
 
 macro_rules! engine_delegate {
@@ -144,7 +68,7 @@ impl EngineStm {
     /// The [`Scheduled`] wrapper, when one is in the stack (directly or
     /// under [`Robust`]) — its adaptive-control state is part of engine
     /// snapshots.
-    pub(crate) fn sched(&self) -> Option<&Scheduled<BaseStm>> {
+    pub(crate) fn sched(&self) -> Option<&Scheduled<AnyStm>> {
         match self {
             EngineStm::Base(_) => None,
             EngineStm::Scheduled(s) => Some(s),
@@ -154,7 +78,7 @@ impl EngineStm {
 
     /// The [`Robust`] wrapper, when the stack has one — its backoff RNG
     /// is part of engine snapshots.
-    pub(crate) fn robust(&self) -> Option<&Robust<Scheduled<BaseStm>>> {
+    pub(crate) fn robust(&self) -> Option<&Robust<Scheduled<AnyStm>>> {
         match self {
             EngineStm::Robust(r) => Some(r),
             _ => None,
@@ -213,10 +137,9 @@ impl Stm for EngineStm {
     }
 }
 
-/// Instantiates `variant` in `sim` with `recorder` (and, when given, the
-/// flight-recorder `trace` tap) attached, wrapped per `mode`. Mirrors
-/// `workloads::dispatch`, but returns a long-lived value instead of
-/// running a one-shot closure.
+/// Instantiates `variant` in `sim` ([`AnyStm::build`]) with `recorder`
+/// (and, when given, the flight-recorder `trace` tap) attached, wrapped
+/// per `mode`.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_stm(
     sim: &mut Sim,
@@ -229,7 +152,24 @@ pub(crate) fn build_stm(
     trace: Option<TxTraceSink>,
 ) -> Result<EngineStm, ServeError> {
     let err = |e: gpu_sim::SimError| ServeError::BadConfig(format!("stm init: {e}"));
-    // Applies the optional trace tap to any builder-style STM value.
+    let base = AnyStm::build(
+        sim,
+        variant,
+        stm_cfg,
+        shared_data_words,
+        grid,
+        Some(recorder),
+        trace.clone(),
+    )
+    .map_err(|e| match e {
+        RunError::Sim(e) => err(e),
+        // `build`'s only other error: the grid exceeds EGPGV's metadata.
+        _ => ServeError::BadConfig(format!(
+            "STM-EGPGV cannot serve a {}-block batch grid",
+            grid.blocks
+        )),
+    })?;
+    // Applies the optional trace tap to a wrapper.
     macro_rules! traced {
         ($stm:expr) => {{
             let stm = $stm;
@@ -239,42 +179,6 @@ pub(crate) fn build_stm(
             }
         }};
     }
-    let base = match variant {
-        Variant::Cgl => {
-            BaseStm::Cgl(traced!(CglStm::init(sim).map_err(err)?.with_recorder(recorder)))
-        }
-        Variant::Egpgv => {
-            let shared = StmShared::init(sim, &stm_cfg).map_err(err)?;
-            let stm = EgpgvStm::init(sim, shared, stm_cfg).map_err(err)?.with_recorder(recorder);
-            if !stm.supports(grid) {
-                return Err(ServeError::BadConfig(format!(
-                    "STM-EGPGV cannot serve a {}-block batch grid",
-                    grid.blocks
-                )));
-            }
-            BaseStm::Egpgv(traced!(stm))
-        }
-        Variant::Vbv => {
-            let shared = StmShared::init(sim, &stm_cfg).map_err(err)?;
-            BaseStm::Norec(traced!(NorecStm::new(shared, stm_cfg).with_recorder(recorder)))
-        }
-        Variant::Optimized => {
-            let shared = StmShared::init(sim, &stm_cfg).map_err(err)?;
-            BaseStm::Optimized(traced!(
-                OptimizedStm::new(shared, stm_cfg, shared_data_words).with_recorder(recorder)
-            ))
-        }
-        Variant::TbvSorting | Variant::HvSorting | Variant::HvBackoff | Variant::TbvBackoff => {
-            let shared = StmShared::init(sim, &stm_cfg).map_err(err)?;
-            let stm = match variant {
-                Variant::TbvSorting => LockStm::tbv_sorting(shared, stm_cfg),
-                Variant::HvSorting => LockStm::hv_sorting(shared, stm_cfg),
-                Variant::HvBackoff => LockStm::hv_backoff(shared, stm_cfg),
-                _ => LockStm::tbv_backoff(shared, stm_cfg),
-            };
-            BaseStm::Lock(traced!(stm.with_recorder(recorder)))
-        }
-    };
     Ok(match mode {
         EngineMode::Plain => EngineStm::Base(base),
         EngineMode::Scheduled => EngineStm::Scheduled(traced!(Scheduled::with_defaults(base))),

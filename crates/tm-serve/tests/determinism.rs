@@ -96,6 +96,36 @@ fn robust_mode_is_equally_deterministic() {
     assert!(a.conserved);
 }
 
+/// Every variant of the evaluation serves through the engine, bare and
+/// under the AIMD scheduler: a saturating closed batch drains, conserves
+/// money, passes the opacity checker and reports the same bytes at 1 and
+/// 2 workers.
+#[test]
+fn every_variant_serves_deterministically() {
+    for variant in Variant::ALL {
+        for mode in [EngineMode::Plain, EngineMode::Scheduled] {
+            let make = |workers| {
+                let cfg = ServeConfig {
+                    workers,
+                    variant,
+                    mode,
+                    mix: MixConfig { requests: 400, mean_interarrival: 4, ..MixConfig::mixed() },
+                    queue_capacity: 408,
+                    ..ServeConfig::default()
+                };
+                Service::run(&cfg).unwrap_or_else(|e| panic!("{variant} {mode:?}: {e}"))
+            };
+            let (a, b) = (make(1), make(2));
+            let what = format!("{variant} {mode:?}");
+            assert_eq!(a.admitted, 400, "{what}: every request admitted");
+            assert_eq!(a.completed, a.admitted, "{what}: drain lost or duplicated requests");
+            assert!(a.conserved, "{what}: bank conservation");
+            assert_eq!(a.violations_total, 0, "{what}: tm-check violations");
+            assert_eq!(a.to_json(), b.to_json(), "{what}: JSON diverged across worker counts");
+        }
+    }
+}
+
 #[test]
 fn seed_changes_the_served_history() {
     let a = Service::run(&cfg(2)).expect("serve run");

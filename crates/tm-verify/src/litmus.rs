@@ -331,15 +331,10 @@ fn run_mutated(
     stagger: u64,
 ) -> Result<(), RunError> {
     let shared = StmShared::init(sim, &stm_cfg).map_err(RunError::Sim)?;
-    let stm = match l.variant {
-        Variant::TbvSorting => LockStm::tbv_sorting(shared, stm_cfg),
-        Variant::HvSorting => LockStm::hv_sorting(shared, stm_cfg),
-        Variant::HvBackoff => LockStm::hv_backoff(shared, stm_cfg),
-        Variant::TbvBackoff => LockStm::tbv_backoff(shared, stm_cfg),
-        other => panic!("mutations only apply to lock-based variants, not {other}"),
-    }
-    .with_mutation(l.mutation)
-    .with_recorder(rec);
+    let stm = LockStm::for_variant(l.variant, shared, stm_cfg)
+        .unwrap_or_else(|| panic!("mutations only apply to lock-based variants, not {}", l.variant))
+        .with_mutation(l.mutation)
+        .with_recorder(rec);
     run_workload(l, sim, Rc::new(stm), data, stagger)
 }
 
@@ -366,19 +361,12 @@ fn run_queue_blocking(
     stagger: u64,
 ) -> Result<(), RunError> {
     let shared = StmShared::init(sim, &stm_cfg).map_err(RunError::Sim)?;
-    let inner = match l.variant {
-        Variant::TbvSorting => LockStm::tbv_sorting(shared, stm_cfg),
-        Variant::HvSorting => LockStm::hv_sorting(shared, stm_cfg),
-        Variant::HvBackoff => LockStm::hv_backoff(shared, stm_cfg),
-        Variant::TbvBackoff => LockStm::tbv_backoff(shared, stm_cfg),
-        _ => {
-            return Err(RunError::Unsupported(
-                "the blocking queue litmus requires a per-thread lock-based STM variant",
-            ))
-        }
-    }
-    .with_mutation(l.mutation)
-    .with_recorder(rec);
+    let Some(inner) = LockStm::for_variant(l.variant, shared, stm_cfg) else {
+        return Err(RunError::Unsupported(
+            "the blocking queue litmus requires a per-thread lock-based STM variant",
+        ));
+    };
+    let inner = inner.with_mutation(l.mutation).with_recorder(rec);
     let stm = Blocking::new(sim, inner, &stm_cfg).map_err(RunError::Sim)?.with_mutation(l.blocking);
 
     let items = l.actors().saturating_sub(1).max(1);

@@ -27,6 +27,7 @@ use crate::error::TxlError;
 use crate::footprint::{self, Interval, ParamFootprint};
 use crate::token::Span;
 use gpu_sim::JsonWriter;
+use gpu_stm::Variant;
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -252,72 +253,11 @@ impl ConflictGraph {
     }
 }
 
-/// The eight STM variants the cost model ranks. Mirrors
-/// `workloads::Variant` by short name (txl cannot depend on workloads).
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum StmKind {
-    /// Coarse-grained lock baseline.
-    Cgl,
-    /// Per-thread-block blocking STM (EGPGV).
-    Egpgv,
-    /// NOrec-style value-based validation (STM-VBV).
-    Vbv,
-    /// Timestamp validation + lock sorting.
-    TbvSorting,
-    /// Hierarchical validation + lock sorting.
-    HvSorting,
-    /// Hierarchical validation + backoff locking.
-    HvBackoff,
-    /// Timestamp validation + backoff locking.
-    TbvBackoff,
-    /// Adaptive HV/TBV selection.
-    Optimized,
-}
-
-impl StmKind {
-    /// Every variant, in `workloads::Variant::ALL` order.
-    pub const ALL: [StmKind; 8] = [
-        StmKind::Cgl,
-        StmKind::Egpgv,
-        StmKind::Vbv,
-        StmKind::TbvSorting,
-        StmKind::HvSorting,
-        StmKind::HvBackoff,
-        StmKind::TbvBackoff,
-        StmKind::Optimized,
-    ];
-
-    /// Short name matching `workloads::Variant::short_name`.
-    pub fn short_name(self) -> &'static str {
-        match self {
-            StmKind::Cgl => "cgl",
-            StmKind::Egpgv => "egpgv",
-            StmKind::Vbv => "vbv",
-            StmKind::TbvSorting => "tbv-sorting",
-            StmKind::HvSorting => "hv-sorting",
-            StmKind::HvBackoff => "hv-backoff",
-            StmKind::TbvBackoff => "tbv-backoff",
-            StmKind::Optimized => "optimized",
-        }
-    }
-
-    /// Parses a short name.
-    pub fn parse(s: &str) -> Option<StmKind> {
-        StmKind::ALL.into_iter().find(|k| k.short_name() == s)
-    }
-}
-
-impl fmt::Display for StmKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.short_name())
-    }
-}
-
 /// One entry of the variant ranking.
 #[derive(Clone, Debug)]
 pub struct VariantScore {
     /// The variant.
-    pub variant: StmKind,
+    pub variant: Variant,
     /// Predicted total cycles for the whole program at the configured
     /// thread count (relative units — only the ordering is meaningful).
     pub predicted_cycles: f64,
@@ -342,7 +282,7 @@ pub struct StaticProfile {
 
 impl StaticProfile {
     /// The top-ranked variant.
-    pub fn recommended(&self) -> StmKind {
+    pub fn recommended(&self) -> Variant {
         self.ranking[0].variant
     }
 
@@ -1123,7 +1063,7 @@ struct ModelInput {
     degree: f64,
 }
 
-fn per_tx_cycles(kind: StmKind, m: &ModelInput, threads: u32) -> f64 {
+fn per_tx_cycles(kind: Variant, m: &ModelInput, threads: u32) -> f64 {
     use coeff::*;
     let conc = (threads.min(WINDOW)) as f64;
     // Expected number of live conflicting peers for one attempt.
@@ -1135,11 +1075,11 @@ fn per_tx_cycles(kind: StmKind, m: &ModelInput, threads: u32) -> f64 {
     match kind {
         // One global lock: every thread's transaction serialises behind
         // all the others, so per-tx cost scales with the thread count.
-        StmKind::Cgl => (CGL_TX + CGL_OP * ops) * threads as f64,
+        Variant::Cgl => (CGL_TX + CGL_OP * ops) * threads as f64,
         // Per-block blocking protocol: contention serialises whole
         // 32-thread blocks once, it does not retry per peer.
-        StmKind::Egpgv => EG_TX + EG_OP * ops + EG_RVAL * rval + EG_CONT * m.degree,
-        StmKind::Vbv => {
+        Variant::Egpgv => EG_TX + EG_OP * ops + EG_RVAL * rval + EG_CONT * m.degree,
+        Variant::Vbv => {
             if w <= 0.0 {
                 RO_TX
             } else {
@@ -1148,18 +1088,18 @@ fn per_tx_cycles(kind: StmKind, m: &ModelInput, threads: u32) -> f64 {
                 VBV_CLOCK * conc + VBV_OP * ops + VBV_RVAL * rset + VBV_CONT * m.degree
             }
         }
-        StmKind::Optimized => {
-            let hv = per_tx_cycles(StmKind::HvSorting, m, threads);
-            let tbv = per_tx_cycles(StmKind::TbvSorting, m, threads);
+        Variant::Optimized => {
+            let hv = per_tx_cycles(Variant::HvSorting, m, threads);
+            let tbv = per_tx_cycles(Variant::TbvSorting, m, threads);
             hv.min(tbv) + OPT_TX
         }
-        StmKind::HvSorting | StmKind::HvBackoff | StmKind::TbvSorting | StmKind::TbvBackoff => {
-            let tbv = matches!(kind, StmKind::TbvSorting | StmKind::TbvBackoff);
+        Variant::HvSorting | Variant::HvBackoff | Variant::TbvSorting | Variant::TbvBackoff => {
+            let tbv = matches!(kind, Variant::TbvSorting | Variant::TbvBackoff);
             if w <= 0.0 {
                 // Read-only fast path: validate, never lock.
                 return RO_TX + if tbv { TBV_READ * r } else { 0.0 };
             }
-            let backoff = matches!(kind, StmKind::HvBackoff | StmKind::TbvBackoff);
+            let backoff = matches!(kind, Variant::HvBackoff | Variant::TbvBackoff);
             let base = if backoff { LOCK_BACK_TX } else { LOCK_SORT_TX } + LOCK_OP * ops;
             // Incremental revalidation: the k-th read revalidates the
             // k−1 before it, hence the r(r−1) shape.
@@ -1172,7 +1112,7 @@ fn per_tx_cycles(kind: StmKind, m: &ModelInput, threads: u32) -> f64 {
 }
 
 fn rank_variants(inputs: &[ModelInput], threads: u32) -> Vec<VariantScore> {
-    let mut scores: Vec<VariantScore> = StmKind::ALL
+    let mut scores: Vec<VariantScore> = Variant::ALL
         .into_iter()
         .map(|kind| {
             let total: f64 = inputs
@@ -1308,7 +1248,7 @@ pub fn render_text(profile: &StaticProfile) -> String {
         "threads={} stripes={} recommended={}",
         profile.threads,
         profile.stripes,
-        profile.recommended()
+        profile.recommended().short_name()
     );
     for (i, t) in profile.tx.iter().enumerate() {
         let _ = writeln!(
@@ -1344,7 +1284,7 @@ pub fn render_text(profile: &StaticProfile) -> String {
     let ranking: Vec<String> = profile
         .ranking
         .iter()
-        .map(|v| format!("{}={:.0}", v.variant, v.predicted_cycles))
+        .map(|v| format!("{}={:.0}", v.variant.short_name(), v.predicted_cycles))
         .collect();
     let _ = writeln!(s, "ranking {}", ranking.join(" "));
     s
@@ -1586,24 +1526,32 @@ mod tests {
         let src = "kernel hot(c: array) { atomic { c[0] = c[0] + 1; } }";
         let a = analyze(src, 256);
         let b = analyze(src, 256);
-        assert_eq!(a.ranking.len(), StmKind::ALL.len());
+        assert_eq!(a.ranking.len(), Variant::ALL.len());
         let names: Vec<&str> = a.ranking.iter().map(|v| v.variant.short_name()).collect();
         let names2: Vec<&str> = b.ranking.iter().map(|v| v.variant.short_name()).collect();
         assert_eq!(names, names2);
         // A maximally-hot single counter should not recommend VBV (whole
         // read-set revalidation per peer commit is its worst case).
-        assert_ne!(a.recommended(), StmKind::Vbv);
+        assert_ne!(a.recommended(), Variant::Vbv);
     }
 
     #[test]
-    fn short_names_are_unique_and_parse() {
-        let set: std::collections::HashSet<_> =
-            StmKind::ALL.iter().map(|k| k.short_name()).collect();
-        assert_eq!(set.len(), StmKind::ALL.len());
-        for k in StmKind::ALL {
-            assert_eq!(StmKind::parse(k.short_name()), Some(k));
+    fn ranking_lists_each_variant_once_with_ties_in_all_order() {
+        // Read-only: HV and TBV each cost the same under sorting and
+        // backoff (no locks are taken), so the ranking has two ties.
+        let p = analyze("kernel ro(c: array) { atomic { let x = c[tid()]; } }", 64);
+        let ranked: Vec<Variant> = p.ranking.iter().map(|v| v.variant).collect();
+        for v in Variant::ALL {
+            assert_eq!(ranked.iter().filter(|&&r| r == v).count(), 1, "{v}");
         }
-        assert_eq!(StmKind::parse("nope"), None);
+        let pos = |v| ranked.iter().position(|&r| r == v).unwrap();
+        for (a, b) in
+            [(Variant::HvSorting, Variant::HvBackoff), (Variant::TbvSorting, Variant::TbvBackoff)]
+        {
+            let cost = |v| p.ranking[pos(v)].predicted_cycles;
+            assert_eq!(cost(a), cost(b), "{a} and {b} tie on a read-only program");
+            assert!(pos(a) < pos(b), "ties break in Variant::ALL order");
+        }
     }
 
     #[test]

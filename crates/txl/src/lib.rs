@@ -67,7 +67,7 @@ pub mod patch;
 pub mod token;
 
 pub use ast::{Kernel, Program};
-pub use cost::{analyze_program, analyze_source, CostConfig, StaticProfile, StmKind, SymBound};
+pub use cost::{analyze_program, analyze_source, CostConfig, StaticProfile, SymBound};
 pub use error::TxlError;
 pub use fix::{fix_source, plan, AppliedPatch, DynamicReport, FixConfig, FixReport};
 pub use footprint::{

@@ -9,7 +9,7 @@
 
 use crate::common::{mix64, outcome, RunConfig};
 use crate::outcome::{RunError, RunOutcome};
-use crate::variant::{dispatch, StmRunner, Variant};
+use crate::{dispatch, StmRunner, Variant};
 use gpu_sim::{Addr, LaunchConfig, Sim, WarpCtx};
 use gpu_stm::{lane_addrs, lane_vals, Stm};
 use std::rc::Rc;

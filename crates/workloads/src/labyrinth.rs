@@ -12,7 +12,7 @@
 
 use crate::common::{mix64, outcome, RunConfig};
 use crate::outcome::{RunError, RunOutcome};
-use crate::variant::{dispatch, StmRunner, Variant};
+use crate::{dispatch, StmRunner, Variant};
 use gpu_sim::{Addr, AtomicOp, LaneMask, LaunchConfig, Sim, WarpCtx, WARP_SIZE};
 use gpu_stm::{lane_addrs, lane_vals, Stm};
 use std::rc::Rc;

@@ -36,5 +36,6 @@ pub mod ra;
 mod variant;
 
 pub use common::{mix64, RunConfig};
+pub use gpu_stm::Variant;
 pub use outcome::{RunError, RunOutcome};
-pub use variant::{dispatch, StmRunner, Variant};
+pub use variant::{dispatch, AnyStm, StmRunner};

@@ -19,7 +19,7 @@
 
 use crate::common::{outcome, RunConfig};
 use crate::outcome::{RunError, RunOutcome};
-use crate::variant::Variant;
+use crate::Variant;
 use gpu_sim::{Addr, LaneMask, LaunchConfig, Sim};
 use gpu_stm::{Blocking, LockStm, Stm, StmShared};
 
@@ -69,8 +69,9 @@ impl Default for DequeParams {
 
 /// Builds the blocking STM for `variant`. Blocking needs to *own* its
 /// inner runtime (the registry's device anchors are allocated here), so
-/// the shapes are restricted to the per-thread lock-based variants; the
-/// blocking baseline comparison never needs the rest.
+/// the shapes are restricted to the fixed per-thread lock-based variants
+/// ([`LockStm::for_variant`]); the blocking baseline comparison never
+/// needs the rest.
 fn blocking_stm(
     sim: &mut Sim,
     variant: Variant,
@@ -78,16 +79,10 @@ fn blocking_stm(
 ) -> Result<Blocking<LockStm>, RunError> {
     let stm_cfg = cfg.stm;
     let shared = StmShared::init(sim, &stm_cfg)?;
-    let mut inner = match variant {
-        Variant::TbvSorting => LockStm::tbv_sorting(shared, stm_cfg),
-        Variant::HvSorting => LockStm::hv_sorting(shared, stm_cfg),
-        Variant::HvBackoff => LockStm::hv_backoff(shared, stm_cfg),
-        Variant::TbvBackoff => LockStm::tbv_backoff(shared, stm_cfg),
-        _ => {
-            return Err(RunError::Unsupported(
-                "blocking queue workloads require a per-thread lock-based STM variant",
-            ))
-        }
+    let Some(mut inner) = LockStm::for_variant(variant, shared, stm_cfg) else {
+        return Err(RunError::Unsupported(
+            "blocking queue workloads require a per-thread lock-based STM variant",
+        ));
     };
     if let Some(rec) = cfg.recorder.clone() {
         inner = inner.with_recorder(rec);

@@ -8,7 +8,7 @@
 
 use crate::common::{outcome, RunConfig};
 use crate::outcome::{RunError, RunOutcome};
-use crate::variant::{dispatch, StmRunner, Variant};
+use crate::{dispatch, StmRunner, Variant};
 use gpu_sim::{LaunchConfig, Sim, WarpCtx, WarpRng};
 use gpu_stm::{lane_addrs, lane_vals, Stm};
 use std::rc::Rc;

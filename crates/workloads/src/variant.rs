@@ -1,101 +1,157 @@
-//! Concurrency-control variant selection and dispatch.
+//! Concurrency-control variant construction and dispatch.
 //!
-//! Workload kernels are generic over [`Stm`]; this module instantiates them
-//! for each concrete variant of the paper's evaluation (Section 4.2).
+//! [`AnyStm::build`] is the one place that decides which runtime a
+//! [`Variant`] is. Workload kernels are generic over [`Stm`]; [`dispatch`]
+//! hands the built runtime to them as its concrete type, so each kernel
+//! is instantiated once per runtime type and pays no per-operation
+//! `match`.
 
 use crate::outcome::RunError;
-use gpu_sim::{LaunchConfig, Sim};
+use gpu_sim::{LaneAddrs, LaneMask, LaneVals, LaunchConfig, Sim, WarpCtx};
 use gpu_stm::{
-    CglStm, EgpgvStm, LockStm, NorecStm, OptimizedStm, Recorder, Stm, StmConfig, StmShared,
-    TxTraceSink,
+    CglStm, EgpgvStm, LockStm, NorecStm, Recorder, StatsHandle, Stm, StmConfig, StmShared,
+    TxTraceSink, Variant, WarpTx,
 };
 use std::rc::Rc;
 
-/// One of the evaluated concurrency-control schemes.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum Variant {
-    /// Coarse-grained lock baseline (speedup denominator).
-    Cgl,
-    /// Cederman et al.'s per-thread-block blocking STM.
-    Egpgv,
-    /// NOrec-like single-sequence-lock STM (STM-VBV).
-    Vbv,
-    /// Timestamp validation + lock-sorting (STM-TBV-Sorting).
-    TbvSorting,
-    /// Hierarchical validation + lock-sorting (STM-HV-Sorting).
-    HvSorting,
-    /// Hierarchical validation + backoff locking (STM-HV-Backoff).
-    HvBackoff,
-    /// Timestamp validation + backoff locking (ablation only).
-    TbvBackoff,
-    /// Adaptive HV/TBV selection + lock-sorting (STM-Optimized).
-    Optimized,
+/// The runtime of any [`Variant`], chosen at run time. STM-Optimized and
+/// the four TBV/HV × sorting/backoff variants are all a [`LockStm`].
+#[derive(Debug)]
+pub enum AnyStm {
+    /// [`Variant::Cgl`].
+    Cgl(CglStm),
+    /// [`Variant::Egpgv`].
+    Egpgv(EgpgvStm),
+    /// [`Variant::Vbv`].
+    Vbv(NorecStm),
+    /// Every lock-based variant, STM-Optimized included.
+    Lock(LockStm),
 }
 
-impl Variant {
-    /// The STM variants of the paper's Figure 2, in its legend order.
-    pub const FIGURE2: [Variant; 6] = [
-        Variant::Egpgv,
-        Variant::Vbv,
-        Variant::TbvSorting,
-        Variant::HvBackoff,
-        Variant::HvSorting,
-        Variant::Optimized,
-    ];
-
-    /// Every variant including the baseline and ablation extras.
-    pub const ALL: [Variant; 8] = [
-        Variant::Cgl,
-        Variant::Egpgv,
-        Variant::Vbv,
-        Variant::TbvSorting,
-        Variant::HvSorting,
-        Variant::HvBackoff,
-        Variant::TbvBackoff,
-        Variant::Optimized,
-    ];
-
-    /// Paper display name.
-    pub fn label(self) -> &'static str {
-        match self {
-            Variant::Cgl => "CGL",
-            Variant::Egpgv => "STM-EGPGV",
-            Variant::Vbv => "STM-VBV",
-            Variant::TbvSorting => "STM-TBV-Sorting",
-            Variant::HvSorting => "STM-HV-Sorting",
-            Variant::HvBackoff => "STM-HV-Backoff",
-            Variant::TbvBackoff => "STM-TBV-Backoff",
-            Variant::Optimized => "STM-Optimized",
+impl AnyStm {
+    /// Instantiates `variant`, allocating its metadata in `sim`, with the
+    /// optional history `recorder` and transaction-lifecycle `trace` sink
+    /// ([`gpu_stm::trace`]) attached.
+    ///
+    /// `shared_data_words` drives STM-Optimized's HV/TBV choice
+    /// ([`LockStm::optimized`]); `grid` is used to reject launches the
+    /// EGPGV design cannot support.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Unsupported`] when `variant` cannot run `grid`
+    /// (EGPGV beyond its per-block metadata), or a simulator allocation
+    /// error.
+    pub fn build(
+        sim: &mut Sim,
+        variant: Variant,
+        stm_cfg: StmConfig,
+        shared_data_words: u64,
+        grid: LaunchConfig,
+        recorder: Option<Recorder>,
+        trace: Option<TxTraceSink>,
+    ) -> Result<AnyStm, RunError> {
+        // Attaches the optional observers to any runtime type.
+        macro_rules! observed {
+            ($stm:expr) => {{
+                let mut stm = $stm;
+                if let Some(rec) = recorder {
+                    stm = stm.with_recorder(rec);
+                }
+                if let Some(t) = trace {
+                    stm = stm.with_trace(t);
+                }
+                stm
+            }};
         }
-    }
-
-    /// Short machine-friendly name (CLI arguments, report keys).
-    pub fn short_name(self) -> &'static str {
-        match self {
-            Variant::Cgl => "cgl",
-            Variant::Egpgv => "egpgv",
-            Variant::Vbv => "vbv",
-            Variant::TbvSorting => "tbv-sorting",
-            Variant::HvSorting => "hv-sorting",
-            Variant::HvBackoff => "hv-backoff",
-            Variant::TbvBackoff => "tbv-backoff",
-            Variant::Optimized => "optimized",
+        // CGL keeps no version locks, so it allocates no `StmShared`.
+        if variant == Variant::Cgl {
+            return Ok(AnyStm::Cgl(observed!(CglStm::init(sim)?)));
         }
-    }
-
-    /// Parses a variant from its short name or paper label
-    /// (case-insensitive).
-    pub fn parse(s: &str) -> Option<Variant> {
-        let lower = s.to_ascii_lowercase();
-        Variant::ALL
-            .into_iter()
-            .find(|v| v.short_name() == lower || v.label().to_ascii_lowercase() == lower)
+        let shared = StmShared::init(sim, &stm_cfg)?;
+        Ok(match variant {
+            Variant::Egpgv => {
+                let stm = EgpgvStm::init(sim, shared, stm_cfg)?;
+                if !stm.supports(grid) {
+                    return Err(RunError::Unsupported(
+                        "STM-EGPGV supports per-thread-block transactions only up to its fixed \
+                         per-block metadata capacity",
+                    ));
+                }
+                AnyStm::Egpgv(observed!(stm))
+            }
+            Variant::Vbv => AnyStm::Vbv(observed!(NorecStm::new(shared, stm_cfg))),
+            Variant::Optimized => {
+                AnyStm::Lock(observed!(LockStm::optimized(shared, stm_cfg, shared_data_words)))
+            }
+            lock => {
+                let stm = LockStm::for_variant(lock, shared, stm_cfg)
+                    .expect("every remaining variant is a fixed lock-based one");
+                AnyStm::Lock(observed!(stm))
+            }
+        })
     }
 }
 
-impl std::fmt::Display for Variant {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
+macro_rules! each {
+    ($self:ident, $s:ident => $body:expr) => {
+        match $self {
+            AnyStm::Cgl($s) => $body,
+            AnyStm::Egpgv($s) => $body,
+            AnyStm::Vbv($s) => $body,
+            AnyStm::Lock($s) => $body,
+        }
+    };
+}
+
+impl Stm for AnyStm {
+    fn name(&self) -> &'static str {
+        each!(self, s => s.name())
+    }
+
+    fn new_warp(&self) -> WarpTx {
+        each!(self, s => s.new_warp())
+    }
+
+    fn stats(&self) -> StatsHandle {
+        each!(self, s => s.stats())
+    }
+
+    async fn begin(&self, w: &mut WarpTx, ctx: &WarpCtx, want: LaneMask) -> LaneMask {
+        each!(self, s => s.begin(w, ctx, want).await)
+    }
+
+    async fn read(
+        &self,
+        w: &mut WarpTx,
+        ctx: &WarpCtx,
+        mask: LaneMask,
+        addrs: &LaneAddrs,
+    ) -> LaneVals {
+        each!(self, s => s.read(w, ctx, mask, addrs).await)
+    }
+
+    async fn write(
+        &self,
+        w: &mut WarpTx,
+        ctx: &WarpCtx,
+        mask: LaneMask,
+        addrs: &LaneAddrs,
+        vals: &LaneVals,
+    ) {
+        each!(self, s => s.write(w, ctx, mask, addrs, vals).await)
+    }
+
+    async fn commit(&self, w: &mut WarpTx, ctx: &WarpCtx, mask: LaneMask) -> LaneMask {
+        each!(self, s => s.commit(w, ctx, mask).await)
+    }
+
+    fn opaque(&self, w: &WarpTx) -> LaneMask {
+        each!(self, s => s.opaque(w))
+    }
+
+    fn abort_storm(&self) -> bool {
+        each!(self, s => s.abort_storm())
     }
 }
 
@@ -108,18 +164,12 @@ pub trait StmRunner {
     fn run<S: Stm + 'static>(self, sim: &mut Sim, stm: Rc<S>) -> Result<Self::Out, RunError>;
 }
 
-/// Instantiates `variant` (allocating its metadata in `sim`) and invokes
-/// `runner` with the concrete STM.
-///
-/// `shared_data_words` drives STM-Optimized's HV/TBV choice; `grid` is used
-/// to reject launches the EGPGV design cannot support. A `trace` sink, when
-/// given, receives the variant's transaction-lifecycle events
-/// ([`gpu_stm::trace`]).
+/// Instantiates `variant` with [`AnyStm::build`] and invokes `runner`
+/// with the concrete STM.
 ///
 /// # Errors
 ///
-/// [`RunError::Unsupported`] when `variant` cannot run `grid`
-/// (EGPGV beyond its per-block metadata), or any simulator error.
+/// Those of [`AnyStm::build`], or the runner's.
 #[allow(clippy::too_many_arguments)] // one optional observer per concern; a builder would obscure the call sites
 pub fn dispatch<R: StmRunner>(
     sim: &mut Sim,
@@ -131,98 +181,10 @@ pub fn dispatch<R: StmRunner>(
     trace: Option<TxTraceSink>,
     runner: R,
 ) -> Result<R::Out, RunError> {
-    match variant {
-        Variant::Cgl => {
-            let mut stm = CglStm::init(sim)?;
-            if let Some(rec) = recorder {
-                stm = stm.with_recorder(rec);
-            }
-            if let Some(t) = trace {
-                stm = stm.with_trace(t);
-            }
-            runner.run(sim, Rc::new(stm))
-        }
-        Variant::Egpgv => {
-            let shared = StmShared::init(sim, &stm_cfg)?;
-            let mut stm = EgpgvStm::init(sim, shared, stm_cfg)?;
-            if let Some(rec) = recorder {
-                stm = stm.with_recorder(rec);
-            }
-            if let Some(t) = trace {
-                stm = stm.with_trace(t);
-            }
-            if !stm.supports(grid) {
-                return Err(RunError::Unsupported(
-                    "STM-EGPGV supports per-thread-block transactions only up to its fixed \
-                     per-block metadata capacity",
-                ));
-            }
-            runner.run(sim, Rc::new(stm))
-        }
-        Variant::Vbv => {
-            let shared = StmShared::init(sim, &stm_cfg)?;
-            let mut stm = NorecStm::new(shared, stm_cfg);
-            if let Some(rec) = recorder {
-                stm = stm.with_recorder(rec);
-            }
-            if let Some(t) = trace {
-                stm = stm.with_trace(t);
-            }
-            runner.run(sim, Rc::new(stm))
-        }
-        Variant::Optimized => {
-            let shared = StmShared::init(sim, &stm_cfg)?;
-            let mut stm = OptimizedStm::new(shared, stm_cfg, shared_data_words);
-            if let Some(rec) = recorder {
-                stm = stm.with_recorder(rec);
-            }
-            if let Some(t) = trace {
-                stm = stm.with_trace(t);
-            }
-            runner.run(sim, Rc::new(stm))
-        }
-        Variant::TbvSorting | Variant::HvSorting | Variant::HvBackoff | Variant::TbvBackoff => {
-            let shared = StmShared::init(sim, &stm_cfg)?;
-            let mut stm = match variant {
-                Variant::TbvSorting => LockStm::tbv_sorting(shared, stm_cfg),
-                Variant::HvSorting => LockStm::hv_sorting(shared, stm_cfg),
-                Variant::HvBackoff => LockStm::hv_backoff(shared, stm_cfg),
-                _ => LockStm::tbv_backoff(shared, stm_cfg),
-            };
-            if let Some(rec) = recorder {
-                stm = stm.with_recorder(rec);
-            }
-            if let Some(t) = trace {
-                stm = stm.with_trace(t);
-            }
-            runner.run(sim, Rc::new(stm))
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn labels_are_unique() {
-        let set: std::collections::HashSet<_> = Variant::ALL.iter().map(|v| v.label()).collect();
-        assert_eq!(set.len(), Variant::ALL.len());
-    }
-
-    #[test]
-    fn figure2_excludes_baseline() {
-        assert!(!Variant::FIGURE2.contains(&Variant::Cgl));
-        assert_eq!(Variant::FIGURE2.len(), 6);
-    }
-
-    #[test]
-    fn parse_round_trips_short_names_and_labels() {
-        for v in Variant::ALL {
-            assert_eq!(Variant::parse(v.short_name()), Some(v));
-            assert_eq!(Variant::parse(v.label()), Some(v));
-            assert_eq!(Variant::parse(&v.label().to_uppercase()), Some(v));
-        }
-        assert_eq!(Variant::parse("no-such-stm"), None);
+    match AnyStm::build(sim, variant, stm_cfg, shared_data_words, grid, recorder, trace)? {
+        AnyStm::Cgl(stm) => runner.run(sim, Rc::new(stm)),
+        AnyStm::Egpgv(stm) => runner.run(sim, Rc::new(stm)),
+        AnyStm::Vbv(stm) => runner.run(sim, Rc::new(stm)),
+        AnyStm::Lock(stm) => runner.run(sim, Rc::new(stm)),
     }
 }

@@ -11,7 +11,7 @@
 //! Run: `cargo run --release --example bank`
 
 use gpu_sim::{LaunchConfig, Sim, SimConfig, WarpRng};
-use gpu_stm::{lane_addrs, lane_vals, OptimizedStm, Stm, StmConfig, StmShared};
+use gpu_stm::{lane_addrs, lane_vals, LockStm, Stm, StmConfig, StmShared};
 use std::rc::Rc;
 
 const ACCOUNTS: u32 = 4096;
@@ -25,7 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let cfg = StmConfig::new(1 << 12);
     let shared = StmShared::init(&mut sim, &cfg)?;
-    let stm = Rc::new(OptimizedStm::new(shared, cfg, ACCOUNTS as u64));
+    let stm = Rc::new(LockStm::optimized(shared, cfg, ACCOUNTS as u64));
 
     let grid = LaunchConfig::new(32, 128);
     let total_before: u64 = sim.read_slice(accounts, ACCOUNTS).iter().map(|v| *v as u64).sum();
