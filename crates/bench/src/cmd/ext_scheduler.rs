@@ -1,8 +1,8 @@
 //! Extension experiment: the adaptive transaction scheduler the paper
 //! leaves as future work (Section 4.2).
 //!
-//! Compares raw STM-HV-Sorting against the same runtime wrapped in the
-//! [`Scheduled`](gpu_stm::Scheduled) admission controller, on a
+//! Compares raw STM-HV-Sorting against the same runtime in a
+//! [`Pipeline`](gpu_stm::Pipeline) with AIMD admission control, on a
 //! high-conflict k-means-style accumulator workload and on the
 //! low-conflict random-array workload. Expected shape: throttling wins
 //! where aborts thrash (KM-style), and costs nothing measurable where they
@@ -11,7 +11,7 @@
 use crate::{print_table, thousands, Error};
 use gpu_sim::{LaunchConfig, Sim, SimConfig, WarpRng};
 use gpu_stm::{
-    lane_addrs, lane_vals, LockStm, Scheduled, SchedulerConfig, Stm, StmConfig, StmShared,
+    lane_addrs, lane_vals, LockStm, Pipeline, Policies, SchedulerConfig, Stm, StmConfig, StmShared,
 };
 use std::rc::Rc;
 
@@ -84,11 +84,11 @@ pub fn run() -> Result<(), Error> {
         let (raw_cycles, raw_stats, _) =
             run_counters(|_, sh, cfg| LockStm::hv_sorting(sh, cfg), counters, grid, incr);
         let (sched_cycles, sched_stats, sched) = run_counters(
-            |_, sh, cfg| {
-                Scheduled::new(
-                    LockStm::hv_sorting(sh, cfg),
-                    SchedulerConfig { window: 256, ..SchedulerConfig::default() },
-                )
+            |sim, sh, cfg| {
+                let admission = Some(SchedulerConfig { window: 256, ..SchedulerConfig::default() });
+                let policies = Policies { admission, ..Policies::default() };
+                Pipeline::new(sim, LockStm::hv_sorting(sh, cfg), &cfg, policies)
+                    .expect("the scheduler preset is valid")
             },
             counters,
             grid,
@@ -101,7 +101,7 @@ pub fn run() -> Result<(), Error> {
             thousands(sched_cycles),
             format!("{:.1}%", sched_stats.abort_rate() * 100.0),
             format!("{:.2}x", raw_cycles as f64 / sched_cycles as f64),
-            sched.current_limit().to_string(),
+            sched.checkpoint().expect("admission is on").limit.to_string(),
         ]);
     }
 

@@ -252,7 +252,7 @@ fn run_shape(shape: &Shape, variant: Variant) -> Row {
 }
 
 fn sweep(args: &Opts) -> Vec<Row> {
-    // Blocking wraps the per-thread-lock variants; one sorting and one
+    // The wake policy runs over the per-thread-lock variants; one sorting and one
     // backoff flavor keeps the sweep representative without bloating it.
     let variants = [Variant::HvSorting, Variant::TbvBackoff];
     let mut rows = Vec::new();

@@ -83,16 +83,6 @@ pub trait Stm {
         w.opaque
     }
 
-    /// Whether the runtime currently observes an abort storm (a windowed
-    /// abort rate above its high-water mark). The default runtime has no
-    /// windowed view and reports `false`; the adaptive
-    /// [`Scheduled`](crate::Scheduled) wrapper overrides this from its
-    /// AIMD signal. The [`Robust`](crate::Robust) wrapper jumps straight
-    /// to its backoff cap while a storm is in progress.
-    fn abort_storm(&self) -> bool {
-        false
-    }
-
     /// Cumulative abort rate in permille (aborts per thousand attempts),
     /// computed from [`stats`](Stm::stats). Integer permille keeps the
     /// figure exact and platform-independent, so observability layers can

@@ -65,6 +65,7 @@ mod config;
 pub mod history;
 pub mod locklog;
 pub mod park;
+mod pipeline;
 pub mod profile;
 pub mod robust;
 pub mod scheduler;
@@ -83,10 +84,11 @@ pub use config::{Locking, StmConfig, Validation};
 pub use history::{
     recorder, recorder_with_hook, Access, CommitHook, CommittedTx, History, Recorder,
 };
-pub use park::{Blocking, BlockingMutation, TxOutcome, WakerRegistry};
+pub use park::{BlockingMutation, TxOutcome, Wake, WakerRegistry};
+pub use pipeline::{Pipeline, Policies};
 pub use profile::ContentionProfile;
-pub use robust::{Robust, RobustConfig};
-pub use scheduler::{Scheduled, SchedulerCheckpoint, SchedulerConfig};
+pub use robust::RobustConfig;
+pub use scheduler::{SchedulerCheckpoint, SchedulerConfig};
 pub use shared::StmShared;
 pub use stats::{
     phase_label, AbortCause, Breakdown, Phase, StatsHandle, TxStats, ABORT_CAUSES, PHASES,

@@ -1,9 +1,10 @@
-//! Blocking transactions: `retry()` / `or_else` composition over any
-//! [`Stm`], with an address-keyed waker registry and true descheduling.
+//! Blocking transactions: the wake policy of a [`Pipeline`] — `retry()` /
+//! `or_else` composition over any [`Stm`], with an address-keyed waker
+//! registry and true descheduling.
 //!
 //! A transaction that finds its precondition false (an empty queue, an
-//! unset flag) calls [`Blocking::retry`] instead of computing a result.
-//! At [`Blocking::commit_or_park`] the runtime then *blocks* the warp:
+//! unset flag) calls [`Pipeline::retry`] instead of computing a result.
+//! At [`Pipeline::commit_or_park`] the runtime then *blocks* the warp:
 //! it registers the transaction on every address of its validated read
 //! set in a striped [`WakerRegistry`], revalidates, and parks the warp on
 //! the simulator's parked set — burning **zero** cycles — until some
@@ -14,8 +15,9 @@
 //!
 //! ## The lost-wakeup problem
 //!
-//! The wake path is commit-driven: [`Blocking::commit_or_park`] (and the
-//! plain [`Stm::commit`] of the wrapper) notifies the registry with the
+//! The wake path is commit-driven: under [`Wake::Respin`] or [`Wake::Park`]
+//! every commit through the pipeline ([`Pipeline::commit_or_park`] and
+//! plain [`Stm::commit`] alike) notifies the registry with the
 //! committed write set, waking every parked transaction whose read set
 //! intersects it. The classic hazard is the *lost wakeup*: a commit that
 //! lands after the sleeper checked its condition but before it was
@@ -43,14 +45,14 @@
 
 use crate::api::{lane_addrs, Stm};
 use crate::config::StmConfig;
+use crate::pipeline::Pipeline;
 use crate::stats::{Phase, StatsHandle};
-use crate::trace::{TxEventKind, TxTrace, TxTraceSink};
+use crate::trace::{TxEventKind, TxTrace};
 use crate::validation::vbv;
 use crate::warptx::WarpTx;
 use gpu_sim::rng::mix64;
 use gpu_sim::{
-    Addr, AtomicOp, LaneAddrs, LaneMask, LaneVals, ParkOutcome, Sim, SimError, WakeHandle, WarpCtx,
-    WARP_SIZE,
+    Addr, AtomicOp, LaneMask, ParkOutcome, Sim, SimError, WakeHandle, WarpCtx, WARP_SIZE,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -269,7 +271,7 @@ impl BlockingMutation {
     }
 }
 
-/// Resolution of one [`Blocking::commit_or_park`] call, per lane.
+/// Resolution of one [`Pipeline::commit_or_park`] call, per lane.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub struct TxOutcome {
     /// Lanes whose transaction committed.
@@ -291,198 +293,73 @@ impl TxOutcome {
     }
 }
 
-/// Wrapper adding blocking (`retry` / `or_else` / park) semantics to any
-/// [`Stm`]. All commits routed through the wrapper — [`Stm::commit`] and
-/// [`commit_or_park`](Self::commit_or_park) alike — notify the
-/// [`WakerRegistry`] with their committed write set, so sleepers are
-/// woken whichever path the writer took.
-#[derive(Clone)]
-pub struct Blocking<S> {
-    inner: S,
+/// The wake policy of a [`Pipeline`]: blocking `retry()` and the
+/// commit-side notify that ends a park.
+#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+pub enum Wake {
+    /// No waker registry: [`Pipeline::commit_or_park`] resolves every
+    /// `retry()` lane as abort-respin.
+    #[default]
+    Off,
+    /// Commits notify the registry, but `retry()` lanes abort-respin
+    /// instead of parking. This is the baseline the benches compare
+    /// against — identical workload, the waiting lanes just spin through
+    /// aborts instead of descheduling.
+    Respin,
+    /// `retry()` lanes park on their validated read set until a commit
+    /// overwrites a watched address.
+    Park,
+}
+
+/// The wake policy's state: the registry every commit notifies, the
+/// park knobs taken from [`StmConfig`], and the seeded mutation.
+#[derive(Clone, Debug)]
+pub(crate) struct Parking {
     registry: WakerRegistry,
     max_parked: u32,
     budget: u64,
     spurious_rate: u32,
+    /// False under [`Wake::Respin`].
     park: bool,
-    trace: TxTrace,
-    mutation: BlockingMutation,
+    pub(crate) mutation: BlockingMutation,
 }
 
-impl<S: std::fmt::Debug> std::fmt::Debug for Blocking<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Blocking")
-            .field("inner", &self.inner)
-            .field("park", &self.park)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<S: Stm> Blocking<S> {
-    /// Wraps `inner`, allocating the waker registry's device anchor words
-    /// on `sim`. The park knobs (`max_parked_per_warp`,
-    /// `park_budget_cycles`, `spurious_wake_rate`) are taken from `cfg`.
+impl Parking {
+    /// Allocates the registry's device anchor words on `sim`. The park
+    /// knobs (`max_parked_per_warp`, `park_budget_cycles`,
+    /// `spurious_wake_rate`) come from a `cfg` that passed
+    /// [`StmConfig::validate`].
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::BadLaunch`] for an invalid `cfg` and
-    /// [`SimError::OutOfMemory`] if the anchor words do not fit.
-    pub fn new(sim: &mut Sim, inner: S, cfg: &StmConfig) -> Result<Self, SimError> {
-        cfg.validate().map_err(|e| SimError::BadLaunch(format!("invalid StmConfig: {e}")))?;
-        Ok(Blocking {
-            inner,
+    /// Returns [`SimError::OutOfMemory`] if the anchor words do not fit.
+    pub(crate) fn new(sim: &mut Sim, cfg: &StmConfig, park: bool) -> Result<Self, SimError> {
+        Ok(Parking {
             registry: WakerRegistry::new(sim)?,
             max_parked: cfg.max_parked_per_warp,
             budget: cfg.park_budget_cycles,
             spurious_rate: cfg.spurious_wake_rate,
-            park: true,
-            trace: TxTrace::off(),
+            park,
             mutation: BlockingMutation::default(),
         })
     }
 
-    /// Disables parking: `retry()` degrades to abort-respin. This is the
-    /// baseline the benches compare against — identical workload, the
-    /// waiting lanes just spin through aborts instead of descheduling.
-    pub fn without_park(mut self) -> Self {
-        self.park = false;
-        self
+    /// Captures each lane's write addresses up front: a successful commit
+    /// resets its lanes, taking the write-set with it.
+    pub(crate) fn capture(w: &WarpTx, mask: LaneMask) -> Vec<(usize, Vec<Addr>)> {
+        mask.iter().map(|l| (l, w.writes.iter_lane(l).map(|e| e.addr).collect())).collect()
     }
 
-    /// Attaches a transaction-lifecycle trace sink for the park/wake
-    /// events (the inner STM keeps its own sink for begin/commit/abort).
-    pub fn with_trace(mut self, sink: TxTraceSink) -> Self {
-        self.trace = TxTrace::to(sink);
-        self
-    }
-
-    /// Seeds a correctness [`BlockingMutation`] — verifier-validation use
-    /// only.
-    #[cfg(any(test, feature = "mutants"))]
-    pub fn with_mutation(mut self, mutation: BlockingMutation) -> Self {
-        self.mutation = mutation;
-        self
-    }
-
-    /// The seeded mutation (all-off in production builds).
-    pub fn mutation(&self) -> BlockingMutation {
-        self.mutation
-    }
-
-    /// The wrapped runtime.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// The waker registry (for gauges such as
-    /// [`parked_depth`](WakerRegistry::parked_depth)).
-    pub fn registry(&self) -> &WakerRegistry {
-        &self.registry
-    }
-
-    /// Declares that the lanes of `lanes` found their precondition false:
-    /// at [`commit_or_park`](Self::commit_or_park) they will block until
-    /// an address of their read set is overwritten, instead of
-    /// committing. A subsequent [`or_else`](Self::or_else) cancels the
-    /// request and runs an alternative.
-    pub fn retry(&self, w: &mut WarpTx, lanes: LaneMask) {
-        w.retrying |= lanes;
-    }
-
-    /// `or_else` composition: cancels a pending `retry()` on `lanes` so
-    /// an alternative branch can run in the *same* transaction. The
-    /// abandoned branch's buffered writes are discarded; its **reads are
-    /// kept** — the alternative's consistency (and any later park's
-    /// watch set) covers the addresses whose values routed control flow
-    /// away from the first branch. Returns the lanes that actually had a
-    /// pending retry.
-    pub fn or_else(&self, w: &mut WarpTx, lanes: LaneMask) -> LaneMask {
-        let taken = w.retrying & lanes;
-        w.retrying &= !taken;
-        for l in taken.iter() {
-            w.writes.clear_lane(l);
-        }
-        taken
-    }
-
-    /// Commit with blocking semantics: non-retrying lanes commit (and
-    /// notify sleepers); retrying lanes park on their validated read set
-    /// until a commit overwrites a watched address. Lanes return in
-    /// exactly one of the three [`TxOutcome`] masks.
-    ///
-    /// A retry lane falls back to abort-respin (the `aborted` mask)
-    /// instead of parking when it is doomed (non-opaque), its read set is
-    /// empty (nothing to watch — statically unwakeable) or larger than
-    /// `max_parked_per_warp`, parking is disabled, or a same-warp lane
-    /// needs to respin (a warp parks as a unit, so one respinning lane
-    /// keeps the whole warp runnable).
-    pub async fn commit_or_park(&self, w: &mut WarpTx, ctx: &WarpCtx, mask: LaneMask) -> TxOutcome {
-        let retrying = w.retrying & mask;
-        w.retrying &= !retrying;
-        let committing = mask & !retrying;
-        let committed = self.do_commit(w, ctx, committing).await;
-        let mut aborted = committing & !committed;
-
-        if retrying.none() {
-            return TxOutcome { committed, aborted, parked: LaneMask::EMPTY };
-        }
-
-        // Doomed retry lanes observed an inconsistent snapshot: their
-        // precondition was computed from garbage, so they respin (their
-        // abort was already recorded at read time).
-        let doomed = retrying & !w.opaque;
-        let mut eligible = retrying & !doomed;
-
-        // Nothing to watch, or too much: fall back to abort-respin.
-        let fallback = eligible.filter(|l| {
-            let n = w.reads.len(l);
-            n == 0 || n > self.max_parked as usize
-        });
-        eligible &= !fallback;
-
-        let mut respin = doomed | fallback;
-        // One respinning lane keeps the warp runnable; parking the
-        // eligible lanes anyway would deschedule it. Respin everyone —
-        // semantically a spurious wake, which callers must tolerate.
-        if !self.park || aborted.any() || respin.any() {
-            respin |= eligible;
-            eligible = LaneMask::EMPTY;
-        }
-        for l in respin.iter() {
-            w.reset_lane(l);
-        }
-        aborted |= respin;
-
-        let parked = if eligible.any() {
-            let (parked, pre_respin) = self.park_lanes(w, ctx, eligible).await;
-            aborted |= pre_respin;
-            parked
-        } else {
-            LaneMask::EMPTY
-        };
-
-        // Drain the wait span (and any straggler native time) into the
-        // breakdown. Retry respins are voluntary, not aborts, so they do
-        // not enter the proportional committed/aborted split.
-        {
-            let st = self.inner.stats();
-            let mut st = st.borrow_mut();
-            w.flush_attempt(&mut st.breakdown, 0, 0);
-        }
-        TxOutcome { committed, aborted, parked }
-    }
-
-    /// Commit plus sleeper notification (the wrapper's [`Stm::commit`]).
-    async fn do_commit(&self, w: &mut WarpTx, ctx: &WarpCtx, mask: LaneMask) -> LaneMask {
-        if mask.none() {
-            return LaneMask::EMPTY;
-        }
-        // Capture write addresses up front: a successful commit resets
-        // its lanes, taking the write-set with it.
-        let captured: Vec<(usize, Vec<Addr>)> =
-            mask.iter().map(|l| (l, w.writes.iter_lane(l).map(|e| e.addr).collect())).collect();
-        let committed = self.inner.commit(w, ctx, mask).await;
+    /// Wakes the sleepers watching what the `committed` lanes of
+    /// `captured` wrote.
+    pub(crate) async fn notify(
+        &self,
+        ctx: &WarpCtx,
+        captured: Vec<(usize, Vec<Addr>)>,
+        committed: LaneMask,
+    ) {
         if committed.none() {
-            return committed;
+            return;
         }
         let mut addrs: Vec<Addr> = captured
             .into_iter()
@@ -492,7 +369,7 @@ impl<S: Stm> Blocking<S> {
         addrs.sort_unstable_by_key(|a| a.0);
         addrs.dedup();
         if addrs.is_empty() {
-            return committed; // read-only commits wake nobody
+            return; // read-only commits wake nobody
         }
 
         // Host-side delivery happens *before* the anchor's yield point:
@@ -509,7 +386,6 @@ impl<S: Stm> Blocking<S> {
             let a = lane_addrs(m, |l| self.registry.word_addr(chunk[l]));
             let _ = ctx.load(m, &a).await;
         }
-        committed
     }
 
     /// Bumps the anchor words of `stripes` — the device-visible side of a
@@ -533,6 +409,8 @@ impl<S: Stm> Blocking<S> {
         w: &mut WarpTx,
         ctx: &WarpCtx,
         lanes: LaneMask,
+        stats: &StatsHandle,
+        trace: &TxTrace,
     ) -> (LaneMask, LaneMask) {
         // The warp-wide watch set: the union of the parking lanes' read
         // sets. Any watched write wakes the warp; each lane then respins
@@ -606,22 +484,16 @@ impl<S: Stm> Blocking<S> {
                 self.budget
             };
 
-            {
-                let st = self.inner.stats();
-                st.borrow_mut().parks += lanes.count() as u64;
-            }
-            self.trace.emit(
+            stats.borrow_mut().parks += lanes.count() as u64;
+            trace.emit(
                 ctx,
                 TxEventKind::Park { lanes: lanes.count(), watched: watched.len() as u32 },
             );
             w.enter_phase(ctx.now(), Phase::Parked);
             let outcome = ctx.park(lanes, &watched, budget).await;
             w.enter_phase(ctx.now(), Phase::Native);
-            {
-                let st = self.inner.stats();
-                st.borrow_mut().wakes += lanes.count() as u64;
-            }
-            self.trace.emit(ctx, TxEventKind::Wake { timed_out: outcome == ParkOutcome::TimedOut });
+            stats.borrow_mut().wakes += lanes.count() as u64;
+            trace.emit(ctx, TxEventKind::Wake { timed_out: outcome == ParkOutcome::TimedOut });
 
             match outcome {
                 ParkOutcome::Woken => {
@@ -648,11 +520,8 @@ impl<S: Stm> Blocking<S> {
                         }
                         return (lanes, LaneMask::EMPTY);
                     }
-                    {
-                        let st = self.inner.stats();
-                        st.borrow_mut().spurious_wakes += lanes.count() as u64;
-                    }
-                    self.trace.emit(ctx, TxEventKind::SpuriousWake);
+                    stats.borrow_mut().spurious_wakes += lanes.count() as u64;
+                    trace.emit(ctx, TxEventKind::SpuriousWake);
                     // Loop: re-register and re-park.
                 }
             }
@@ -660,74 +529,123 @@ impl<S: Stm> Blocking<S> {
     }
 }
 
-impl<S: Stm> Stm for Blocking<S> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
+impl<S: Stm> Pipeline<S> {
+    /// Declares that the lanes of `lanes` found their precondition false:
+    /// at [`commit_or_park`](Self::commit_or_park) they will block until
+    /// an address of their read set is overwritten, instead of
+    /// committing. A subsequent [`or_else`](Self::or_else) cancels the
+    /// request and runs an alternative.
+    pub fn retry(&self, w: &mut WarpTx, lanes: LaneMask) {
+        w.retrying |= lanes;
     }
 
-    fn new_warp(&self) -> WarpTx {
-        self.inner.new_warp()
+    /// `or_else` composition: cancels a pending `retry()` on `lanes` so
+    /// an alternative branch can run in the *same* transaction. The
+    /// abandoned branch's buffered writes are discarded; its **reads are
+    /// kept** — the alternative's consistency (and any later park's
+    /// watch set) covers the addresses whose values routed control flow
+    /// away from the first branch. Returns the lanes that actually had a
+    /// pending retry.
+    pub fn or_else(&self, w: &mut WarpTx, lanes: LaneMask) -> LaneMask {
+        let taken = w.retrying & lanes;
+        w.retrying &= !taken;
+        for l in taken.iter() {
+            w.writes.clear_lane(l);
+        }
+        taken
     }
 
-    fn stats(&self) -> StatsHandle {
-        self.inner.stats()
-    }
+    /// Commit with blocking semantics: non-retrying lanes commit (and
+    /// notify sleepers); retrying lanes park on their validated read set
+    /// until a commit overwrites a watched address. Lanes return in
+    /// exactly one of the three [`TxOutcome`] masks.
+    ///
+    /// A retry lane falls back to abort-respin (the `aborted` mask)
+    /// instead of parking when it is doomed (non-opaque), its read set is
+    /// empty (nothing to watch — statically unwakeable) or larger than
+    /// `max_parked_per_warp`, parking is not [`Wake::Park`], or a
+    /// same-warp lane needs to respin (a warp parks as a unit, so one
+    /// respinning lane keeps the whole warp runnable).
+    pub async fn commit_or_park(&self, w: &mut WarpTx, ctx: &WarpCtx, mask: LaneMask) -> TxOutcome {
+        let retrying = w.retrying & mask;
+        w.retrying &= !retrying;
+        let committing = mask & !retrying;
+        let committed = self.commit(w, ctx, committing).await;
+        let mut aborted = committing & !committed;
 
-    async fn begin(&self, w: &mut WarpTx, ctx: &WarpCtx, want: LaneMask) -> LaneMask {
-        self.inner.begin(w, ctx, want).await
-    }
+        if retrying.none() {
+            return TxOutcome { committed, aborted, parked: LaneMask::EMPTY };
+        }
 
-    async fn read(
-        &self,
-        w: &mut WarpTx,
-        ctx: &WarpCtx,
-        mask: LaneMask,
-        addrs: &LaneAddrs,
-    ) -> LaneVals {
-        self.inner.read(w, ctx, mask, addrs).await
-    }
+        // Doomed retry lanes observed an inconsistent snapshot: their
+        // precondition was computed from garbage, so they respin (their
+        // abort was already recorded at read time).
+        let doomed = retrying & !w.opaque;
+        let mut eligible = retrying & !doomed;
 
-    async fn write(
-        &self,
-        w: &mut WarpTx,
-        ctx: &WarpCtx,
-        mask: LaneMask,
-        addrs: &LaneAddrs,
-        vals: &LaneVals,
-    ) {
-        self.inner.write(w, ctx, mask, addrs, vals).await
-    }
+        // Nothing to watch, or too much: fall back to abort-respin.
+        let parking = self.wake.as_ref().filter(|p| p.park);
+        let fallback = eligible.filter(|l| {
+            let n = w.reads.len(l);
+            n == 0 || parking.is_some_and(|p| n > p.max_parked as usize)
+        });
+        eligible &= !fallback;
 
-    /// Plain commit — still notifies sleepers, so writers that never
-    /// block themselves participate in the wake protocol. Kernels that
-    /// call [`Blocking::retry`] must resolve it through
-    /// [`Blocking::commit_or_park`]; this entry point ignores pending
-    /// retry marks.
-    async fn commit(&self, w: &mut WarpTx, ctx: &WarpCtx, mask: LaneMask) -> LaneMask {
-        self.do_commit(w, ctx, mask).await
-    }
+        let mut respin = doomed | fallback;
+        // One respinning lane keeps the warp runnable; parking the
+        // eligible lanes anyway would deschedule it. Respin everyone —
+        // semantically a spurious wake, which callers must tolerate.
+        if parking.is_none() || aborted.any() || respin.any() {
+            respin |= eligible;
+            eligible = LaneMask::EMPTY;
+        }
+        for l in respin.iter() {
+            w.reset_lane(l);
+        }
+        aborted |= respin;
 
-    fn abort_storm(&self) -> bool {
-        self.inner.abort_storm()
-    }
+        let stats = self.stats();
+        let parked = match parking {
+            Some(p) if eligible.any() => {
+                let (parked, pre_respin) =
+                    p.park_lanes(w, ctx, eligible, &stats, &self.trace).await;
+                aborted |= pre_respin;
+                parked
+            }
+            _ => LaneMask::EMPTY,
+        };
 
-    fn abort_permille(&self) -> u32 {
-        self.inner.abort_permille()
+        // Drain the wait span (and any straggler native time) into the
+        // breakdown. Retry respins are voluntary, not aborts, so they do
+        // not enter the proportional committed/aborted split.
+        w.flush_attempt(&mut stats.borrow_mut().breakdown, 0, 0);
+        TxOutcome { committed, aborted, parked }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Policies;
     use crate::shared::StmShared;
     use crate::variants::LockStm;
-    use gpu_sim::{LaunchConfig, Sim, SimConfig};
+    use gpu_sim::{LaunchConfig, SimConfig};
 
-    fn setup(cfg: &StmConfig) -> (Sim, Blocking<LockStm>) {
+    fn setup_with(cfg: &StmConfig, wake: Wake) -> (Sim, Pipeline<LockStm>) {
         let mut sim = Sim::new(SimConfig::with_memory(1 << 16));
         let shared = StmShared::init(&mut sim, cfg).unwrap();
-        let stm = Blocking::new(&mut sim, LockStm::hv_sorting(shared, *cfg), cfg).unwrap();
+        let policies = Policies { wake, ..Policies::default() };
+        let stm =
+            Pipeline::new(&mut sim, LockStm::hv_sorting(shared, *cfg), cfg, policies).unwrap();
         (sim, stm)
+    }
+
+    fn setup(cfg: &StmConfig) -> (Sim, Pipeline<LockStm>) {
+        setup_with(cfg, Wake::Park)
+    }
+
+    fn registry(stm: &Pipeline<LockStm>) -> &WakerRegistry {
+        &stm.wake.as_ref().expect("wake policy is on").registry
     }
 
     fn small_cfg() -> StmConfig {
@@ -736,7 +654,7 @@ mod tests {
 
     /// Warp 0 lane 0 blocks until `flag` is non-zero, then writes
     /// `flag + 41` to `out`; warp 1 lane 0 sets the flag after a delay.
-    fn producer_consumer(stm: &Blocking<LockStm>, sim: &mut Sim) -> (Addr, Addr, u64) {
+    fn producer_consumer(stm: &Pipeline<LockStm>, sim: &mut Sim) -> (Addr, Addr, u64) {
         let flag = sim.alloc(1).unwrap();
         let out = sim.alloc(1).unwrap();
         let stm = stm.clone();
@@ -789,15 +707,14 @@ mod tests {
         assert!(st.parks >= 1, "tx parks not counted");
         assert_eq!(st.parks, st.wakes, "every park must resolve in a wake");
         assert_eq!(st.spurious_wakes, 0);
-        assert_eq!(stm.registry().parked_depth(), 0, "registry must drain");
+        assert_eq!(registry(&stm).parked_depth(), 0, "registry must drain");
     }
 
     #[test]
     fn parked_consumer_burns_fewer_cycles_than_respin_baseline() {
         let cfg = small_cfg();
         let run = |park: bool| {
-            let (mut sim, stm) = setup(&cfg);
-            let stm = if park { stm } else { stm.without_park() };
+            let (mut sim, stm) = setup_with(&cfg, if park { Wake::Park } else { Wake::Respin });
             producer_consumer(&stm, &mut sim);
             let st = stm.stats();
             let st = st.borrow();
@@ -926,7 +843,7 @@ mod tests {
         let (mut sim, stm) = setup(&cfg);
         assert_eq!(stm.name(), "STM-HV-Sorting");
         assert!(!stm.abort_storm());
-        assert!(!stm.mutation().any());
+        assert!(!stm.wake.as_ref().unwrap().mutation.any());
         let cell = sim.alloc(1).unwrap();
         let k = stm.clone();
         sim.launch(LaunchConfig::new(1, 32), move |ctx| {
@@ -972,7 +889,7 @@ mod tests {
             let stm = k.clone();
             let done = Rc::clone(&d2);
             async move {
-                let reg = stm.registry().clone();
+                let reg = registry(&stm).clone();
                 let key = reg.register(vec![a], ctx.wake_handle());
                 assert_eq!(reg.parked_depth(), 1);
                 assert_eq!(reg.notify(&[b]), 0, "stripe alias must not wake");
@@ -992,7 +909,8 @@ mod tests {
         let cfg = small_cfg();
         let (_sim, stm) = setup(&cfg);
         let stm = stm.with_mutation(BlockingMutation { lost_wakeup: true });
-        assert!(stm.mutation().any());
-        assert!(stm.mutation().lost_wakeup);
+        let mutation = stm.wake.as_ref().unwrap().mutation;
+        assert!(mutation.any());
+        assert!(mutation.lost_wakeup);
     }
 }

@@ -5,9 +5,9 @@
 //! reach their commit point, but nothing in the base runtime bounds how
 //! often one *particular* transaction loses: under a pathological access
 //! pattern (or injected faults — see `gpu_sim::fault`) a lane can abort
-//! indefinitely while the rest of the grid commits around it. [`Robust`]
-//! wraps any [`Stm`] runtime with the standard progress ladder used by
-//! hybrid/best-effort TM systems:
+//! indefinitely while the rest of the grid commits around it. The
+//! escalation policy of a [`Pipeline`] adds the standard progress ladder
+//! used by hybrid/best-effort TM systems:
 //!
 //! 1. **Bounded backoff** — after an abort, the warp idles for a seeded,
 //!    capped exponential backoff derived from the worst per-lane
@@ -24,20 +24,19 @@
 //!    fallback path and bounds per-transaction aborts: a streak can only
 //!    grow past `fallback_after` while an earlier escalatee drains.
 //!
-//! The wrapper also consumes the inner runtime's
-//! [`abort_storm`](Stm::abort_storm) signal (the [`Scheduled`]
-//! scheduler's AIMD high-water indicator): during a storm backoff jumps
+//! When the pipeline also runs admission, backoff reads its AIMD storm
+//! flag ([`Pipeline::abort_storm`]): during a storm backoff jumps
 //! straight to its cap instead of climbing to it.
 //!
-//! [`Scheduled`]: crate::Scheduled
+//! [`Pipeline`]: crate::Pipeline
+//! [`Pipeline::abort_storm`]: crate::Pipeline::abort_storm
 
-use crate::api::Stm;
 use crate::stats::StatsHandle;
-use crate::trace::{TxEventKind, TxTrace, TxTraceSink};
+use crate::trace::{TxEventKind, TxTrace};
 use crate::warptx::WarpTx;
 use gpu_sim::rng::splitmix64;
-use gpu_sim::{Addr, LaneAddrs, LaneMask, LaneVals, Sim, SimError, WarpCtx};
-use std::cell::RefCell;
+use gpu_sim::{Addr, LaneMask, Sim, SimError, WarpCtx};
+use std::cell::Cell;
 use std::rc::Rc;
 
 /// Tuning knobs for the degradation ladder.
@@ -86,107 +85,119 @@ impl RobustConfig {
     }
 }
 
-#[derive(Debug)]
-struct RobustState {
-    rng: u64,
-}
-
-/// Wraps an STM runtime with bounded backoff, starvation tracking and a
-/// serialized fallback commit path. Transparent to kernels: refused
-/// lanes see an empty mask from `begin` and retry, exactly like a
-/// contended CGL/EGPGV admission.
-#[derive(Clone)]
-pub struct Robust<S> {
-    inner: S,
+/// The escalation policy's state: its configuration, the device
+/// fallback-lock word and the backoff-jitter RNG (shared by clones, like
+/// the rest of a [`Pipeline`](crate::Pipeline)'s policy state).
+#[derive(Clone, Debug)]
+pub(crate) struct Escalation {
     cfg: RobustConfig,
     /// Device word: 0 = free, `tid + 1` = escalated holder.
-    fallback_lock: Addr,
-    state: Rc<RefCell<RobustState>>,
-    trace: TxTrace,
+    pub(crate) lock: Addr,
+    pub(crate) rng: Rc<Cell<u64>>,
 }
 
-impl<S: std::fmt::Debug> std::fmt::Debug for Robust<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Robust")
-            .field("inner", &self.inner)
-            .field("cfg", &self.cfg)
-            .field("fallback_lock", &self.fallback_lock)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<S: Stm> Robust<S> {
-    /// Allocates the device fallback-lock word and wraps `inner`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::OutOfMemory`] if the lock word does not fit,
-    /// or [`SimError::BadLaunch`] for an inconsistent configuration
-    /// (see [`RobustConfig::validate`]).
-    pub fn init(sim: &mut Sim, inner: S, cfg: RobustConfig) -> Result<Self, SimError> {
-        cfg.validate().map_err(SimError::BadLaunch)?;
-        let fallback_lock = sim.alloc(1)?;
-        Ok(Robust {
-            inner,
-            cfg,
-            fallback_lock,
-            state: Rc::new(RefCell::new(RobustState { rng: cfg.seed })),
-            trace: TxTrace::off(),
-        })
-    }
-
-    /// Attaches a transaction-lifecycle trace sink: the wrapper emits
-    /// [`TxEventKind::Backoff`] for every abort-backoff span it charges
-    /// and [`TxEventKind::Escalate`] when a starving lane wins the
-    /// fallback lock. (Attach the same sink to the inner runtime for its
-    /// lifecycle events.)
-    pub fn with_trace(mut self, sink: TxTraceSink) -> Self {
-        self.trace = TxTrace::to(sink);
-        self
-    }
-
-    /// Wraps `inner` with default tuning.
+impl Escalation {
+    /// Allocates the device fallback-lock word for a configuration that
+    /// passed [`RobustConfig::validate`].
     ///
     /// # Errors
     ///
     /// Returns [`SimError::OutOfMemory`] if the lock word does not fit.
-    pub fn with_defaults(sim: &mut Sim, inner: S) -> Result<Self, SimError> {
-        Robust::init(sim, inner, RobustConfig::default())
+    pub(crate) fn init(sim: &mut Sim, cfg: RobustConfig) -> Result<Self, SimError> {
+        Ok(Escalation { cfg, lock: sim.alloc(1)?, rng: Rc::new(Cell::new(cfg.seed)) })
     }
 
-    /// The wrapped runtime.
-    pub fn inner(&self) -> &S {
-        &self.inner
+    /// The `begin` gate: while an escalated transaction holds the
+    /// fallback lock, only it may run. Returns the lanes that may go on
+    /// to admission, or `None` when the warp was refused (after idling).
+    pub(crate) async fn gate(&self, ctx: &WarpCtx, want: LaneMask) -> Option<LaneMask> {
+        let Some(leader) = want.leader() else {
+            return Some(want);
+        };
+        let holder = ctx.load_one(leader, self.lock).await;
+        if holder == 0 {
+            return Some(want);
+        }
+        // Serialized mode: only the escalated transaction may run.
+        let ours = want.filter(|l| ctx.id().thread_id(l) + 1 == holder);
+        if ours.none() {
+            ctx.idle(self.cfg.backoff_base.max(50)).await;
+            return None;
+        }
+        Some(ours)
     }
 
-    /// Device address of the fallback-lock word (for tests/diagnostics).
-    pub fn fallback_lock_addr(&self) -> Addr {
-        self.fallback_lock
-    }
+    /// Starvation accounting after a commit of `mask`, then the fallback
+    /// lock: a committed escalatee releases it, otherwise the most-starved
+    /// lane past the threshold tries to take it. Returns the worst losing
+    /// streak among the aborted lanes, for [`backoff_span`](Self::backoff_span).
+    pub(crate) async fn settle(
+        &self,
+        w: &mut WarpTx,
+        ctx: &WarpCtx,
+        mask: LaneMask,
+        committed: LaneMask,
+        stats: &StatsHandle,
+        trace: &TxTrace,
+    ) -> u32 {
+        let aborted = mask & !committed;
 
-    /// Current backoff-jitter RNG state, the wrapper's only host-side
-    /// mutable state; capture it in crash-recovery snapshots so replayed
-    /// backoff spans match the original run cycle-for-cycle.
-    pub fn rng_state(&self) -> u64 {
-        self.state.borrow().rng
-    }
+        // Starvation accounting: commits end a streak, aborts extend it.
+        for l in committed.iter() {
+            w.consec_aborts[l] = 0;
+        }
+        let mut worst = 0u32;
+        for l in aborted.iter() {
+            w.consec_aborts[l] += 1;
+            worst = worst.max(w.consec_aborts[l]);
+        }
+        if worst > 0 {
+            let mut st = stats.borrow_mut();
+            st.max_consec_aborts = st.max_consec_aborts.max(worst as u64);
+        }
 
-    /// Restores the backoff-jitter RNG captured by
-    /// [`rng_state`](Self::rng_state).
-    pub fn restore_rng_state(&self, rng: u64) {
-        self.state.borrow_mut().rng = rng;
+        if mask.any() {
+            let leader = mask.leader().expect("non-empty mask");
+            let holder = ctx.load_one(leader, self.lock).await;
+
+            // A committed escalatee releases the fallback lock.
+            if holder != 0 {
+                if let Some(l) = committed.iter().find(|&l| ctx.id().thread_id(l) + 1 == holder) {
+                    ctx.store_one(l, self.lock, 0).await;
+                    ctx.fence(LaneMask::lane(l)).await;
+                    stats.borrow_mut().fallback_commits += 1;
+                }
+            } else {
+                // Escalate the most-starved lane once it crosses the
+                // threshold. A lost CAS means another transaction
+                // escalated first; this lane keeps its streak and wins a
+                // later round.
+                let esc = aborted.filter(|l| w.consec_aborts[l] >= self.cfg.fallback_after);
+                if let Some(l) = esc.iter().max_by_key(|&l| w.consec_aborts[l]) {
+                    let tid = ctx.id().thread_id(l) + 1;
+                    let old = ctx.atomic_cas_one(l, self.lock, 0, tid).await;
+                    if old == 0 {
+                        stats.borrow_mut().escalations += 1;
+                        trace.emit(ctx, TxEventKind::Escalate { tid: tid - 1 });
+                    }
+                }
+            }
+        }
+        worst
     }
 
     /// Backoff span before the next retry, given the worst losing streak
     /// in the warp: capped exponential with jitter in `[span/2, span]`,
     /// jumping straight to the cap during an abort storm.
-    fn backoff_span(&self, worst_streak: u32) -> u64 {
+    pub(crate) fn backoff_span(&self, worst_streak: u32, storm: bool) -> u64 {
         let exp = worst_streak.min(20);
         let mut span = self.cfg.backoff_base.saturating_shl(exp).min(self.cfg.backoff_cap);
-        if self.inner.abort_storm() {
+        if storm {
             span = self.cfg.backoff_cap;
         }
-        let r = splitmix64(&mut self.state.borrow_mut().rng);
+        let mut rng = self.rng.get();
+        let r = splitmix64(&mut rng);
+        self.rng.set(rng);
         span / 2 + r % (span / 2 + 1)
     }
 }
@@ -207,130 +218,26 @@ impl SaturatingShl for u64 {
     }
 }
 
-impl<S: Stm> Stm for Robust<S> {
-    fn name(&self) -> &'static str {
-        "Robust"
-    }
-
-    fn new_warp(&self) -> WarpTx {
-        self.inner.new_warp()
-    }
-
-    fn stats(&self) -> StatsHandle {
-        self.inner.stats()
-    }
-
-    async fn begin(&self, w: &mut WarpTx, ctx: &WarpCtx, want: LaneMask) -> LaneMask {
-        let Some(leader) = want.leader() else {
-            return self.inner.begin(w, ctx, want).await;
-        };
-        let holder = ctx.load_one(leader, self.fallback_lock).await;
-        if holder != 0 {
-            // Serialized mode: only the escalated transaction may run.
-            let ours = want.filter(|l| ctx.id().thread_id(l) + 1 == holder);
-            if ours.none() {
-                ctx.idle(self.cfg.backoff_base.max(50)).await;
-                return LaneMask::EMPTY;
-            }
-            return self.inner.begin(w, ctx, ours).await;
-        }
-        self.inner.begin(w, ctx, want).await
-    }
-
-    async fn read(
-        &self,
-        w: &mut WarpTx,
-        ctx: &WarpCtx,
-        mask: LaneMask,
-        addrs: &LaneAddrs,
-    ) -> LaneVals {
-        self.inner.read(w, ctx, mask, addrs).await
-    }
-
-    async fn write(
-        &self,
-        w: &mut WarpTx,
-        ctx: &WarpCtx,
-        mask: LaneMask,
-        addrs: &LaneAddrs,
-        vals: &LaneVals,
-    ) {
-        self.inner.write(w, ctx, mask, addrs, vals).await
-    }
-
-    async fn commit(&self, w: &mut WarpTx, ctx: &WarpCtx, mask: LaneMask) -> LaneMask {
-        let committed = self.inner.commit(w, ctx, mask).await;
-        let aborted = mask & !committed;
-
-        // Starvation accounting: commits end a streak, aborts extend it.
-        for l in committed.iter() {
-            w.consec_aborts[l] = 0;
-        }
-        let mut worst = 0u32;
-        for l in aborted.iter() {
-            w.consec_aborts[l] += 1;
-            worst = worst.max(w.consec_aborts[l]);
-        }
-        if worst > 0 {
-            let stats = self.inner.stats();
-            let mut st = stats.borrow_mut();
-            st.max_consec_aborts = st.max_consec_aborts.max(worst as u64);
-        }
-
-        if mask.any() {
-            let leader = mask.leader().expect("non-empty mask");
-            let holder = ctx.load_one(leader, self.fallback_lock).await;
-
-            // A committed escalatee releases the fallback lock.
-            if holder != 0 {
-                if let Some(l) = committed.iter().find(|&l| ctx.id().thread_id(l) + 1 == holder) {
-                    ctx.store_one(l, self.fallback_lock, 0).await;
-                    ctx.fence(LaneMask::lane(l)).await;
-                    self.inner.stats().borrow_mut().fallback_commits += 1;
-                }
-            } else {
-                // Escalate the most-starved lane once it crosses the
-                // threshold. A lost CAS means another transaction
-                // escalated first; this lane keeps its streak and wins a
-                // later round.
-                let esc = aborted.filter(|l| w.consec_aborts[l] >= self.cfg.fallback_after);
-                if let Some(l) = esc.iter().max_by_key(|&l| w.consec_aborts[l]) {
-                    let tid = ctx.id().thread_id(l) + 1;
-                    let old = ctx.atomic_cas_one(l, self.fallback_lock, 0, tid).await;
-                    if old == 0 {
-                        self.inner.stats().borrow_mut().escalations += 1;
-                        self.trace.emit(ctx, TxEventKind::Escalate { tid: tid - 1 });
-                    }
-                }
-            }
-        }
-
-        // Decorrelate lockstep retries with bounded randomized backoff.
-        if aborted.any() {
-            let span = self.backoff_span(worst);
-            self.trace.emit(ctx, TxEventKind::Backoff { cycles: span });
-            ctx.idle(span).await;
-        }
-        committed
-    }
-
-    fn opaque(&self, w: &WarpTx) -> LaneMask {
-        self.inner.opaque(w)
-    }
-
-    fn abort_storm(&self) -> bool {
-        self.inner.abort_storm()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Stm;
     use crate::api::{lane_addrs, lane_vals};
     use crate::config::StmConfig;
+    use crate::pipeline::{Pipeline, Policies};
     use crate::shared::StmShared;
     use crate::variants::LockStm;
-    use gpu_sim::{LaunchConfig, Sim, SimConfig};
+    use gpu_sim::{LaunchConfig, SimConfig};
+
+    fn robust(
+        sim: &mut Sim,
+        inner: LockStm,
+        cfg: StmConfig,
+        robust_cfg: RobustConfig,
+    ) -> Result<Pipeline<LockStm>, SimError> {
+        let policies = Policies { escalation: Some(robust_cfg), ..Policies::default() };
+        Pipeline::new(sim, inner, &cfg, policies)
+    }
 
     #[test]
     fn default_config_is_valid() {
@@ -355,8 +262,7 @@ mod tests {
         let shared = StmShared::init(&mut sim, &cfg).unwrap();
         let inner = LockStm::hv_sorting(shared, cfg);
         let bad = RobustConfig { fallback_after: 0, ..RobustConfig::default() };
-        let err = Robust::init(&mut sim, inner, bad).unwrap_err();
-        assert!(matches!(err, SimError::BadLaunch(_)));
+        assert!(matches!(robust(&mut sim, inner, cfg, bad), Err(SimError::BadLaunch(_))));
     }
 
     #[test]
@@ -379,7 +285,7 @@ mod tests {
         let shared = StmShared::init(&mut sim, &cfg).unwrap();
         let counters = sim.alloc(n_counters).unwrap();
         let stm =
-            Rc::new(Robust::init(&mut sim, LockStm::hv_sorting(shared, cfg), robust_cfg).unwrap());
+            Rc::new(robust(&mut sim, LockStm::hv_sorting(shared, cfg), cfg, robust_cfg).unwrap());
         let kstm = Rc::clone(&stm);
         sim.launch(grid, move |ctx| {
             let stm = Rc::clone(&kstm);
@@ -436,8 +342,8 @@ mod tests {
         let shared = StmShared::init(&mut sim, &stm_cfg).unwrap();
         let counters = sim.alloc(2).unwrap();
         let stm =
-            Rc::new(Robust::init(&mut sim, LockStm::hv_sorting(shared, stm_cfg), cfg).unwrap());
-        let lock_addr = stm.fallback_lock_addr();
+            Rc::new(robust(&mut sim, LockStm::hv_sorting(shared, stm_cfg), stm_cfg, cfg).unwrap());
+        let lock_addr = stm.fallback_lock_addr().expect("escalation is on");
         let kstm = Rc::clone(&stm);
         sim.launch(LaunchConfig::new(2, 64), move |ctx| {
             let stm = Rc::clone(&kstm);
@@ -498,7 +404,7 @@ mod tests {
         // target: in lockstep this mutually aborts forever (the
         // `write_only_locking_starves_on_cross_readwrite` integration
         // test proves the bare runtime hits the progress watchdog).
-        // Robust's randomized backoff + serialized fallback must turn
+        // The escalation policy's randomized backoff + serialized fallback must turn
         // that unbounded starvation into completion.
         let mut simcfg = SimConfig::with_memory(1 << 16);
         simcfg.watchdog_cycles = 1 << 33;
@@ -509,7 +415,7 @@ mod tests {
         let data = sim.alloc(2).unwrap();
         let robust_cfg = RobustConfig { fallback_after: 3, ..RobustConfig::default() };
         let stm =
-            Rc::new(Robust::init(&mut sim, LockStm::hv_sorting(shared, cfg), robust_cfg).unwrap());
+            Rc::new(robust(&mut sim, LockStm::hv_sorting(shared, cfg), cfg, robust_cfg).unwrap());
         let kstm = Rc::clone(&stm);
         sim.launch(LaunchConfig::new(1, 32), move |ctx| {
             let stm = Rc::clone(&kstm);
@@ -533,7 +439,7 @@ mod tests {
             }
         })
         .unwrap();
-        assert_eq!(sim.read(stm.fallback_lock_addr()), 0);
+        assert_eq!(sim.read(stm.fallback_lock_addr().expect("escalation is on")), 0);
         let handle = stm.stats();
         let stats = handle.borrow();
         assert_eq!(stats.commits, 2, "both cross transactions must land");

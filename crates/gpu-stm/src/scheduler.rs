@@ -5,7 +5,7 @@
 //! that dynamically adjusts concurrency would simplify the optimization
 //! of GPU-STM programs."*
 //!
-//! [`Scheduled`] wraps any [`Stm`] runtime and throttles how many
+//! The admission policy of a [`Pipeline`] throttles how many
 //! transactions may be in flight at once. Admission happens in `begin`
 //! (lanes beyond the current limit are refused and retry later — the
 //! kernel's pending-mask loop already handles that); the limit adapts by
@@ -13,14 +13,10 @@
 //! over a sliding window. High-conflict workloads such as k-means collapse
 //! to a small concurrency where they stop thrashing; low-conflict
 //! workloads ramp to full parallelism.
+//!
+//! [`Pipeline`]: crate::Pipeline
 
-use crate::api::Stm;
-use crate::stats::StatsHandle;
-use crate::trace::{TxEventKind, TxTrace, TxTraceSink};
-use crate::warptx::WarpTx;
-use gpu_sim::{LaneAddrs, LaneMask, LaneVals, WarpCtx};
-use std::cell::RefCell;
-use std::rc::Rc;
+use gpu_sim::LaneMask;
 
 /// Tuning knobs for the adaptive scheduler.
 #[derive(Copy, Clone, Debug)]
@@ -96,24 +92,56 @@ impl SchedulerConfig {
     }
 }
 
+/// The admission policy's host state: the AIMD concurrency limit and
+/// the window it adapts over. [`Pipeline`](crate::Pipeline) admits in
+/// `begin` and records each resolved attempt in `commit`.
 #[derive(Debug)]
-struct SchedState {
+pub(crate) struct SchedState {
     cfg: SchedulerConfig,
     limit: u32,
-    in_flight: u32,
+    pub(crate) in_flight: u32,
     window_commits: u64,
     window_aborts: u64,
     adaptations: u64,
     /// Set while the last completed window's abort rate exceeded the
-    /// high-water mark — the abort-storm signal `Stm::abort_storm`
-    /// surfaces to the `Robust` degradation layer.
-    storm: bool,
+    /// high-water mark — the abort-storm signal escalation's backoff
+    /// jumps to its cap on.
+    pub(crate) storm: bool,
 }
 
 impl SchedState {
+    /// Fresh state for a configuration that passed
+    /// [`SchedulerConfig::validate`].
+    pub(crate) fn new(cfg: SchedulerConfig) -> Self {
+        SchedState {
+            limit: cfg.initial_limit.clamp(cfg.min_limit, cfg.max_limit),
+            cfg,
+            in_flight: 0,
+            window_commits: 0,
+            window_aborts: 0,
+            adaptations: 0,
+            storm: false,
+        }
+    }
+
+    /// Admission control: takes as many lanes of `want` as the limit
+    /// allows and counts them in flight.
+    pub(crate) fn admit(&mut self, want: LaneMask) -> LaneMask {
+        let slots = self.limit.saturating_sub(self.in_flight);
+        if slots == 0 {
+            return LaneMask::EMPTY;
+        }
+        let mut granted = LaneMask::EMPTY;
+        for l in want.iter().take(slots as usize) {
+            granted |= LaneMask::lane(l);
+        }
+        self.in_flight += granted.count();
+        granted
+    }
+
     /// Folds one resolved attempt into the window; at a window boundary
     /// the AIMD step runs and the new limit is returned when it changed.
-    fn record(&mut self, committed: u32, aborted: u32) -> Option<u32> {
+    pub(crate) fn record(&mut self, committed: u32, aborted: u32) -> Option<u32> {
         self.window_commits += committed as u64;
         self.window_aborts += aborted as u64;
         let total = self.window_commits + self.window_aborts;
@@ -139,109 +167,36 @@ impl SchedState {
         }
         changed
     }
-}
 
-/// Wraps an STM runtime with adaptive concurrency control.
-///
-/// The wrapper is transparent to kernels: refused lanes simply see an
-/// empty mask from `begin` and retry, exactly like a contended CGL/EGPGV
-/// admission.
-#[derive(Clone)]
-pub struct Scheduled<S> {
-    inner: S,
-    state: Rc<RefCell<SchedState>>,
-    trace: TxTrace,
-}
-
-impl<S: std::fmt::Debug> std::fmt::Debug for Scheduled<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Scheduled").field("inner", &self.inner).finish_non_exhaustive()
-    }
-}
-
-impl<S: Stm> Scheduled<S> {
-    /// Wraps `inner` with the given scheduler configuration.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration fails [`SchedulerConfig::validate`]
-    /// (for fallible construction, validate first).
-    pub fn new(inner: S, cfg: SchedulerConfig) -> Self {
-        if let Err(e) = cfg.validate() {
-            panic!("invalid SchedulerConfig: {e}");
-        }
-        let state = SchedState {
-            limit: cfg.initial_limit.clamp(cfg.min_limit, cfg.max_limit),
-            cfg,
-            in_flight: 0,
-            window_commits: 0,
-            window_aborts: 0,
-            adaptations: 0,
-            storm: false,
-        };
-        Scheduled { inner, state: Rc::new(RefCell::new(state)), trace: TxTrace::off() }
-    }
-
-    /// Wraps `inner` with default tuning.
-    pub fn with_defaults(inner: S) -> Self {
-        Scheduled::new(inner, SchedulerConfig::default())
-    }
-
-    /// Attaches a transaction-lifecycle trace sink: the wrapper emits
-    /// [`TxEventKind::Throttle`] whenever an adaptation window changes the
-    /// concurrency limit. (Attach the same sink to the inner runtime for
-    /// its lifecycle events.)
-    pub fn with_trace(mut self, sink: TxTraceSink) -> Self {
-        self.trace = TxTrace::to(sink);
-        self
-    }
-
-    /// Current concurrency limit (for tests and reporting).
-    pub fn current_limit(&self) -> u32 {
-        self.state.borrow().limit
-    }
-
-    /// Number of completed adaptation windows.
-    pub fn adaptations(&self) -> u64 {
-        self.state.borrow().adaptations
-    }
-
-    /// The wrapped runtime.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-
-    /// Captures the adaptive-control state (limit, in-flight count,
-    /// window counters, storm flag) for crash-recovery snapshots. The
-    /// AIMD loop is deterministic, so restoring this alongside the
-    /// device state reproduces subsequent admission decisions exactly.
-    pub fn checkpoint(&self) -> SchedulerCheckpoint {
-        let st = self.state.borrow();
+    /// The adaptive-control state (limit, in-flight count, window
+    /// counters, storm flag) for crash-recovery snapshots. The AIMD loop
+    /// is deterministic, so restoring this alongside the device state
+    /// reproduces subsequent admission decisions exactly.
+    pub(crate) fn checkpoint(&self) -> SchedulerCheckpoint {
         SchedulerCheckpoint {
-            limit: st.limit,
-            in_flight: st.in_flight,
-            window_commits: st.window_commits,
-            window_aborts: st.window_aborts,
-            adaptations: st.adaptations,
-            storm: st.storm,
+            limit: self.limit,
+            in_flight: self.in_flight,
+            window_commits: self.window_commits,
+            window_aborts: self.window_aborts,
+            adaptations: self.adaptations,
+            storm: self.storm,
         }
     }
 
     /// Restores state captured by [`checkpoint`](Self::checkpoint). The
-    /// scheduler configuration is not part of the checkpoint; the caller
-    /// must rebuild the wrapper with the same [`SchedulerConfig`].
-    pub fn restore_checkpoint(&self, ck: &SchedulerCheckpoint) {
-        let mut st = self.state.borrow_mut();
-        st.limit = ck.limit;
-        st.in_flight = ck.in_flight;
-        st.window_commits = ck.window_commits;
-        st.window_aborts = ck.window_aborts;
-        st.adaptations = ck.adaptations;
-        st.storm = ck.storm;
+    /// configuration is not part of the checkpoint.
+    pub(crate) fn restore(&mut self, ck: &SchedulerCheckpoint) {
+        self.limit = ck.limit;
+        self.in_flight = ck.in_flight;
+        self.window_commits = ck.window_commits;
+        self.window_aborts = ck.window_aborts;
+        self.adaptations = ck.adaptations;
+        self.storm = ck.storm;
     }
 }
 
-/// Serializable adaptive-scheduler state (see [`Scheduled::checkpoint`]).
+/// Serializable adaptive-scheduler state (see
+/// [`Pipeline::checkpoint`](crate::Pipeline::checkpoint)).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct SchedulerCheckpoint {
     /// Current concurrency limit.
@@ -258,99 +213,26 @@ pub struct SchedulerCheckpoint {
     pub storm: bool,
 }
 
-impl<S: Stm> Stm for Scheduled<S> {
-    fn name(&self) -> &'static str {
-        "Scheduled"
-    }
-
-    fn new_warp(&self) -> WarpTx {
-        self.inner.new_warp()
-    }
-
-    fn stats(&self) -> StatsHandle {
-        self.inner.stats()
-    }
-
-    async fn begin(&self, w: &mut WarpTx, ctx: &WarpCtx, want: LaneMask) -> LaneMask {
-        // Admission control: take as many lanes as the limit allows.
-        let granted = {
-            let mut st = self.state.borrow_mut();
-            let slots = st.limit.saturating_sub(st.in_flight);
-            if slots == 0 {
-                LaneMask::EMPTY
-            } else {
-                let mut granted = LaneMask::EMPTY;
-                for l in want.iter().take(slots as usize) {
-                    granted |= LaneMask::lane(l);
-                }
-                st.in_flight += granted.count();
-                granted
-            }
-        };
-        if granted.none() {
-            // Refused: idle briefly so retries don't spin hot.
-            ctx.idle(200).await;
-            return LaneMask::EMPTY;
-        }
-        let admitted = self.inner.begin(w, ctx, granted).await;
-        // If the inner runtime admitted fewer lanes, return the slots.
-        let refused = granted & !admitted;
-        if refused.any() {
-            self.state.borrow_mut().in_flight -= refused.count();
-        }
-        admitted
-    }
-
-    async fn read(
-        &self,
-        w: &mut WarpTx,
-        ctx: &WarpCtx,
-        mask: LaneMask,
-        addrs: &LaneAddrs,
-    ) -> LaneVals {
-        self.inner.read(w, ctx, mask, addrs).await
-    }
-
-    async fn write(
-        &self,
-        w: &mut WarpTx,
-        ctx: &WarpCtx,
-        mask: LaneMask,
-        addrs: &LaneAddrs,
-        vals: &LaneVals,
-    ) {
-        self.inner.write(w, ctx, mask, addrs, vals).await
-    }
-
-    async fn commit(&self, w: &mut WarpTx, ctx: &WarpCtx, mask: LaneMask) -> LaneMask {
-        let committed = self.inner.commit(w, ctx, mask).await;
-        let changed = {
-            let mut st = self.state.borrow_mut();
-            st.in_flight = st.in_flight.saturating_sub(mask.count());
-            st.record(committed.count(), (mask & !committed).count())
-        };
-        if let Some(limit) = changed {
-            self.trace.emit(ctx, TxEventKind::Throttle { limit });
-        }
-        committed
-    }
-
-    fn opaque(&self, w: &WarpTx) -> LaneMask {
-        self.inner.opaque(w)
-    }
-
-    fn abort_storm(&self) -> bool {
-        self.state.borrow().storm
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::Stm;
     use crate::config::StmConfig;
+    use crate::pipeline::{Pipeline, Policies};
     use crate::shared::StmShared;
     use crate::variants::LockStm;
-    use gpu_sim::{LaunchConfig, Sim, SimConfig};
+    use gpu_sim::{LaunchConfig, Sim, SimConfig, SimError};
+    use std::rc::Rc;
+
+    fn scheduled(
+        sim: &mut Sim,
+        inner: LockStm,
+        cfg: StmConfig,
+        sched: SchedulerConfig,
+    ) -> Pipeline<LockStm> {
+        let policies = Policies { admission: Some(sched), ..Policies::default() };
+        Pipeline::new(sim, inner, &cfg, policies).unwrap()
+    }
 
     fn setup(locks: u32) -> (Sim, StmShared, StmConfig) {
         let mut simcfg = SimConfig::with_memory(1 << 18);
@@ -368,10 +250,10 @@ mod tests {
         n_counters: u32,
         grid: LaunchConfig,
         incr: u32,
-    ) -> (Rc<Scheduled<LockStm>>, u64, u64) {
+    ) -> (SchedulerCheckpoint, u64, u64) {
         let (mut sim, shared, cfg) = setup(1 << 6);
         let counters = sim.alloc(n_counters).unwrap();
-        let stm = Rc::new(Scheduled::new(LockStm::hv_sorting(shared, cfg), sched_cfg));
+        let stm = Rc::new(scheduled(&mut sim, LockStm::hv_sorting(shared, cfg), cfg, sched_cfg));
         let kstm = Rc::clone(&stm);
         sim.launch(grid, move |ctx| {
             let stm = Rc::clone(&kstm);
@@ -405,7 +287,7 @@ mod tests {
         .unwrap();
         let total = sim.read_slice(counters, n_counters).iter().map(|v| *v as u64).sum();
         let expected = grid.total_threads() * incr as u64;
-        (stm, total, expected)
+        (stm.checkpoint().expect("admission is on"), total, expected)
     }
 
     #[test]
@@ -421,12 +303,8 @@ mod tests {
         // 2 counters, 256 threads: extreme conflict.
         let (stm, total, expected) = run_contended(cfg, 2, LaunchConfig::new(4, 64), 4);
         assert_eq!(total, expected);
-        assert!(stm.adaptations() > 0, "windows must have completed");
-        assert!(
-            stm.current_limit() < 256,
-            "limit should shrink under conflict, is {}",
-            stm.current_limit()
-        );
+        assert!(stm.adaptations > 0, "windows must have completed");
+        assert!(stm.limit < 256, "limit should shrink under conflict, is {}", stm.limit);
     }
 
     #[test]
@@ -435,11 +313,7 @@ mod tests {
         // Many counters, few threads: nearly conflict-free.
         let (stm, total, expected) = run_contended(cfg, 4096, LaunchConfig::new(4, 64), 4);
         assert_eq!(total, expected);
-        assert!(
-            stm.current_limit() > 16,
-            "limit should grow when aborts are rare, is {}",
-            stm.current_limit()
-        );
+        assert!(stm.limit > 16, "limit should grow when aborts are rare, is {}", stm.limit);
     }
 
     #[test]
@@ -463,29 +337,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid SchedulerConfig")]
     fn inverted_watermarks_rejected_at_construction() {
-        let (_, shared, cfg) = setup(1 << 6);
+        let (mut sim, shared, cfg) = setup(1 << 6);
         let bad = SchedulerConfig { low_water: 0.9, high_water: 0.2, ..SchedulerConfig::default() };
-        let _ = Scheduled::new(LockStm::hv_sorting(shared, cfg), bad);
+        let policies = Policies { admission: Some(bad), ..Policies::default() };
+        let built = Pipeline::new(&mut sim, LockStm::hv_sorting(shared, cfg), &cfg, policies);
+        assert!(matches!(built, Err(SimError::BadLaunch(e)) if e.contains("low_water")));
     }
 
     #[test]
     fn initial_limit_is_clamped_into_bounds() {
-        let (_, shared, cfg) = setup(1 << 6);
+        let limit = |sched| {
+            let (mut sim, shared, cfg) = setup(1 << 6);
+            let stm = scheduled(&mut sim, LockStm::hv_sorting(shared, cfg), cfg, sched);
+            stm.checkpoint().expect("admission is on").limit
+        };
         let sched = SchedulerConfig {
             initial_limit: 1 << 30,
             max_limit: 128,
             ..SchedulerConfig::default()
         };
-        let stm = Scheduled::new(LockStm::hv_sorting(shared, cfg), sched);
-        assert_eq!(stm.current_limit(), 128);
+        assert_eq!(limit(sched), 128);
 
-        let (_, shared, cfg) = setup(1 << 6);
         let sched =
             SchedulerConfig { initial_limit: 1, min_limit: 16, ..SchedulerConfig::default() };
-        let stm = Scheduled::new(LockStm::hv_sorting(shared, cfg), sched);
-        assert_eq!(stm.current_limit(), 16);
+        assert_eq!(limit(sched), 16);
     }
 
     /// Drives `SchedState::record` directly to pin the window-boundary
@@ -494,15 +370,7 @@ mod tests {
     #[test]
     fn adaptation_fires_exactly_at_window_boundary() {
         let cfg = SchedulerConfig { window: 10, ..SchedulerConfig::default() };
-        let mut st = SchedState {
-            limit: 64,
-            cfg,
-            in_flight: 0,
-            window_commits: 0,
-            window_aborts: 0,
-            adaptations: 0,
-            storm: false,
-        };
+        let mut st = SchedState { limit: 64, ..SchedState::new(cfg) };
         st.record(9, 0); // one short of the window
         assert_eq!(st.adaptations, 0);
         assert_eq!(st.limit, 64, "no adaptation before the boundary");
@@ -523,15 +391,7 @@ mod tests {
             window: 4,
             ..SchedulerConfig::default()
         };
-        let mut st = SchedState {
-            limit: 8,
-            cfg,
-            in_flight: 0,
-            window_commits: 0,
-            window_aborts: 0,
-            adaptations: 0,
-            storm: false,
-        };
+        let mut st = SchedState { limit: 8, ..SchedState::new(cfg) };
         // All-abort windows: halving must not go below min_limit, and the
         // storm flag must latch on.
         st.record(0, 4);
@@ -555,6 +415,6 @@ mod tests {
         };
         let (stm, total, expected) = run_contended(cfg, 1, LaunchConfig::new(4, 64), 2);
         assert_eq!(total, expected);
-        assert!(stm.current_limit() >= 8);
+        assert!(stm.limit >= 8);
     }
 }

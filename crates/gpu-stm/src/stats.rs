@@ -222,7 +222,7 @@ pub struct TxStats {
     /// (`writes_committed / commits` = the paper's WR/TX).
     pub writes_committed: u64,
     /// Longest run of consecutive aborts any single transaction suffered
-    /// (starvation measure, tracked by the `Robust` wrapper).
+    /// (starvation measure, tracked by the escalation policy).
     pub max_consec_aborts: u64,
     /// Times a starving transaction escalated to the serialized
     /// fallback-lock commit path.

@@ -3,8 +3,8 @@
 //! The STM side of the telemetry layer (DESIGN.md §10). Every variant
 //! emits cycle-timestamped [`TxEvent`]s — begin / read / write / validate
 //! / lock / conflict / abort-with-[`AbortCause`] / commit — and the
-//! [`Robust`](crate::Robust) and [`Scheduled`](crate::Scheduled) wrappers
-//! add escalation, backoff and concurrency-throttle events. Emission
+//! policies of a [`Pipeline`](crate::Pipeline) add escalation, backoff,
+//! concurrency-throttle and park/wake events. Emission
 //! follows the simulator's tracing contract ([`gpu_sim::trace`]): pure
 //! observation, zero cycles charged, no-op when no sink is attached.
 //!
@@ -98,12 +98,12 @@ pub enum TxEventKind {
         /// Global thread id of the escalating lane.
         tid: u32,
     },
-    /// The `Robust` wrapper charged an abort-backoff delay.
+    /// The escalation policy charged an abort-backoff delay.
     Backoff {
         /// Length of the backoff span in cycles.
         cycles: u64,
     },
-    /// The AIMD scheduler changed its warp-concurrency limit.
+    /// The admission policy changed its AIMD concurrency limit.
     Throttle {
         /// The new limit (warps allowed to run transactions).
         limit: u32,

@@ -36,13 +36,13 @@ pub struct WarpTx {
     /// Per-lane count of *consecutive* aborted attempts of the current
     /// logical transaction. Deliberately **not** cleared by
     /// [`reset_lane`](Self::reset_lane) — an abort resets the lane for
-    /// its retry, and the streak must survive that. The
-    /// [`Robust`](crate::Robust) wrapper maintains it (zeroing on commit)
+    /// its retry, and the streak must survive that. The escalation policy
+    /// of a [`Pipeline`](crate::Pipeline) maintains it (zeroing on commit)
     /// and escalates starving lanes to the serialized fallback path.
     pub consec_aborts: [u32; WARP_SIZE],
     /// Lanes that called `retry()` this attempt: instead of committing,
     /// they want to block until an address of their read-set is
-    /// overwritten (see [`Blocking`](crate::park::Blocking)). Cleared by
+    /// overwritten (see [`Pipeline::retry`](crate::Pipeline::retry)). Cleared by
     /// [`reset_lane`](Self::reset_lane) and consumed by
     /// `commit_or_park` / `or_else`.
     pub retrying: LaneMask,

@@ -5,7 +5,10 @@
 //! transactions each lane commits.
 
 use gpu_sim::{Addr, LaunchConfig, Sim, SimConfig, WarpCtx, WARP_SIZE};
-use gpu_stm::{lane_addrs, lane_vals, EgpgvStm, LockStm, NorecStm, Stm, StmConfig, StmShared};
+use gpu_stm::{
+    lane_addrs, lane_vals, EgpgvStm, LockStm, NorecStm, Pipeline, Policies, RobustConfig,
+    SchedulerConfig, Stm, StmConfig, StmShared,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::rc::Rc;
@@ -125,4 +128,18 @@ fn steady_state_transactions_do_not_allocate() {
     check(|_, shared, cfg| LockStm::hv_backoff(shared, cfg));
     check(|sim, shared, cfg| EgpgvStm::init(sim, shared, cfg).unwrap());
     check(|_, shared, cfg| NorecStm::new(shared, cfg));
+}
+
+/// The STM every `tm-serve` request runs through in its fullest preset:
+/// admission and escalation around STM-HV-Sorting.
+#[test]
+fn serve_pipeline_does_not_allocate() {
+    check(|sim, shared, cfg| {
+        let policies = Policies {
+            admission: Some(SchedulerConfig::default()),
+            escalation: Some(RobustConfig::default()),
+            ..Policies::default()
+        };
+        Pipeline::new(sim, LockStm::hv_sorting(shared, cfg), &cfg, policies).unwrap()
+    });
 }

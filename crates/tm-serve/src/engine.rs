@@ -17,14 +17,16 @@
 use crate::crash::{CrashPoint, ResolvedCrash};
 use crate::error::ServeError;
 use crate::route::route;
-use crate::stm::{build_stm, EngineMode, EngineStm};
+use crate::stm::{build_stm, EngineMode};
 use crate::wal::{BatchSeal, Snapshot, StoreHandle, TaggedCommit, WalRecord, WalWriter};
 use gpu_sim::rng::Fnv;
 use gpu_sim::{Addr, LaunchConfig, Sim, SimConfig, SimStats, WARP_SIZE};
-use gpu_stm::{lane_addrs, recorder_with_hook, CommittedTx, Recorder, Stm, StmConfig, TxStats};
+use gpu_stm::{
+    lane_addrs, recorder_with_hook, CommittedTx, Pipeline, Recorder, Stm, StmConfig, TxStats,
+};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use workloads::{mix64, Variant};
+use workloads::{mix64, AnyStm, Variant};
 
 /// The TXL program served for `TxlBump` requests: a compiled
 /// `atomic{}` read-modify-write on one counter cell. Public so
@@ -285,7 +287,7 @@ fn fold_commit(h: &mut Fnv, req: u64, tx: &CommittedTx) {
 pub(crate) struct ShardEngine {
     cfg: EngineConfig,
     sim: Sim,
-    stm: Rc<EngineStm>,
+    stm: Rc<Pipeline<AnyStm>>,
     recorder: Recorder,
     /// Slot → request id for the launch in flight (read by the hook).
     tid_map: Rc<RefCell<Vec<u64>>>,
@@ -794,8 +796,8 @@ impl ShardEngine {
             seq,
             sim: self.sim.checkpoint(),
             tx: self.stm.stats().borrow().clone(),
-            sched: self.stm.sched().map(|s| s.checkpoint()),
-            robust_rng: self.stm.robust().map(|r| r.rng_state()),
+            sched: self.stm.checkpoint(),
+            robust_rng: self.stm.rng_state(),
             aborts: history.aborts,
             commits: history.commits.len() as u64,
             log_fnv_state: dur.log_fnv_state,
@@ -827,10 +829,10 @@ impl ShardEngine {
         {
             return Err(fail("simulator image does not fit this engine's configuration"));
         }
-        if snap.sched.is_some() != self.stm.sched().is_some()
-            || snap.robust_rng.is_some() != self.stm.robust().is_some()
+        if snap.sched.is_some() != self.stm.checkpoint().is_some()
+            || snap.robust_rng.is_some() != self.stm.rng_state().is_some()
         {
-            return Err(fail("wrapper state does not match this engine's mode"));
+            return Err(fail("policy state does not match this engine's mode"));
         }
         if snap.commits != history.len() as u64 {
             return Err(fail("commit count disagrees with the history blob"));
@@ -839,11 +841,11 @@ impl ShardEngine {
 
         self.sim.restore_checkpoint(&snap.sim);
         *self.stm.stats().borrow_mut() = snap.tx;
-        if let (Some(sched), Some(sc)) = (self.stm.sched(), snap.sched.as_ref()) {
-            sched.restore_checkpoint(sc);
+        if let Some(sc) = &snap.sched {
+            self.stm.restore_checkpoint(sc);
         }
-        if let (Some(robust), Some(rng)) = (self.stm.robust(), snap.robust_rng) {
-            robust.restore_rng_state(rng);
+        if let Some(rng) = snap.robust_rng {
+            self.stm.restore_rng_state(rng);
         }
         let commits = history.len();
         let (reqs, txs) = history.into_iter().unzip();

@@ -16,7 +16,7 @@
 //!    abort permille). Exposed as JSON (via
 //!    [`JsonWriter`](gpu_sim::json::JsonWriter)) and Prometheus text.
 //! 2. **Health + incidents** — a per-shard state machine
-//!    ([`HealthState`]) driven by `Stm::abort_storm` with hysteresis,
+//!    ([`HealthState`]) driven by `Pipeline::abort_storm` with hysteresis,
 //!    crash-recovery windows, replica divergence and tm-check violations.
 //!    Transitions produce structured [`Incident`] records with evidence
 //!    FNV fingerprints.

@@ -2,27 +2,26 @@
 //!
 //! A serving shard holds its STM for its whole lifetime across many
 //! batch launches, so it keeps the variant as the run-time-chosen
-//! [`AnyStm`] (the trait has `async fn`s, so there is no `dyn Stm`) and
-//! wraps it per [`EngineMode`] in [`EngineStm`].
+//! [`AnyStm`] (the trait has `async fn`s, so there is no `dyn Stm`) in a
+//! [`Pipeline`] whose [`Policies`] are the [`EngineMode`]'s preset.
 
 use crate::error::ServeError;
-use gpu_sim::{LaneAddrs, LaneMask, LaneVals, LaunchConfig, Sim, WarpCtx};
+use gpu_sim::{LaunchConfig, Sim};
 use gpu_stm::{
-    Recorder, Robust, Scheduled, StatsHandle, Stm, StmConfig, TxTraceSink, Variant, WarpTx,
+    Pipeline, Policies, Recorder, RobustConfig, SchedulerConfig, StmConfig, TxTraceSink, Variant,
 };
-use std::rc::Rc;
 use workloads::{AnyStm, RunError};
 
-/// How the base variant is wrapped for serving.
+/// Which [`Policies`] preset the shard's STM runs.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub enum EngineMode {
     /// The bare variant.
     Plain,
-    /// Wrapped in the AIMD [`Scheduled`] concurrency limiter — the
-    /// default, because its abort-storm signal also feeds the service's
-    /// retry-after hints.
+    /// AIMD admission — the default, because its abort-storm signal also
+    /// feeds the service's retry-after hints.
     Scheduled,
-    /// [`Robust`] serialization fallback over the scheduled variant.
+    /// AIMD admission plus escalation (backoff and the serialization
+    /// fallback).
     Robust,
 }
 
@@ -45,101 +44,25 @@ impl EngineMode {
             EngineMode::Robust => "robust",
         }
     }
-}
 
-/// The shard's STM: a base variant, optionally wrapped.
-pub(crate) enum EngineStm {
-    Base(AnyStm),
-    Scheduled(Scheduled<AnyStm>),
-    Robust(Robust<Scheduled<AnyStm>>),
-}
-
-macro_rules! engine_delegate {
-    ($self:ident, $s:ident => $body:expr) => {
-        match $self {
-            EngineStm::Base($s) => $body,
-            EngineStm::Scheduled($s) => $body,
-            EngineStm::Robust($s) => $body,
-        }
-    };
-}
-
-impl EngineStm {
-    /// The [`Scheduled`] wrapper, when one is in the stack (directly or
-    /// under [`Robust`]) — its adaptive-control state is part of engine
-    /// snapshots.
-    pub(crate) fn sched(&self) -> Option<&Scheduled<AnyStm>> {
+    /// The mode's [`Policies`] preset, every policy at its default tuning.
+    pub fn policies(self) -> Policies {
+        let admission = Some(SchedulerConfig::default());
         match self {
-            EngineStm::Base(_) => None,
-            EngineStm::Scheduled(s) => Some(s),
-            EngineStm::Robust(r) => Some(r.inner()),
+            EngineMode::Plain => Policies::default(),
+            EngineMode::Scheduled => Policies { admission, ..Policies::default() },
+            EngineMode::Robust => Policies {
+                admission,
+                escalation: Some(RobustConfig::default()),
+                ..Policies::default()
+            },
         }
-    }
-
-    /// The [`Robust`] wrapper, when the stack has one — its backoff RNG
-    /// is part of engine snapshots.
-    pub(crate) fn robust(&self) -> Option<&Robust<Scheduled<AnyStm>>> {
-        match self {
-            EngineStm::Robust(r) => Some(r),
-            _ => None,
-        }
-    }
-}
-
-impl Stm for EngineStm {
-    fn name(&self) -> &'static str {
-        engine_delegate!(self, s => s.name())
-    }
-
-    fn new_warp(&self) -> WarpTx {
-        engine_delegate!(self, s => s.new_warp())
-    }
-
-    fn stats(&self) -> StatsHandle {
-        engine_delegate!(self, s => s.stats())
-    }
-
-    async fn begin(&self, w: &mut WarpTx, ctx: &WarpCtx, want: LaneMask) -> LaneMask {
-        engine_delegate!(self, s => s.begin(w, ctx, want).await)
-    }
-
-    async fn read(
-        &self,
-        w: &mut WarpTx,
-        ctx: &WarpCtx,
-        mask: LaneMask,
-        addrs: &LaneAddrs,
-    ) -> LaneVals {
-        engine_delegate!(self, s => s.read(w, ctx, mask, addrs).await)
-    }
-
-    async fn write(
-        &self,
-        w: &mut WarpTx,
-        ctx: &WarpCtx,
-        mask: LaneMask,
-        addrs: &LaneAddrs,
-        vals: &LaneVals,
-    ) {
-        engine_delegate!(self, s => s.write(w, ctx, mask, addrs, vals).await)
-    }
-
-    async fn commit(&self, w: &mut WarpTx, ctx: &WarpCtx, mask: LaneMask) -> LaneMask {
-        engine_delegate!(self, s => s.commit(w, ctx, mask).await)
-    }
-
-    fn opaque(&self, w: &WarpTx) -> LaneMask {
-        engine_delegate!(self, s => s.opaque(w))
-    }
-
-    fn abort_storm(&self) -> bool {
-        engine_delegate!(self, s => s.abort_storm())
     }
 }
 
 /// Instantiates `variant` in `sim` ([`AnyStm::build`]) with `recorder`
-/// (and, when given, the flight-recorder `trace` tap) attached, wrapped
-/// per `mode`.
+/// (and, when given, the flight-recorder `trace` tap) attached, in a
+/// [`Pipeline`] running `mode`'s policies (the same tap traces them).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn build_stm(
     sim: &mut Sim,
@@ -150,7 +73,7 @@ pub(crate) fn build_stm(
     grid: LaunchConfig,
     recorder: Recorder,
     trace: Option<TxTraceSink>,
-) -> Result<EngineStm, ServeError> {
+) -> Result<Pipeline<AnyStm>, ServeError> {
     let err = |e: gpu_sim::SimError| ServeError::BadConfig(format!("stm init: {e}"));
     let base = AnyStm::build(
         sim,
@@ -169,23 +92,10 @@ pub(crate) fn build_stm(
             grid.blocks
         )),
     })?;
-    // Applies the optional trace tap to a wrapper.
-    macro_rules! traced {
-        ($stm:expr) => {{
-            let stm = $stm;
-            match &trace {
-                Some(t) => stm.with_trace(Rc::clone(t)),
-                None => stm,
-            }
-        }};
-    }
-    Ok(match mode {
-        EngineMode::Plain => EngineStm::Base(base),
-        EngineMode::Scheduled => EngineStm::Scheduled(traced!(Scheduled::with_defaults(base))),
-        EngineMode::Robust => {
-            let sched = traced!(Scheduled::with_defaults(base));
-            EngineStm::Robust(traced!(Robust::with_defaults(sim, sched).map_err(err)?))
-        }
+    let stm = Pipeline::new(sim, base, &stm_cfg, mode.policies()).map_err(err)?;
+    Ok(match trace {
+        Some(t) => stm.with_trace(t),
+        None => stm,
     })
 }
 

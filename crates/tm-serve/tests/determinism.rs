@@ -96,14 +96,15 @@ fn robust_mode_is_equally_deterministic() {
     assert!(a.conserved);
 }
 
-/// Every variant of the evaluation serves through the engine, bare and
-/// under the AIMD scheduler: a saturating closed batch drains, conserves
-/// money, passes the opacity checker and reports the same bytes at 1 and
-/// 2 workers.
+/// Every variant of the evaluation serves through the engine under every
+/// policy preset (bare, AIMD admission, admission plus escalation): a
+/// saturating closed batch drains, conserves money, passes the opacity
+/// checker, names the variant in every shard report and reports the same
+/// bytes at 1 and 2 workers.
 #[test]
 fn every_variant_serves_deterministically() {
     for variant in Variant::ALL {
-        for mode in [EngineMode::Plain, EngineMode::Scheduled] {
+        for mode in [EngineMode::Plain, EngineMode::Scheduled, EngineMode::Robust] {
             let make = |workers| {
                 let cfg = ServeConfig {
                     workers,
@@ -121,6 +122,9 @@ fn every_variant_serves_deterministically() {
             assert_eq!(a.completed, a.admitted, "{what}: drain lost or duplicated requests");
             assert!(a.conserved, "{what}: bank conservation");
             assert_eq!(a.violations_total, 0, "{what}: tm-check violations");
+            for s in &a.shard_reports {
+                assert_eq!(s.stm_name, variant.label(), "{what}: shard {} report", s.shard);
+            }
             assert_eq!(a.to_json(), b.to_json(), "{what}: JSON diverged across worker counts");
         }
     }

@@ -17,9 +17,10 @@
 //!   explorer demote all data traffic to invisible.
 //! - **queue** — the blocking-transactions wakeup litmus: one producer
 //!   feeds a counter that consumers drain with `retry()`/`or_else`
-//!   blocking ([`gpu_stm::Blocking`]). Explored schedules cover
-//!   park/commit races, wake-before-park, and multi-waiter single-wake;
-//!   a lost wakeup surfaces as an all-parked deadlock.
+//!   blocking (a [`gpu_stm::Pipeline`] with [`gpu_stm::Wake::Park`]).
+//!   Explored schedules cover park/commit races, wake-before-park, and
+//!   multi-waiter single-wake; a lost wakeup surfaces as an all-parked
+//!   deadlock.
 
 use crate::controller::FootprintFilter;
 use crate::explore::{Fnv, ModelOutcome, ModelViolation, ViolationKind};
@@ -27,7 +28,8 @@ use gpu_sim::{
     race_sink, Addr, LaneMask, LaunchConfig, PolicyHandle, Sim, SimConfig, SimError, WarpCtx,
 };
 use gpu_stm::{
-    recorder, Blocking, BlockingMutation, LockStm, Mutation, Recorder, Stm, StmConfig, StmShared,
+    recorder, BlockingMutation, LockStm, Mutation, Pipeline, Policies, Recorder, Stm, StmConfig,
+    StmShared, Wake,
 };
 use std::rc::Rc;
 use workloads::{dispatch, RunError, StmRunner, Variant};
@@ -192,9 +194,9 @@ pub fn run_once(l: &Litmus, policy: Option<PolicyHandle>) -> ModelOutcome {
     let stm_cfg = StmConfig::new(N_LOCKS);
 
     let result: Result<(), RunError> = if l.workload == Workload::Queue {
-        // The queue litmus always builds its own Blocking<LockStm>: the
-        // wrapper needs to own the runtime (and &mut Sim for its registry
-        // anchors), which the generic dispatch cannot provide.
+        // The queue litmus always builds its own parking Pipeline<LockStm>:
+        // the pipeline needs to own the runtime (and &mut Sim for its
+        // registry anchors), which the generic dispatch cannot provide.
         run_queue_blocking(l, &mut sim, stm_cfg, rec.clone(), data, stagger)
     } else if l.mutation.any() {
         run_mutated(l, &mut sim, stm_cfg, rec.clone(), data, stagger)
@@ -367,7 +369,10 @@ fn run_queue_blocking(
         ));
     };
     let inner = inner.with_mutation(l.mutation).with_recorder(rec);
-    let stm = Blocking::new(sim, inner, &stm_cfg).map_err(RunError::Sim)?.with_mutation(l.blocking);
+    let policies = Policies { wake: Wake::Park, ..Policies::default() };
+    let stm = Pipeline::new(sim, inner, &stm_cfg, policies)
+        .map_err(RunError::Sim)?
+        .with_mutation(l.blocking);
 
     let items = l.actors().saturating_sub(1).max(1);
     let avail = data;

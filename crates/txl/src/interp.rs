@@ -262,8 +262,8 @@ fn exec_stmt<'a, S: Stm>(st: &'a mut St<S>, stmt: &'a Stmt, mask: LaneMask) -> F
                 // transaction's live set (skipping the rest of the block,
                 // like a doomed lane) and is excluded from commit so the
                 // atomic loop respins it — `retry` lowered to
-                // abort-and-respin, the same fallback the `Blocking`
-                // wrapper uses when parking is unavailable.
+                // abort-and-respin, the same fallback the wake policy
+                // of `gpu_stm::Pipeline` uses when parking is unavailable.
                 st.ctx.alu(mask).await;
                 st.retrying |= mask;
                 st.tx_live &= !mask;

@@ -77,8 +77,8 @@ pub enum Rule {
     /// TL008: a `retry` reachable without any transactional array read
     /// before it, so its read set — the wake condition's watch set — is
     /// statically empty. Nothing another commit writes can change the
-    /// lane's decision: under parking it is unwakeable (the `Blocking`
-    /// runtime falls back to abort-respin) and under abort-respin it
+    /// lane's decision: under parking it is unwakeable (the wake policy
+    /// falls back to abort-respin) and under abort-respin it
     /// spins until the watchdog fires.
     UnwakeableRetry,
 }

@@ -2,8 +2,9 @@
 //!
 //! Two condition-synchronisation shapes that plain optimistic STM handles
 //! badly (a waiter can only abort-respin, burning cycles to observe the
-//! same empty queue) and [`Blocking`] handles well (the waiter parks on
-//! its validated read set and is woken by the commit that changes it):
+//! same empty queue) and a [`Pipeline`] with [`Wake::Park`] handles well
+//! (the waiter parks on its validated read set and is woken by the commit
+//! that changes it):
 //!
 //! * **QU** — a bounded multi-producer/multi-consumer ring. Producers
 //!   block when the ring is full (watching `head`), consumers block when
@@ -13,15 +14,15 @@
 //!   deque is empty and work remains in flight.
 //!
 //! Both verify their transfer (every item delivered exactly once) and
-//! run under `park: false` as the abort-respin baseline the benches
-//! compare against — same kernels, same schedules, the waiting lanes
-//! just spin instead of descheduling.
+//! run under `park: false` ([`Wake::Respin`]) as the abort-respin
+//! baseline the benches compare against — same kernels, same schedules,
+//! the waiting lanes just spin instead of descheduling.
 
 use crate::common::{outcome, RunConfig};
 use crate::outcome::{RunError, RunOutcome};
 use crate::Variant;
 use gpu_sim::{Addr, LaneMask, LaunchConfig, Sim};
-use gpu_stm::{Blocking, LockStm, Stm, StmShared};
+use gpu_stm::{LockStm, Pipeline, Policies, Stm, StmShared, Wake};
 
 /// Bounded producer/consumer ring parameters.
 #[derive(Copy, Clone, Debug)]
@@ -67,7 +68,8 @@ impl Default for DequeParams {
     }
 }
 
-/// Builds the blocking STM for `variant`. Blocking needs to *own* its
+/// Builds the blocking STM for `variant`: parking when `park`, the
+/// abort-respin baseline otherwise. The pipeline needs to *own* its
 /// inner runtime (the registry's device anchors are allocated here), so
 /// the shapes are restricted to the fixed per-thread lock-based variants
 /// ([`LockStm::for_variant`]); the blocking baseline comparison never
@@ -76,7 +78,8 @@ fn blocking_stm(
     sim: &mut Sim,
     variant: Variant,
     cfg: &RunConfig,
-) -> Result<Blocking<LockStm>, RunError> {
+    park: bool,
+) -> Result<Pipeline<LockStm>, RunError> {
     let stm_cfg = cfg.stm;
     let shared = StmShared::init(sim, &stm_cfg)?;
     let Some(mut inner) = LockStm::for_variant(variant, shared, stm_cfg) else {
@@ -90,7 +93,8 @@ fn blocking_stm(
     if let Some(t) = cfg.trace.clone() {
         inner = inner.with_trace(t);
     }
-    let mut stm = Blocking::new(sim, inner, &stm_cfg)?;
+    let wake = if park { Wake::Park } else { Wake::Respin };
+    let mut stm = Pipeline::new(sim, inner, &stm_cfg, Policies { wake, ..Policies::default() })?;
     if let Some(t) = cfg.trace.clone() {
         stm = stm.with_trace(t);
     }
@@ -157,8 +161,7 @@ pub fn run_queue(
     }
     let mut sim = Sim::new(cfg.sim.clone());
     let ring = alloc_ring(&mut sim, p.capacity, p.items)?;
-    let stm = blocking_stm(&mut sim, variant, cfg)?;
-    let stm = if p.park { stm } else { stm.clone().without_park() };
+    let stm = blocking_stm(&mut sim, variant, cfg, p.park)?;
     let (head_a, tail_a, done_a, slots, out) =
         (ring.head, ring.tail, ring.ctrl, ring.slots, ring.out);
 
@@ -274,8 +277,7 @@ pub fn run_deque(
     let mut sim = Sim::new(cfg.sim.clone());
     let ring = alloc_ring(&mut sim, p.capacity, p.items)?;
     sim.write(ring.ctrl, p.items); // remaining
-    let stm = blocking_stm(&mut sim, variant, cfg)?;
-    let stm = if p.park { stm } else { stm.clone().without_park() };
+    let stm = blocking_stm(&mut sim, variant, cfg, p.park)?;
     let (top_a, bot_a, rem_a, slots, out) = (ring.head, ring.tail, ring.ctrl, ring.slots, ring.out);
 
     let grid = LaunchConfig::new(1, (1 + p.thieves) * 32);

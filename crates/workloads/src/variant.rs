@@ -149,10 +149,6 @@ impl Stm for AnyStm {
     fn opaque(&self, w: &WarpTx) -> LaneMask {
         each!(self, s => s.opaque(w))
     }
-
-    fn abort_storm(&self) -> bool {
-        each!(self, s => s.abort_storm())
-    }
 }
 
 /// A computation generic over the concrete STM type — the only way to pass

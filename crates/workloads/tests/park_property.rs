@@ -6,7 +6,7 @@
 //! same property lives in tm-serve's blocking report tests.
 
 use gpu_sim::{LaneMask, LaunchConfig, Sim, SimConfig, SimError};
-use gpu_stm::{Blocking, LockStm, Stm, StmConfig, StmShared};
+use gpu_stm::{LockStm, Pipeline, Policies, Stm, StmConfig, StmShared, Wake};
 use workloads::queue::{run_deque, run_queue, DequeParams, QueueParams};
 use workloads::{mix64, RunConfig, Variant};
 
@@ -91,7 +91,8 @@ fn never_woken_park_reports_deadlock_with_watched_address() {
     let cfg = StmConfig::new(1 << 8);
     let mut sim = Sim::new(SimConfig::with_memory(1 << 16));
     let shared = StmShared::init(&mut sim, &cfg).unwrap();
-    let stm = Blocking::new(&mut sim, LockStm::hv_sorting(shared, cfg), &cfg).unwrap();
+    let policies = Policies { wake: Wake::Park, ..Policies::default() };
+    let stm = Pipeline::new(&mut sim, LockStm::hv_sorting(shared, cfg), &cfg, policies).unwrap();
     let flag = sim.alloc(1).unwrap();
     let stm2 = stm.clone();
     let err = sim

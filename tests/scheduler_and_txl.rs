@@ -2,9 +2,20 @@
 //! kernels, and weak-isolation boundary behaviour.
 
 use gpu_sim::{LaunchConfig, Sim, SimConfig};
-use gpu_stm::{LockStm, Scheduled, SchedulerConfig, Stm, StmConfig, StmShared};
+use gpu_stm::{LockStm, Pipeline, Policies, SchedulerConfig, Stm, StmConfig, StmShared};
 use std::rc::Rc;
 use txl::{compile, launch, ArrayBinding};
+
+/// `inner` in a pipeline running admission alone.
+fn scheduled(
+    s: &mut Sim,
+    inner: LockStm,
+    cfg: &StmConfig,
+    sched: SchedulerConfig,
+) -> Pipeline<LockStm> {
+    let policies = Policies { admission: Some(sched), ..Policies::default() };
+    Pipeline::new(s, inner, cfg, policies).unwrap()
+}
 
 fn sim() -> Sim {
     let mut cfg = SimConfig::with_memory(1 << 18);
@@ -12,7 +23,7 @@ fn sim() -> Sim {
     Sim::new(cfg)
 }
 
-/// A TXL kernel runs unmodified under the scheduler wrapper (any `Stm`
+/// A TXL kernel runs unmodified under admission control (any `Stm`
 /// composes), and the totals stay exact despite admission throttling.
 #[test]
 fn txl_kernel_under_adaptive_scheduler() {
@@ -31,8 +42,10 @@ fn txl_kernel_under_adaptive_scheduler() {
     let cfg = StmConfig::new(1 << 5);
     let shared = StmShared::init(&mut s, &cfg).unwrap();
     let counters = s.alloc(4).unwrap();
-    let stm = Rc::new(Scheduled::new(
+    let stm = Rc::new(scheduled(
+        &mut s,
         LockStm::hv_sorting(shared, cfg),
+        &cfg,
         SchedulerConfig { window: 64, ..SchedulerConfig::default() },
     ));
     let grid = LaunchConfig::new(2, 64);
@@ -48,8 +61,9 @@ fn txl_kernel_under_adaptive_scheduler() {
     let total: u64 = s.read_slice(counters, 4).iter().map(|v| *v as u64).sum();
     assert_eq!(total, grid.total_threads() * 4);
     // 4 hot words under 128 threads: the scheduler must have adapted.
-    assert!(stm.adaptations() > 0);
-    assert!(stm.current_limit() < 1024, "limit should have shrunk");
+    let ck = stm.checkpoint().expect("admission is on");
+    assert!(ck.adaptations > 0);
+    assert!(ck.limit < 1024, "limit should have shrunk");
 }
 
 /// Weak isolation (Section 3.2.1): a non-transactional store racing with
@@ -98,8 +112,10 @@ fn scheduler_throttling_shows_in_simt_efficiency() {
         let cfg = StmConfig::new(1 << 6);
         let shared = StmShared::init(&mut s, &cfg).unwrap();
         let counters = s.alloc(1024).unwrap();
-        let stm = Rc::new(Scheduled::new(
+        let stm = Rc::new(scheduled(
+            &mut s,
             LockStm::hv_sorting(shared, cfg),
+            &cfg,
             SchedulerConfig {
                 initial_limit: limit,
                 min_limit: limit,

@@ -1,14 +1,16 @@
 //! Fault-injection stress harness: every STM variant must preserve
 //! opacity and conservation under seeded adversarial perturbation of the
 //! simulator — shuffled warp scheduling, memory-latency jitter, and
-//! forced spurious CAS failures — and the `Robust` degradation layer
-//! must keep per-transaction starvation in check while faults rage.
+//! forced spurious CAS failures — and the escalation policy (the
+//! degradation ladder) must keep per-transaction starvation in check
+//! while faults rage.
 //!
 //! All plans are seeded, so every failure here is replayable bit-for-bit.
 
 use gpu_sim::{FaultPlan, LaunchConfig};
 use gpu_stm::{
-    lane_addrs, lane_vals, recorder, LockStm, Robust, RobustConfig, Stm, StmConfig, StmShared,
+    lane_addrs, lane_vals, recorder, LockStm, Pipeline, Policies, RobustConfig, Stm, StmConfig,
+    StmShared,
 };
 use std::rc::Rc;
 use tm_check::{assert_opaque, check_final_state};
@@ -160,7 +162,7 @@ fn faulted_runs_replay_deterministically() {
 }
 
 /// The degradation ladder under forced CAS failures: a contended counter
-/// workload wrapped in `Robust` must still conserve every increment, end
+/// workload under the escalation policy must still conserve every increment, end
 /// with the fallback lock free, and record its starvation diagnostics.
 #[test]
 fn robust_wrapper_conserves_and_bounds_aborts_under_cas_faults() {
@@ -171,8 +173,10 @@ fn robust_wrapper_conserves_and_bounds_aborts_under_cas_faults() {
     let shared = StmShared::init(&mut sim, &stm_cfg).unwrap();
     let counters = sim.alloc(4).unwrap();
     let robust_cfg = RobustConfig { fallback_after: 4, ..RobustConfig::default() };
-    let stm =
-        Rc::new(Robust::init(&mut sim, LockStm::hv_sorting(shared, stm_cfg), robust_cfg).unwrap());
+    let policies = Policies { escalation: Some(robust_cfg), ..Policies::default() };
+    let stm = Rc::new(
+        Pipeline::new(&mut sim, LockStm::hv_sorting(shared, stm_cfg), &stm_cfg, policies).unwrap(),
+    );
     let grid = LaunchConfig::new(2, 64);
     let kstm = Rc::clone(&stm);
     let report = sim
@@ -205,7 +209,8 @@ fn robust_wrapper_conserves_and_bounds_aborts_under_cas_faults() {
         .unwrap();
     let total: u64 = sim.read_slice(counters, 4).iter().map(|v| *v as u64).sum();
     assert_eq!(total, grid.total_threads() * 3, "increments must be conserved");
-    assert_eq!(sim.read(stm.fallback_lock_addr()), 0, "fallback lock must end free");
+    let lock = stm.fallback_lock_addr().expect("escalation is on");
+    assert_eq!(sim.read(lock), 0, "fallback lock must end free");
     assert!(report.stats.spurious_cas_failures > 0, "plan must have fired");
     let handle = stm.stats();
     let stats = handle.borrow();
