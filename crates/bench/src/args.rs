@@ -14,6 +14,12 @@ fn usage<T>(msg: String) -> Result<T, Error> {
     Err(Error::Usage(msg))
 }
 
+/// Reads a positive number: the [`Args::value_with`] reader for counts
+/// and scales, where 0 is a usage error rather than an empty run.
+pub(crate) fn nonzero<T: std::str::FromStr + Default + PartialOrd>(s: &str) -> Option<T> {
+    s.parse().ok().filter(|n| *n > T::default())
+}
+
 impl Args {
     /// The process's arguments after the program name.
     pub fn from_env() -> Args {

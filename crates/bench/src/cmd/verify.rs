@@ -6,7 +6,7 @@
 //! does not reproduce one), so the subcommand doubles as a CI gate.
 //! `--json NAME` and the `.sched` witnesses land in the output directory.
 
-use crate::args::{Args, Out};
+use crate::args::{nonzero, Args, Out};
 use crate::{print_table, Error, Job};
 use gpu_sim::json::JsonWriter;
 use gpu_stm::Mutation;
@@ -27,16 +27,17 @@ struct Opts {
     json: Option<String>,
 }
 
-/// Takes `--workload bank|hashtable|stripes|all`, `--variant NAME|all`,
-/// `--blocks N`, `--warps N`, `--bound N`, `--max-schedules N`,
+/// Takes `--workload bank|hashtable|stripes|queue|all`, `--variant NAME|all`,
+/// `--blocks N`, `--warps N` (1–32: a block holds at most 1 024 threads),
+/// `--bound N`, `--max-schedules N`,
 /// `--mutant skip_validation|unsorted_locks|late_writeback`,
 /// `--json NAME`, `--replay FILE.sched`, `--out DIR`.
 pub fn parse(args: &mut Args) -> Result<Job, Error> {
     let o = Opts {
         workloads: one_or_all(args, "--workload", &Workload::ALL, Workload::parse)?,
         variants: one_or_all(args, "--variant", &Variant::ALL, Variant::parse)?,
-        blocks: args.value("--blocks")?.unwrap_or(1),
-        warps: args.value("--warps")?.unwrap_or(2),
+        blocks: args.value_with("--blocks", nonzero)?.unwrap_or(1),
+        warps: args.value_with("--warps", |s| nonzero(s).filter(|&w| w <= 32))?.unwrap_or(2),
         bound: args.value("--bound")?.unwrap_or(2),
         max_schedules: args.value("--max-schedules")?.unwrap_or(3000),
         mutant: args.value_with("--mutant", parse_mutant)?,

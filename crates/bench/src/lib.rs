@@ -29,7 +29,7 @@ pub mod cmd;
 pub mod golden;
 pub mod runner;
 
-use args::Args;
+use args::{nonzero, Args};
 use gpu_sim::LaunchConfig;
 use workloads::{
     eigenbench::EbParams, genome::GnParams, ht::HtParams, kmeans::KmParams, labyrinth::LbParams,
@@ -140,7 +140,6 @@ impl Suite {
     ///
     /// [`Error::Usage`] on a zero scale or an unknown workload name.
     pub fn parse(args: &mut Args) -> Result<Suite, Error> {
-        let nonzero = |s: &str| s.parse().ok().filter(|n| *n > 0);
         let default = Suite::default();
         Ok(Suite {
             data_scale: args.value_with("--data-scale", nonzero)?.unwrap_or(default.data_scale),

@@ -27,6 +27,9 @@ fn bad_command_lines_exit_2_name_the_culprit_and_write_nothing() {
         ("serve --smoke --seed", "--seed"),
         ("retry --smoke --seed forty-two", "--seed"),
         ("table1 --data-scale 0", "--data-scale"),
+        ("verify --workload bank --variant hv-sorting --blocks 0", "--blocks"),
+        ("verify --workload bank --variant hv-sorting --warps 0", "--warps"),
+        ("verify --workload bank --variant hv-sorting --warps 33", "--warps"),
         ("fig2 --only nosuch", "--only"),
         ("report --threads 64 --bless", "--bless"),
         ("nosuch --smoke", "nosuch"),

@@ -109,6 +109,16 @@ impl L2Cache {
         self.tick = 0;
     }
 
+    /// Returns to the state of `L2Cache::new(cfg)`, keeping the tag and
+    /// stamp buffers when the geometry is unchanged.
+    pub fn reset(&mut self, cfg: CacheConfig) {
+        if cfg == self.cfg {
+            self.clear();
+        } else {
+            *self = L2Cache::new(cfg);
+        }
+    }
+
     /// Captures the full tag/LRU state for crash-recovery snapshots.
     /// The L2 persists across launches, so replaying a batch stream on a
     /// fresh simulator only reproduces cycle counts byte-exactly when

@@ -256,6 +256,41 @@ pub(crate) struct SimState {
 }
 
 impl SimState {
+    fn new(config: &SimConfig) -> Self {
+        SimState {
+            mem: GlobalMemory::new(config.mem_words),
+            cache: L2Cache::new(config.cache),
+            timing: config.timing,
+            stats: SimStats::new(),
+            now: 0,
+            fault: FaultState::new(config.fault),
+            progress: ProgressBoard::default(),
+            race: config.race.clone().map(RaceDetector::new),
+            trace: config.trace.clone(),
+            observe_effects: config.schedule.is_some(),
+            last_effect: None,
+            wake_queue: Rc::new(RefCell::new(Vec::new())),
+        }
+    }
+
+    /// Puts everything that lives for one launch back to what
+    /// [`SimState::new`] builds from `config`.
+    fn begin_launch(&mut self, config: &SimConfig) {
+        self.now = 0;
+        self.stats = SimStats::new();
+        self.fault = FaultState::new(config.fault);
+        self.progress = ProgressBoard::default();
+        // Fresh vector clocks per launch (warp slots are per-launch); the
+        // sinks keep accumulating across launches.
+        self.race = config.race.clone().map(RaceDetector::new);
+        self.trace = config.trace.clone();
+        self.observe_effects = config.schedule.is_some();
+        self.last_effect = None;
+        // Fresh wake queue per launch: wake handles are scoped to the
+        // launch whose warps created them.
+        self.wake_queue = Rc::new(RefCell::new(Vec::new()));
+    }
+
     /// Emits a trace event when a sink is attached. Pure observation:
     /// never charges cycles.
     pub(crate) fn emit(&self, block: u32, warp: u32, kind: SimEventKind) {
@@ -370,27 +405,35 @@ impl std::fmt::Debug for Sim {
 impl Sim {
     /// Creates a simulator with the given configuration.
     pub fn new(config: SimConfig) -> Self {
-        let state = SimState {
-            mem: GlobalMemory::new(config.mem_words),
-            cache: L2Cache::new(config.cache),
-            timing: config.timing,
-            stats: SimStats::new(),
-            now: 0,
-            fault: FaultState::new(config.fault),
-            progress: ProgressBoard::default(),
-            race: config.race.clone().map(RaceDetector::new),
-            trace: config.trace.clone(),
-            observe_effects: config.schedule.is_some(),
-            last_effect: None,
-            wake_queue: Rc::new(RefCell::new(Vec::new())),
-        };
         Sim {
-            state: Rc::new(RefCell::new(state)),
+            state: Rc::new(RefCell::new(SimState::new(&config))),
             config,
             lifetime: SimStats::new(),
             lifetime_cycles: 0,
             launches: 0,
         }
+    }
+
+    /// Makes this simulator equivalent to `Sim::new(config)` while reusing
+    /// its buffers: the allocated memory prefix is zeroed and the
+    /// allocator rewound, the L2 is emptied, and every counter, sink,
+    /// policy and launch-scoped structure is replaced as `new` would build
+    /// it. Memory and cache are reallocated only when `mem_words` or the
+    /// cache geometry differ. Words past the allocation break are never
+    /// handed out, so, like [`checkpoint`](Self::checkpoint), reset only
+    /// looks at the allocated prefix.
+    pub fn reset(&mut self, config: SimConfig) {
+        {
+            let st = &mut *self.state.borrow_mut();
+            st.mem.reset(config.mem_words);
+            st.cache.reset(config.cache);
+            st.timing = config.timing;
+            st.begin_launch(&config);
+        }
+        self.config = config;
+        self.lifetime = SimStats::new();
+        self.lifetime_cycles = 0;
+        self.launches = 0;
     }
 
     /// The configuration this simulator was built with.
@@ -510,23 +553,11 @@ impl Sim {
         Fut: Future<Output = ()> + 'static,
     {
         grid.validate()?;
-        let wake_queue = Rc::new(RefCell::new(Vec::new()));
-        {
+        let wake_queue = {
             let st = &mut *self.state.borrow_mut();
-            st.now = 0;
-            st.stats = SimStats::new();
-            st.fault = FaultState::new(self.config.fault);
-            st.progress = ProgressBoard::default();
-            // Fresh vector clocks per launch (warp slots are per-launch);
-            // the sinks keep accumulating across launches.
-            st.race = self.config.race.clone().map(RaceDetector::new);
-            st.trace = self.config.trace.clone();
-            st.observe_effects = self.config.schedule.is_some();
-            st.last_effect = None;
-            // Fresh wake queue per launch: wake handles are scoped to the
-            // launch whose warps created them.
-            st.wake_queue = Rc::clone(&wake_queue);
-        }
+            st.begin_launch(&self.config);
+            Rc::clone(&st.wake_queue)
+        };
         let mailbox = Rc::new(Mailbox::default());
         let jitter = self.config.fault.latency_jitter > 0;
 
@@ -666,7 +697,7 @@ impl Sim {
                     }
                     Poll::Ready(()) => StepEffect::Retire,
                 };
-                p.observe(&StepRecord { block, warp_in_block, effect });
+                p.observe(StepRecord { block, warp_in_block, effect });
             }
             match poll {
                 Poll::Pending => {
@@ -1421,8 +1452,8 @@ mod tests {
             self.index.min(runnable.len() - 1)
         }
 
-        fn observe(&mut self, step: &StepRecord) {
-            self.steps.borrow_mut().push(step.clone());
+        fn observe(&mut self, step: StepRecord) {
+            self.steps.borrow_mut().push(step);
         }
     }
 

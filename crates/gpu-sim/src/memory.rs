@@ -93,6 +93,20 @@ impl GlobalMemory {
         GlobalMemory { words: vec![0; capacity_words.max(1)], brk: 1, mutations: 0 }
     }
 
+    /// Returns to the state of `GlobalMemory::new(capacity_words)`, keeping
+    /// the buffer when the capacity is unchanged: only the allocated
+    /// prefix `[0, brk)` is zeroed, since every address a program can get
+    /// from [`alloc`](Self::alloc) lies below the break.
+    pub fn reset(&mut self, capacity_words: usize) {
+        if self.words.len() == capacity_words.max(1) {
+            self.words[..self.brk as usize].fill(0);
+            self.brk = 1;
+            self.mutations = 0;
+        } else {
+            *self = GlobalMemory::new(capacity_words);
+        }
+    }
+
     /// Count of word writes that actually *changed* a value. The progress
     /// monitor uses this to tell a livelock (busy mutation without
     /// progress) from a deadlock (no mutation at all): spinning on a held

@@ -11,6 +11,7 @@
 //! is what makes stateless replay — and `.sched` repro files — possible.
 
 use gpu_sim::{RunnableWarp, SchedulePolicy, StepEffect, StepRecord};
+use std::ops::Range;
 
 /// Identity of a warp: `(block, warp_in_block)`.
 pub type WarpKey = (u32, u32);
@@ -70,8 +71,9 @@ pub struct Event {
 /// for constructing backtrack schedules.
 #[derive(Clone, Debug)]
 pub struct DecisionRecord {
-    /// Warps runnable at this decision, sorted by identity.
-    pub runnable: Vec<WarpKey>,
+    /// Where the warps runnable at this decision, sorted by identity, sit
+    /// in the run's pool; read them with [`Controller::runnable`].
+    pub runnable: Range<usize>,
     /// The warp that ran the previous instruction, if still alive.
     pub current_before: Option<WarpKey>,
     /// The warp actually picked.
@@ -152,6 +154,8 @@ pub struct Controller {
     pub diverged: bool,
     /// One record per scheduling decision, in order.
     pub decisions: Vec<DecisionRecord>,
+    /// Every decision's runnable set, back to back.
+    runnable_pool: Vec<WarpKey>,
     /// The forced choices that actually *diverged* from the default
     /// continuation this run. A forced choice matching the default pick
     /// is a no-op — dropping it replays identically — so backtrack
@@ -181,6 +185,7 @@ impl Controller {
             filter,
             diverged: false,
             decisions: Vec::new(),
+            runnable_pool: Vec::new(),
             effective: Vec::new(),
             trace: Vec::new(),
             invisible_pruned: 0,
@@ -190,6 +195,11 @@ impl Controller {
     /// Preemptions charged over the whole run.
     pub fn preemptions(&self) -> u32 {
         self.preemptions
+    }
+
+    /// The warps that were runnable at `rec`, sorted by identity.
+    pub fn runnable(&self, rec: &DecisionRecord) -> &[WarpKey] {
+        &self.runnable_pool[rec.runnable.clone()]
     }
 
     /// The deterministic default continuation: keep running the current
@@ -211,12 +221,14 @@ impl Controller {
 
 impl SchedulePolicy for Controller {
     fn pick(&mut self, now: u64, runnable: &[RunnableWarp]) -> usize {
-        let keys: Vec<WarpKey> = runnable.iter().map(|r| (r.block, r.warp_in_block)).collect();
+        let start = self.runnable_pool.len();
+        self.runnable_pool.extend(runnable.iter().map(|r| (r.block, r.warp_in_block)));
+        let keys = &self.runnable_pool[start..];
         let spin_yield = self.current.is_some()
             && (self.consecutive >= SPIN_YIELD_STEPS
                 || now.saturating_sub(self.quantum_start) >= SPIN_YIELD_CYCLES);
 
-        let default_idx = self.default_pick(&keys, spin_yield);
+        let default_idx = self.default_pick(keys, spin_yield);
         let mut idx = None;
         if let Some(fc) = self.forced.get(self.next_forced) {
             if fc.decision == self.decision {
@@ -258,7 +270,7 @@ impl SchedulePolicy for Controller {
         }
         let default_choice = keys[default_idx];
         self.decisions.push(DecisionRecord {
-            runnable: keys,
+            runnable: start..self.runnable_pool.len(),
             current_before: self.current,
             chosen,
             default_choice,
@@ -285,9 +297,9 @@ impl SchedulePolicy for Controller {
         idx
     }
 
-    fn observe(&mut self, step: &StepRecord) {
+    fn observe(&mut self, step: StepRecord) {
         let warp = (step.block, step.warp_in_block);
-        match &step.effect {
+        match step.effect {
             StepEffect::Retire => {
                 if self.current == Some(warp) {
                     self.current = None;
@@ -297,14 +309,14 @@ impl SchedulePolicy for Controller {
             StepEffect::Local => {}
             eff => {
                 if let Some(f) = &self.filter {
-                    if f.invisible(warp, eff) {
+                    if f.invisible(warp, &eff) {
                         self.invisible_pruned += 1;
                         return;
                     }
                 }
                 // `pick` already advanced the counter for this step.
                 let decision = self.decision.saturating_sub(1);
-                self.trace.push(Event { warp, effect: eff.clone(), decision });
+                self.trace.push(Event { warp, effect: eff, decision });
             }
         }
     }
@@ -381,13 +393,13 @@ mod tests {
         let mut c = Controller::new(Schedule::default(), None);
         let r = runnable(&[(0, 0), (0, 1)]);
         c.pick(0, &r);
-        c.observe(&StepRecord { block: 0, warp_in_block: 0, effect: StepEffect::Local });
-        c.observe(&StepRecord {
+        c.observe(StepRecord { block: 0, warp_in_block: 0, effect: StepEffect::Local });
+        c.observe(StepRecord {
             block: 0,
             warp_in_block: 0,
             effect: StepEffect::Store(vec![Addr(7)]),
         });
-        c.observe(&StepRecord { block: 0, warp_in_block: 0, effect: StepEffect::Retire });
+        c.observe(StepRecord { block: 0, warp_in_block: 0, effect: StepEffect::Retire });
         assert_eq!(c.trace.len(), 1);
         assert_eq!(c.trace[0].decision, 0);
         // After retire the default continuation starts the next warp.

@@ -1,10 +1,11 @@
 //! Litmus workloads for schedule exploration: small, fully-deterministic
 //! kernels with machine-checkable invariants.
 //!
-//! Each run builds a **fresh** simulator with identical allocation order,
-//! so device addresses (and hence traces) are comparable across runs —
-//! the property the explorer's replay and dedup machinery relies on.
-//! Three workloads:
+//! Every run starts from the state of a fresh simulator — [`model`]
+//! resets one simulator per exploration, [`run_once`] builds its own —
+//! and allocates in the same order, so device addresses (and hence
+//! traces) are comparable across runs: the property the explorer's replay
+//! and dedup machinery relies on. Four workloads:
 //!
 //! - **bank** — each actor (one lane per warp) transfers one unit around
 //!   a ring of accounts; the wrapping sum must stay 0. Two actors with
@@ -172,18 +173,53 @@ impl Litmus {
     }
 }
 
-/// Executes one complete run under an optional schedule policy and
-/// returns the checked outcome. `None` runs the default simulator
-/// scheduler (the "single-schedule" baseline the mutants must survive).
+/// The simulator configuration of one run under `policy`.
+fn sim_config(policy: Option<PolicyHandle>) -> SimConfig {
+    let mut cfg = SimConfig::with_memory(MEM_WORDS);
+    cfg.watchdog_cycles = WATCHDOG_CYCLES;
+    cfg.stall_cycles = STALL_CYCLES;
+    cfg.race = Some(race_sink());
+    cfg.schedule = policy;
+    cfg
+}
+
+/// The stripes kernel, compiled, or the message a run reports instead.
+fn stripes_kernel() -> Result<txl::Kernel, String> {
+    let program =
+        txl::compile(STRIPES_SRC).map_err(|e| format!("stripes kernel does not compile: {e}"))?;
+    program.kernel("stripes").cloned().ok_or_else(|| "stripes kernel missing".into())
+}
+
+/// Executes one complete run under an optional schedule policy on a
+/// fresh simulator and returns the checked outcome. `None` runs the
+/// default simulator scheduler (the "single-schedule" baseline the
+/// mutants must survive).
 pub fn run_once(l: &Litmus, policy: Option<PolicyHandle>) -> ModelOutcome {
-    let stagger = if policy.is_some() { 0 } else { STAGGER_CYCLES };
-    let mut sim_cfg = SimConfig::with_memory(MEM_WORDS);
-    sim_cfg.watchdog_cycles = WATCHDOG_CYCLES;
-    sim_cfg.stall_cycles = STALL_CYCLES;
-    let sink = race_sink();
-    sim_cfg.race = Some(sink.clone());
-    sim_cfg.schedule = policy;
-    let mut sim = Sim::new(sim_cfg);
+    let stripes = (l.workload == Workload::Stripes).then(stripes_kernel);
+    let mut sim = Sim::new(sim_config(policy));
+    run_on(l, &mut sim, stripes.as_ref())
+}
+
+/// The model closure the explorer drives. It owns one simulator, reset
+/// to the state of a fresh one before every schedule, and compiles the
+/// stripes kernel once.
+pub fn model(l: Litmus) -> impl FnMut(PolicyHandle) -> ModelOutcome {
+    let stripes = (l.workload == Workload::Stripes).then(stripes_kernel);
+    let mut sim = Sim::new(sim_config(None));
+    move |policy| {
+        sim.reset(sim_config(Some(policy)));
+        run_on(&l, &mut sim, stripes.as_ref())
+    }
+}
+
+/// One run on `sim`, which is in the state of `Sim::new(sim_config(_))`.
+fn run_on(
+    l: &Litmus,
+    sim: &mut Sim,
+    stripes: Option<&Result<txl::Kernel, String>>,
+) -> ModelOutcome {
+    let stagger = if sim.config().schedule.is_some() { 0 } else { STAGGER_CYCLES };
+    let sink = sim.config().race.clone().expect("litmus runs detect races");
 
     let data_words = l.data_words();
     let data = match sim.alloc(data_words) {
@@ -192,24 +228,25 @@ pub fn run_once(l: &Litmus, policy: Option<PolicyHandle>) -> ModelOutcome {
     };
     let rec = recorder();
     let stm_cfg = StmConfig::new(N_LOCKS);
+    let run = Run { litmus: *l, data, stagger, stripes };
 
     let result: Result<(), RunError> = if l.workload == Workload::Queue {
         // The queue litmus always builds its own parking Pipeline<LockStm>:
         // the pipeline needs to own the runtime (and &mut Sim for its
         // registry anchors), which the generic dispatch cannot provide.
-        run_queue_blocking(l, &mut sim, stm_cfg, rec.clone(), data, stagger)
+        run_queue_blocking(l, sim, stm_cfg, rec.clone(), data, stagger)
     } else if l.mutation.any() {
-        run_mutated(l, &mut sim, stm_cfg, rec.clone(), data, stagger)
+        run_mutated(&run, sim, stm_cfg, rec.clone())
     } else {
         dispatch(
-            &mut sim,
+            sim,
             l.variant,
             stm_cfg,
             u64::from(data_words),
             l.grid(),
             Some(rec.clone()),
             None,
-            LitmusRunner { litmus: *l, data, stagger },
+            run,
         )
     };
 
@@ -265,7 +302,7 @@ pub fn run_once(l: &Litmus, policy: Option<PolicyHandle>) -> ModelOutcome {
                     message: v.to_string(),
                 });
             }
-            if let Some(msg) = check_invariant(l, &sim, data) {
+            if let Some(msg) = check_invariant(l, sim, data) {
                 violations.push(ModelViolation { kind: ViolationKind::Invariant, message: msg });
             }
         }
@@ -282,11 +319,6 @@ pub fn run_once(l: &Litmus, policy: Option<PolicyHandle>) -> ModelOutcome {
         h.str(&v.message);
     }
     ModelOutcome { violations, state_hash: h.finish(), unsupported: None }
-}
-
-/// The model closure the explorer drives: one fresh run per schedule.
-pub fn model(l: Litmus) -> impl FnMut(PolicyHandle) -> ModelOutcome {
-    move |policy| run_once(&l, Some(policy))
 }
 
 /// Builds the footprint filter for workloads whose TXL analysis proves
@@ -325,19 +357,18 @@ fn sim_failure(e: &SimError) -> ModelOutcome {
 /// Runs the litmus under a directly-constructed [`LockStm`] carrying the
 /// seeded mutation (only the four lock-based variants have mutants).
 fn run_mutated(
-    l: &Litmus,
+    run: &Run,
     sim: &mut Sim,
     stm_cfg: StmConfig,
     rec: Recorder,
-    data: Addr,
-    stagger: u64,
 ) -> Result<(), RunError> {
+    let l = &run.litmus;
     let shared = StmShared::init(sim, &stm_cfg).map_err(RunError::Sim)?;
     let stm = LockStm::for_variant(l.variant, shared, stm_cfg)
         .unwrap_or_else(|| panic!("mutations only apply to lock-based variants, not {}", l.variant))
         .with_mutation(l.mutation)
         .with_recorder(rec);
-    run_workload(l, sim, Rc::new(stm), data, stagger)
+    run.workload(sim, Rc::new(stm))
 }
 
 /// The blocking wakeup litmus. Actor 0 produces `actors - 1` items by
@@ -447,33 +478,38 @@ fn run_queue_blocking(
     .map_err(RunError::Sim)
 }
 
-struct LitmusRunner {
+/// One run's inputs besides the simulator and the STM.
+#[derive(Clone, Copy)]
+struct Run<'a> {
     litmus: Litmus,
     data: Addr,
     stagger: u64,
+    /// The compiled stripes kernel, for the stripes workload.
+    stripes: Option<&'a Result<txl::Kernel, String>>,
 }
 
-impl StmRunner for LitmusRunner {
-    type Out = ();
-
-    fn run<S: Stm + 'static>(self, sim: &mut Sim, stm: Rc<S>) -> Result<(), RunError> {
-        run_workload(&self.litmus, sim, stm, self.data, self.stagger)
+impl Run<'_> {
+    fn workload<S: Stm + 'static>(&self, sim: &mut Sim, stm: Rc<S>) -> Result<(), RunError> {
+        let (l, data, stagger) = (&self.litmus, self.data, self.stagger);
+        match l.workload {
+            Workload::Bank => run_bank(l, sim, stm, data, stagger),
+            Workload::Hashtable => run_hashtable(l, sim, stm, data, stagger),
+            Workload::Stripes => {
+                let kernel = self.stripes.expect("a stripes run carries its kernel");
+                let kernel = kernel.as_ref().map_err(|e| RunError::Verification(e.clone()))?;
+                run_stripes(l, sim, stm, data, kernel)
+            }
+            // Handled by `run_queue_blocking` before dispatch ever runs.
+            Workload::Queue => unreachable!("queue litmus bypasses the generic dispatch"),
+        }
     }
 }
 
-fn run_workload<S: Stm + 'static>(
-    l: &Litmus,
-    sim: &mut Sim,
-    stm: Rc<S>,
-    data: Addr,
-    stagger: u64,
-) -> Result<(), RunError> {
-    match l.workload {
-        Workload::Bank => run_bank(l, sim, stm, data, stagger),
-        Workload::Hashtable => run_hashtable(l, sim, stm, data, stagger),
-        Workload::Stripes => run_stripes(l, sim, stm, data),
-        // Handled by `run_queue_blocking` before dispatch ever runs.
-        Workload::Queue => unreachable!("queue litmus bypasses the generic dispatch"),
+impl StmRunner for Run<'_> {
+    type Out = ();
+
+    fn run<S: Stm + 'static>(self, sim: &mut Sim, stm: Rc<S>) -> Result<(), RunError> {
+        self.workload(sim, stm)
     }
 }
 
@@ -590,12 +626,8 @@ fn run_stripes<S: Stm + 'static>(
     sim: &mut Sim,
     stm: Rc<S>,
     data: Addr,
+    kernel: &txl::Kernel,
 ) -> Result<(), RunError> {
-    let program = txl::compile(STRIPES_SRC)
-        .map_err(|e| RunError::Verification(format!("stripes kernel does not compile: {e}")))?;
-    let kernel = program
-        .kernel("stripes")
-        .ok_or_else(|| RunError::Verification("stripes kernel missing".into()))?;
     let bindings = [txl::ArrayBinding::new("data", data, l.data_words())];
     match txl::launch(sim, &stm, kernel, l.grid(), 7, &bindings) {
         Ok(_) => Ok(()),

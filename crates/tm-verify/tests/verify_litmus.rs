@@ -5,8 +5,8 @@
 
 use gpu_stm::{BlockingMutation, Mutation};
 use tm_verify::{
-    minimize_finding, parse, replay, run_once, verify, Litmus, VerifyConfig, ViolationKind,
-    Workload,
+    minimize_finding, parse, replay, run_once, verify, ExploreStats, Litmus, VerifyConfig,
+    ViolationKind, Workload,
 };
 use workloads::Variant;
 
@@ -274,4 +274,70 @@ fn clean_runtime_passes_the_same_hunt_that_kills_the_mutants() {
     let cfg =
         VerifyConfig { litmus: l, max_preemptions: 2, max_schedules: 5000, stop_on_finding: true };
     assert!(verify(&cfg).is_clean());
+}
+
+#[test]
+fn the_benchmarked_explorations_are_pinned_schedule_for_schedule() {
+    // The seven cells of the `verify_dpor` benchmark (1 block x 2 warps,
+    // bound 2, cap 3000) and every counter of their exploration. A
+    // schedule added, dropped, or reordered into a different dedup moves
+    // at least one of them. Columns: schedules, traces deduped, states
+    // deduped, backtracks queued, deferred, sleep-pruned, schedules
+    // deduped, footprint-invisible events, diverged, longest trace.
+    let cells: [(Workload, Variant, [u64; 10]); 7] = [
+        (Workload::Bank, Variant::HvSorting, [802, 15, 786, 801, 939, 1741, 0, 0, 0, 196]),
+        (Workload::Stripes, Variant::HvSorting, [733, 26, 706, 732, 1007, 1112, 0, 8796, 0, 54]),
+        (Workload::Queue, Variant::HvSorting, [1101, 19, 1081, 1100, 1986, 2224, 0, 0, 0, 209]),
+        (Workload::Hashtable, Variant::HvSorting, [121, 10, 110, 120, 125, 168, 0, 0, 0, 22]),
+        (Workload::Bank, Variant::Vbv, [236, 9, 226, 235, 177, 352, 0, 0, 0, 177]),
+        (Workload::Stripes, Variant::Vbv, [748, 18, 729, 747, 727, 936, 0, 9237, 0, 192]),
+        (Workload::Hashtable, Variant::TbvSorting, [121, 10, 110, 120, 125, 168, 0, 0, 0, 22]),
+    ];
+    let mut totals = [0u64; 10];
+    for (workload, variant, want) in cells {
+        let cfg = VerifyConfig {
+            litmus: Litmus::new(workload, variant, 1, 2),
+            max_preemptions: 2,
+            max_schedules: 3000,
+            stop_on_finding: false,
+        };
+        let r = verify(&cfg);
+        assert!(r.is_clean() && r.unsupported.is_none(), "{workload}/{variant}");
+        let ExploreStats {
+            schedules_run,
+            traces_deduped,
+            states_deduped,
+            backtracks_queued,
+            backtracks_deferred,
+            sleep_pruned,
+            schedules_deduped,
+            footprint_invisible_events,
+            diverged,
+            max_trace_len,
+            cap_hit,
+        } = r.stats;
+        let got = [
+            schedules_run,
+            traces_deduped,
+            states_deduped,
+            backtracks_queued,
+            backtracks_deferred,
+            sleep_pruned,
+            schedules_deduped,
+            footprint_invisible_events,
+            diverged,
+            max_trace_len as u64,
+        ];
+        assert_eq!(got, want, "{workload}/{variant}");
+        assert!(!cap_hit, "{workload}/{variant}");
+        for (t, g) in totals.iter_mut().zip(got) {
+            *t += g;
+        }
+    }
+    // The benchmark's `tm-verify.*` count rows are these sums.
+    let [runs, traces, states, queued, _, pruned, dup_schedules, _, diverged, _] = totals;
+    assert_eq!(
+        [runs, queued, pruned, traces, states, dup_schedules, diverged],
+        [3862, 3855, 6701, 107, 3748, 0, 0]
+    );
 }
