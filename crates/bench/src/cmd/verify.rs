@@ -6,13 +6,12 @@
 //! does not reproduce one), so the subcommand doubles as a CI gate.
 //! `--json NAME` and the `.sched` witnesses land in the output directory.
 
-use crate::args::{nonzero, Args, Out};
+use crate::args::{Args, Out};
 use crate::{print_table, Error, Job};
 use gpu_sim::json::JsonWriter;
 use gpu_stm::Mutation;
 use tm_verify::{
-    finding_to_sched, minimize_finding, parse as parse_sched, replay, verify, ExploreStats, Litmus,
-    VerifyConfig, Workload,
+    claimed_violation, mutant, parse as parse_sched, ExploreStats, Litmus, Model, Workload,
 };
 use workloads::Variant;
 
@@ -23,26 +22,30 @@ struct Opts {
     warps: u32,
     bound: u32,
     max_schedules: u64,
-    mutant: Option<(&'static str, Mutation)>,
+    mutant: Option<(String, Mutation)>,
     json: Option<String>,
 }
 
 /// Takes `--workload bank|hashtable|stripes|queue|all`, `--variant NAME|all`,
-/// `--blocks N`, `--warps N` (1–32: a block holds at most 1 024 threads),
-/// `--bound N`, `--max-schedules N`,
+/// `--blocks N`, `--warps N` (1–32: a block holds at most 1 024 threads;
+/// at most [`tm_verify::MAX_ACTORS`] warps in all), `--bound N`,
+/// `--max-schedules N`,
 /// `--mutant skip_validation|unsorted_locks|late_writeback`,
 /// `--json NAME`, `--replay FILE.sched`, `--out DIR`.
 pub fn parse(args: &mut Args) -> Result<Job, Error> {
     let o = Opts {
         workloads: one_or_all(args, "--workload", &Workload::ALL, Workload::parse)?,
         variants: one_or_all(args, "--variant", &Variant::ALL, Variant::parse)?,
-        blocks: args.value_with("--blocks", nonzero)?.unwrap_or(1),
-        warps: args.value_with("--warps", |s| nonzero(s).filter(|&w| w <= 32))?.unwrap_or(2),
+        blocks: args.value("--blocks")?.unwrap_or(1),
+        warps: args.value("--warps")?.unwrap_or(2),
         bound: args.value("--bound")?.unwrap_or(2),
         max_schedules: args.value("--max-schedules")?.unwrap_or(3000),
-        mutant: args.value_with("--mutant", parse_mutant)?,
+        mutant: args.value_with("--mutant", |s| mutant(s).map(|m| (s.to_string(), m)))?,
         json: args.value("--json")?,
     };
+    Litmus::check_geometry(o.blocks, o.warps).map_err(|(key, why)| {
+        Error::Usage(format!("{}: {why}", if key == "blocks" { "--blocks" } else { "--warps" }))
+    })?;
     let replay: Option<String> = args.value("--replay")?;
     let out = args.out()?;
     Ok(Box::new(move || match replay {
@@ -62,16 +65,6 @@ fn one_or_all<T: Copy>(
     Ok(args.value_with(flag, read)?.unwrap_or_else(|| all.to_vec()))
 }
 
-fn parse_mutant(s: &str) -> Option<(&'static str, Mutation)> {
-    let none = Mutation::default();
-    match s {
-        "skip_validation" => Some(("skip_validation", Mutation { skip_validation: true, ..none })),
-        "unsorted_locks" => Some(("unsorted_locks", Mutation { unsorted_locks: true, ..none })),
-        "late_writeback" => Some(("late_writeback", Mutation { late_writeback: true, ..none })),
-        _ => None,
-    }
-}
-
 fn explore(args: &Opts, out: &Out) -> Result<(), Error> {
     println!("GPU-STM reproduction — bounded DPOR model checking");
     let mut rows = Vec::new();
@@ -82,28 +75,19 @@ fn explore(args: &Opts, out: &Out) -> Result<(), Error> {
         for &variant in &args.variants {
             let mut litmus = Litmus::new(wl, variant, args.blocks, args.warps);
             if let Some((_, m)) = args.mutant {
-                if !matches!(
-                    variant,
-                    Variant::TbvSorting
-                        | Variant::HvSorting
-                        | Variant::HvBackoff
-                        | Variant::TbvBackoff
-                ) {
-                    continue; // mutations exist only in the lock-based runtime
-                }
                 litmus.mutation = m;
             }
-            let cfg = VerifyConfig {
-                litmus,
-                max_preemptions: args.bound,
-                max_schedules: args.max_schedules,
-                stop_on_finding: args.mutant.is_some(),
-            };
-            eprint!("[verify] {wl}/{variant} bound={}...", args.bound);
+            let mut model = Model::new(litmus);
             let t = std::time::Instant::now();
-            let report = verify(&cfg);
+            let report = model.explore(args.bound, args.max_schedules, args.mutant.is_some());
             let dt = t.elapsed();
-            eprintln!(" {} schedules in {dt:?}", report.stats.schedules_run);
+            if args.mutant.is_some() && report.unsupported.is_some() {
+                continue; // mutations exist only in the lock-based runtime
+            }
+            eprintln!(
+                "[verify] {wl}/{variant} bound={}... {} schedules in {dt:?}",
+                args.bound, report.stats.schedules_run
+            );
 
             let verdict = if let Some(u) = &report.unsupported {
                 format!("unsupported: {u}")
@@ -116,10 +100,10 @@ fn explore(args: &Opts, out: &Out) -> Result<(), Error> {
             } else {
                 violations += report.findings.len() as u64;
                 let f = &report.findings[0];
-                let min = minimize_finding(&litmus, f);
+                let min = model.minimize(f);
                 let name =
                     format!("{}-{}-{}.sched", wl.name(), variant.short_name(), f.violation.kind);
-                let file = out.write(&name, &finding_to_sched(&litmus, f, &min))?;
+                let file = out.write(&name, &model.to_sched(f, &min))?;
                 format!(
                     "{} ({} choices) -> {}",
                     f.violation.kind,
@@ -147,7 +131,7 @@ fn explore(args: &Opts, out: &Out) -> Result<(), Error> {
             args.bound,
             args.blocks,
             args.warps,
-            args.mutant.map(|(n, _)| format!(", mutant {n}")).unwrap_or_default()
+            args.mutant.as_ref().map(|(n, _)| format!(", mutant {n}")).unwrap_or_default()
         ),
         &[
             "workload",
@@ -206,7 +190,8 @@ fn stats_json(args: &Opts, cells: &[(Workload, Variant, ExploreStats, String)]) 
 fn replay_file(path: &str) -> Result<(), Error> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     let (schedule, meta) = parse_sched(&text).map_err(|e| format!("{path}: {e}"))?;
-    let litmus = litmus_from_meta(&meta).map_err(|e| format!("{path}: {e}"))?;
+    let litmus = Litmus::from_meta(&meta).map_err(|e| format!("{path}: {e}"))?;
+    let claimed = claimed_violation(&meta).map_err(|e| format!("{path}: {e}"))?;
     println!(
         "replaying {path}: {}/{} {}x{} warps, {} forced choices",
         litmus.workload,
@@ -215,38 +200,12 @@ fn replay_file(path: &str) -> Result<(), Error> {
         litmus.warps_per_block,
         schedule.choices.len()
     );
-    let out = replay(&litmus, &schedule);
-    if out.violations.is_empty() {
+    let out = Model::new(litmus).replay(&schedule);
+    if !out.reproduces(claimed) {
         return Err(Error::Failed("no violation reproduced".into()));
     }
     for v in &out.violations {
         println!("reproduced: {} {}", v.kind, v.message);
     }
     Ok(())
-}
-
-fn litmus_from_meta(meta: &[(String, String)]) -> Result<Litmus, String> {
-    let get = |k: &str| {
-        meta.iter()
-            .find(|(mk, _)| mk == k)
-            .map(|(_, v)| v.as_str())
-            .ok_or_else(|| format!("missing `meta {k}` (was this .sched written by tm-verify?)"))
-    };
-    let workload =
-        Workload::parse(get("workload")?).ok_or_else(|| "unknown workload".to_string())?;
-    let variant = Variant::parse(get("variant")?).ok_or_else(|| "unknown variant".to_string())?;
-    let blocks: u32 = get("blocks")?.parse().map_err(|_| "bad blocks".to_string())?;
-    let warps: u32 = get("warps_per_block")?.parse().map_err(|_| "bad warps".to_string())?;
-    let mut litmus = Litmus::new(workload, variant, blocks, warps);
-    if let Ok(m) = get("mutation") {
-        for tok in m.split_whitespace() {
-            match tok.split_once('=') {
-                Some(("skip_validation", v)) => litmus.mutation.skip_validation = v == "true",
-                Some(("unsorted_locks", v)) => litmus.mutation.unsorted_locks = v == "true",
-                Some(("late_writeback", v)) => litmus.mutation.late_writeback = v == "true",
-                _ => return Err(format!("bad mutation token {tok:?}")),
-            }
-        }
-    }
-    Ok(litmus)
 }

@@ -30,6 +30,10 @@ fn bad_command_lines_exit_2_name_the_culprit_and_write_nothing() {
         ("verify --workload bank --variant hv-sorting --blocks 0", "--blocks"),
         ("verify --workload bank --variant hv-sorting --warps 0", "--warps"),
         ("verify --workload bank --variant hv-sorting --warps 33", "--warps"),
+        ("verify --workload bank --variant hv-sorting --blocks 4000000000 --warps 32", "--blocks"),
+        ("verify --workload bank --variant hv-sorting --blocks 8161 --warps 2", "--blocks"),
+        ("verify --workload bank --variant hv-sorting --blocks 5000000000", "--blocks"),
+        ("verify --workload bank --mutant late_commit", "--mutant"),
         ("fig2 --only nosuch", "--only"),
         ("report --threads 64 --bless", "--bless"),
         ("nosuch --smoke", "nosuch"),
@@ -84,4 +88,62 @@ fn a_corrupted_golden_is_exit_1_with_the_byte_offset() {
     assert!(stderr.contains("BENCH_retry.json differs from this run at byte 1234 "), "{stderr}");
     assert!(stderr.contains("1 of 10 goldens do not match"), "{stderr}");
     assert!(out.join("BENCH_retry.json").exists(), "check leaves its renderings in --out");
+}
+
+/// Explores `litmus` until its first finding and writes the minimized
+/// witness to `path`.
+fn write_witness(litmus: tm_verify::Litmus, path: &Path) -> String {
+    let mut model = tm_verify::Model::new(litmus);
+    let report = model.explore(2, 5000, true);
+    let finding = report.findings.first().expect("the mutant is killed");
+    let min = model.minimize(finding);
+    let text = model.to_sched(finding, &min);
+    std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+    std::fs::write(path, &text).unwrap();
+    text
+}
+
+#[test]
+fn a_written_lost_wakeup_witness_replays_from_the_file_alone() {
+    use tm_verify::{Litmus, Workload};
+    let mut litmus = Litmus::new(Workload::Queue, workloads::Variant::HvSorting, 1, 2);
+    litmus.blocking = gpu_stm::BlockingMutation { lost_wakeup: true };
+    let path = tmp("cli-lost-wakeup").join("queue-lost-wakeup.sched");
+    let text = write_witness(litmus, &path);
+    assert!(text.contains("meta blocking lost_wakeup=true\n"), "{text}");
+
+    let run = bench(&["verify", "--replay", path.to_str().unwrap()]);
+    let stdout = String::from_utf8_lossy(&run.stdout);
+    assert_eq!(run.status.code(), Some(0), "{stdout}{}", String::from_utf8_lossy(&run.stderr));
+    assert!(stdout.contains("reproduced: deadlock"), "{stdout}");
+}
+
+#[test]
+fn a_witness_with_impossible_metadata_is_exit_1_naming_the_key() {
+    let mut litmus =
+        tm_verify::Litmus::new(tm_verify::Workload::Bank, workloads::Variant::HvSorting, 1, 2);
+    litmus.mutation = gpu_stm::Mutation { unsorted_locks: true, ..Default::default() };
+    let dir = tmp("cli-bad-meta");
+    let text = write_witness(litmus, &dir.join("good.sched"));
+    let good = bench(&["verify", "--replay", dir.join("good.sched").to_str().unwrap()]);
+    assert_eq!(good.status.code(), Some(0), "{}", String::from_utf8_lossy(&good.stderr));
+
+    for (from, to, key) in [
+        ("meta blocks 1\n", "meta blocks 0\n", "meta blocks"),
+        ("meta warps_per_block 2\n", "meta warps_per_block 33\n", "meta warps_per_block"),
+        ("meta blocks 1\n", "meta blocks 4000000000\n", "meta blocks"),
+        ("meta violation livelock\n", "meta violation hang\n", "meta violation"),
+        ("unsorted_locks=true", "unsorted_locks=maybe", "meta mutation"),
+        ("lost_wakeup=false", "lost_wakeup", "meta blocking"),
+    ] {
+        assert!(text.contains(from), "{from:?} not in\n{text}");
+        let bad = dir.join("bad.sched");
+        std::fs::write(&bad, text.replace(from, to)).unwrap();
+        let run = bench(&["verify", "--replay", bad.to_str().unwrap()]);
+        let (stdout, stderr) =
+            (String::from_utf8_lossy(&run.stdout), String::from_utf8_lossy(&run.stderr));
+        assert_eq!(run.status.code(), Some(1), "{to:?}: {stdout}{stderr}");
+        assert!(stderr.contains(key), "{to:?} should name `{key}`: {stderr}");
+        assert!(!stdout.contains("reproduced"), "{to:?}: {stdout}");
+    }
 }

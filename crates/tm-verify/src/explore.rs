@@ -57,6 +57,14 @@ impl ViolationKind {
     pub fn matches(self, other: ViolationKind) -> bool {
         self == other || (self.is_progress_failure() && other.is_progress_failure())
     }
+
+    /// Parses the name `Display` writes (and `meta violation` carries).
+    pub fn parse(s: &str) -> Option<ViolationKind> {
+        use ViolationKind::*;
+        [Opacity, Race, FinalState, Invariant, Deadlock, Livelock, Sim]
+            .into_iter()
+            .find(|k| k.to_string() == s)
+    }
 }
 
 impl std::fmt::Display for ViolationKind {
@@ -94,6 +102,18 @@ pub struct ModelOutcome {
     pub unsupported: Option<String>,
 }
 
+impl ModelOutcome {
+    /// Whether this run reproduces a witness claiming `kind`: some
+    /// violation [`matches`](ViolationKind::matches) it or, for a witness
+    /// that names no kind, there is any violation at all.
+    pub fn reproduces(&self, kind: Option<ViolationKind>) -> bool {
+        match kind {
+            Some(kind) => self.violations.iter().any(|v| kind.matches(v.kind)),
+            None => !self.violations.is_empty(),
+        }
+    }
+}
+
 /// A violation together with the schedule that produced it.
 #[derive(Clone, Debug)]
 pub struct Finding {
@@ -118,17 +138,6 @@ pub struct ExploreConfig {
     /// Optional per-warp private-region filter from the TXL footprint
     /// analysis.
     pub footprints: Option<FootprintFilter>,
-}
-
-impl Default for ExploreConfig {
-    fn default() -> Self {
-        ExploreConfig {
-            max_preemptions: 2,
-            max_schedules: 10_000,
-            stop_on_finding: false,
-            footprints: None,
-        }
-    }
 }
 
 /// Counters describing one exploration.
@@ -477,7 +486,8 @@ impl Backtracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::litmus::{footprint_filter, model, Litmus, Workload};
+    use crate::litmus::{Litmus, Workload};
+    use crate::model::Model;
     use gpu_sim::StepEffect;
     use workloads::Variant;
 
@@ -609,24 +619,35 @@ mod tests {
             (Workload::Hashtable, Variant::HvSorting, 1, 2, 2),
         ];
         for (workload, variant, blocks, warps, bound) in cells {
-            let l = Litmus::new(workload, variant, blocks, warps);
+            let mut model = Model::new(Litmus::new(workload, variant, blocks, warps));
             let cfg = ExploreConfig {
                 max_preemptions: bound,
                 max_schedules: 3000,
                 stop_on_finding: false,
-                footprints: footprint_filter(&l),
+                footprints: model.footprints.clone(),
             };
             let mut pass = Backtracker::default();
             let mut races = 0;
-            let report = search(&cfg, model(l), |ctl, stats, frontier| {
-                let (mut want_stats, mut want) = (stats.clone(), frontier.clone());
-                let want_races = reference_backtracks(ctl, &mut want_stats, &mut want);
-                pass.run(ctl, stats, frontier);
-                assert_eq!(pass.races, want_races, "{workload}/{variant}: races");
-                assert_eq!(*frontier, want, "{workload}/{variant}: queues, seen set, done-sets");
-                assert_eq!(format!("{stats:?}"), format!("{want_stats:?}"), "{workload}/{variant}");
-                races += want_races.len();
-            });
+            let report = search(
+                &cfg,
+                |p| model.run(Some(p)),
+                |ctl, stats, frontier| {
+                    let (mut want_stats, mut want) = (stats.clone(), frontier.clone());
+                    let want_races = reference_backtracks(ctl, &mut want_stats, &mut want);
+                    pass.run(ctl, stats, frontier);
+                    assert_eq!(pass.races, want_races, "{workload}/{variant}: races");
+                    assert_eq!(
+                        *frontier, want,
+                        "{workload}/{variant}: queues, seen set, done-sets"
+                    );
+                    assert_eq!(
+                        format!("{stats:?}"),
+                        format!("{want_stats:?}"),
+                        "{workload}/{variant}"
+                    );
+                    races += want_races.len();
+                },
+            );
             assert!(report.is_clean() && !report.stats.cap_hit, "{workload}/{variant}");
             assert!(report.stats.schedules_run > 1 && races > 0, "{workload}/{variant}");
         }

@@ -15,8 +15,10 @@
 //! happens-before race detector, and per-workload invariants. The TXL
 //! footprint analysis ([`txl::thread_footprint`]) supplies provably
 //! private address regions whose accesses the explorer never branches
-//! on. Violating schedules serialize to replayable `.sched` files and
-//! shrink with a ddmin-style minimizer.
+//! on. Litmus instances of the runtime ([`Litmus`]) and TXL witness cases
+//! ([`TxlCase`]) share one front end, a [`Model`]. Violating schedules
+//! shrink with a ddmin-style minimizer and serialize to `.sched` files
+//! ([`sched`]) that reproduce from the file alone.
 //!
 //! ## Quick start
 //!
@@ -40,6 +42,7 @@
 pub mod controller;
 pub mod explore;
 pub mod litmus;
+pub mod model;
 pub mod sched;
 pub mod witness;
 
@@ -51,17 +54,12 @@ pub use explore::{
     explore, ExploreConfig, ExploreReport, ExploreStats, Finding, Fnv, ModelOutcome,
     ModelViolation, ViolationKind,
 };
-pub use litmus::{footprint_filter, model, run_once, Litmus, Workload, STRIPES_SRC};
-pub use sched::{minimize, parse, serialize, HEADER};
+pub use litmus::{Litmus, Workload, MAX_ACTORS, STRIPES_SRC};
+pub use model::{Model, Subject};
+pub use sched::{claimed_violation, minimize, mutant, parse, serialize, witness_rule, HEADER};
 pub use witness::{
-    explore_case, finding_to_witness, footprint_order, minimize_case_finding, replay_case,
-    run_case, save_witness, unsorted_locks, witness_reproduces, witness_rule, TxlCase,
-    WitnessProvenance,
+    footprint_order, save_witness, unsorted_locks, witness_reproduces, TxlCase, WitnessProvenance,
 };
-
-use gpu_sim::PolicyHandle;
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// A complete verification request: a litmus instance plus exploration
 /// limits.
@@ -78,55 +76,7 @@ pub struct VerifyConfig {
 }
 
 /// Explores the litmus instance's schedule space and reports findings
-/// and exploration statistics. The footprint filter is attached
-/// automatically whenever the workload's TXL analysis proves per-actor
-/// disjointness.
+/// and exploration statistics: [`Model::explore`] on a fresh model.
 pub fn verify(cfg: &VerifyConfig) -> ExploreReport {
-    let ecfg = ExploreConfig {
-        max_preemptions: cfg.max_preemptions,
-        max_schedules: cfg.max_schedules,
-        stop_on_finding: cfg.stop_on_finding,
-        footprints: footprint_filter(&cfg.litmus),
-    };
-    explore(&ecfg, model(cfg.litmus))
-}
-
-/// Replays one schedule against the litmus instance and returns the
-/// checked outcome — the consumer of `.sched` repro files.
-pub fn replay(litmus: &Litmus, schedule: &Schedule) -> ModelOutcome {
-    let ctl = Rc::new(RefCell::new(Controller::new(schedule.clone(), footprint_filter(litmus))));
-    run_once(litmus, Some(PolicyHandle::shared(ctl)))
-}
-
-/// Shrinks a finding's schedule to a 1-minimal reproduction: a forced
-/// choice survives only if removing it loses the violation kind (per
-/// [`ViolationKind::matches`], so deadlock/livelock reclassification
-/// under shrinking does not block progress).
-pub fn minimize_finding(litmus: &Litmus, finding: &Finding) -> Schedule {
-    let kind = finding.violation.kind;
-    sched::minimize(&finding.schedule, |s| {
-        replay(litmus, s).violations.iter().any(|v| kind.matches(v.kind))
-    })
-}
-
-/// Renders a finding as `.sched` text with full provenance metadata.
-pub fn finding_to_sched(litmus: &Litmus, finding: &Finding, schedule: &Schedule) -> String {
-    let m = litmus.mutation;
-    let meta = vec![
-        ("workload".to_string(), litmus.workload.name().to_string()),
-        ("variant".to_string(), litmus.variant.short_name().to_string()),
-        ("blocks".to_string(), litmus.blocks.to_string()),
-        ("warps_per_block".to_string(), litmus.warps_per_block.to_string()),
-        (
-            "mutation".to_string(),
-            format!(
-                "skip_validation={} unsorted_locks={} late_writeback={}",
-                m.skip_validation, m.unsorted_locks, m.late_writeback
-            ),
-        ),
-        ("blocking".to_string(), format!("lost_wakeup={}", litmus.blocking.lost_wakeup)),
-        ("violation".to_string(), finding.violation.kind.to_string()),
-        ("preemptions".to_string(), finding.preemptions.to_string()),
-    ];
-    sched::serialize(schedule, &meta)
+    Model::new(cfg.litmus).explore(cfg.max_preemptions, cfg.max_schedules, cfg.stop_on_finding)
 }

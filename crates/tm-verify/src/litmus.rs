@@ -1,11 +1,6 @@
 //! Litmus workloads for schedule exploration: small, fully-deterministic
-//! kernels with machine-checkable invariants.
-//!
-//! Every run starts from the state of a fresh simulator — [`model`]
-//! resets one simulator per exploration, [`run_once`] builds its own —
-//! and allocates in the same order, so device addresses (and hence
-//! traces) are comparable across runs: the property the explorer's replay
-//! and dedup machinery relies on. Four workloads:
+//! kernels with machine-checkable invariants, run by a
+//! [`Model`](crate::Model). Four workloads:
 //!
 //! - **bank** — each actor (one lane per warp) transfers one unit around
 //!   a ring of accounts; the wrapping sum must stay 0. Two actors with
@@ -24,23 +19,14 @@
 //!   deadlock.
 
 use crate::controller::FootprintFilter;
-use crate::explore::{Fnv, ModelOutcome, ModelViolation, ViolationKind};
-use gpu_sim::{
-    race_sink, Addr, LaneMask, LaunchConfig, PolicyHandle, Sim, SimConfig, SimError, WarpCtx,
-};
+use crate::model::{launch_txl, lock_stm, MEM_WORDS, N_LOCKS};
+use gpu_sim::{Addr, LaneMask, LaunchConfig, Sim, WarpCtx};
 use gpu_stm::{
-    recorder, BlockingMutation, LockStm, Mutation, Pipeline, Policies, Recorder, Stm, StmConfig,
-    StmShared, Wake,
+    BlockingMutation, LockStm, Mutation, Pipeline, Policies, Recorder, Stm, StmConfig, Wake,
 };
 use std::rc::Rc;
 use workloads::{dispatch, RunError, StmRunner, Variant};
 
-/// Simulated-cycle budget per explored run (generous: litmus runs finish
-/// in well under a million cycles unless genuinely stuck).
-const WATCHDOG_CYCLES: u64 = 20_000_000;
-/// No-progress limit: a genuine deadlock/livelock is classified after
-/// this many quiescent cycles instead of burning the whole budget.
-const STALL_CYCLES: u64 = 150_000;
 /// Per-actor start stagger, applied only under the *default* simulator
 /// scheduler: it serialises the actors' transactions so seeded mutants
 /// stay latent in single-schedule baseline runs. Controlled runs drop it
@@ -48,11 +34,16 @@ const STALL_CYCLES: u64 = 150_000;
 /// quantum on the stagger idle and collapse every forced interleaving
 /// back to the sequential trace.
 const STAGGER_CYCLES: u64 = 40_000;
-/// Device words allocated for litmus runs.
-const MEM_WORDS: usize = 1 << 16;
-/// Version locks configured for litmus runs (word-granularity stripes for
-/// small litmus data, so distinct accounts map to distinct locks).
-const N_LOCKS: u32 = 64;
+/// Device words the STM runtime takes besides the litmus data: its clock,
+/// 64 version locks and at most one of 64 park stripes, 64 EGPGV block
+/// locks or a CGL lock, each rounded up to a 32-word segment — at most
+/// 161, reserved as 256.
+const RUNTIME_WORDS: u32 = 256;
+/// Most actors a litmus may have: 16 320. No workload needs more than
+/// four data words per actor (stripes four, hashtable's power-of-two
+/// table fewer, eight in all below two actors), so `4 · 16 320` data
+/// words plus [`RUNTIME_WORDS`] fit the 65 536 words of a run.
+pub const MAX_ACTORS: u32 = (MEM_WORDS - RUNTIME_WORDS) / 4;
 
 /// The TXL stripes kernel: thread `t` increments words `4t..4t+3` once
 /// each inside per-element transactions, leaving word `4t+3` untouched.
@@ -110,7 +101,7 @@ impl std::fmt::Display for Workload {
 }
 
 /// One fully-specified litmus instance.
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct Litmus {
     /// The workload.
     pub workload: Workload,
@@ -139,6 +130,29 @@ impl Litmus {
         }
     }
 
+    /// Checks a launch geometry: 1 to 32 warps per block (a block holds
+    /// at most 1 024 threads) and 1 to [`MAX_ACTORS`] actors, the product
+    /// computed without overflow.
+    ///
+    /// # Errors
+    ///
+    /// `(field, reason)` for the first rule broken, the field named as
+    /// `.sched` metadata spells it: `warps_per_block` or `blocks`.
+    pub fn check_geometry(blocks: u32, warps_per_block: u32) -> Result<(), (&'static str, String)> {
+        let actors = blocks.checked_mul(warps_per_block).filter(|&n| (1..=MAX_ACTORS).contains(&n));
+        if !(1..=32).contains(&warps_per_block) {
+            Err(("warps_per_block", format!("{warps_per_block}, expected 1 to 32")))
+        } else if actors.is_none() {
+            let most = MAX_ACTORS / warps_per_block;
+            Err((
+                "blocks",
+                format!("{blocks}, expected 1 to {most} at {warps_per_block} warps a block"),
+            ))
+        } else {
+            Ok(())
+        }
+    }
+
     /// Total actors (one per warp; stripes: one per TXL thread).
     pub fn actors(&self) -> u32 {
         self.blocks * self.warps_per_block
@@ -164,173 +178,50 @@ impl Litmus {
             Workload::Queue => 2 + self.actors().saturating_sub(1).max(1),
         }
     }
-
-    /// The device address litmus data will get — the first allocation of
-    /// every run, so it is a pure function of the configuration.
-    pub fn data_addr(&self) -> Addr {
-        let mut sim = Sim::new(SimConfig::with_memory(MEM_WORDS));
-        sim.alloc(self.data_words()).expect("litmus data fits")
-    }
 }
 
-/// The simulator configuration of one run under `policy`.
-fn sim_config(policy: Option<PolicyHandle>) -> SimConfig {
-    let mut cfg = SimConfig::with_memory(MEM_WORDS);
-    cfg.watchdog_cycles = WATCHDOG_CYCLES;
-    cfg.stall_cycles = STALL_CYCLES;
-    cfg.race = Some(race_sink());
-    cfg.schedule = policy;
-    cfg
-}
-
-/// The stripes kernel, compiled, or the message a run reports instead.
-fn stripes_kernel() -> Result<txl::Kernel, String> {
-    let program =
-        txl::compile(STRIPES_SRC).map_err(|e| format!("stripes kernel does not compile: {e}"))?;
-    program.kernel("stripes").cloned().ok_or_else(|| "stripes kernel missing".into())
-}
-
-/// Executes one complete run under an optional schedule policy on a
-/// fresh simulator and returns the checked outcome. `None` runs the
-/// default simulator scheduler (the "single-schedule" baseline the
-/// mutants must survive).
-pub fn run_once(l: &Litmus, policy: Option<PolicyHandle>) -> ModelOutcome {
-    let stripes = (l.workload == Workload::Stripes).then(stripes_kernel);
-    let mut sim = Sim::new(sim_config(policy));
-    run_on(l, &mut sim, stripes.as_ref())
-}
-
-/// The model closure the explorer drives. It owns one simulator, reset
-/// to the state of a fresh one before every schedule, and compiles the
-/// stripes kernel once.
-pub fn model(l: Litmus) -> impl FnMut(PolicyHandle) -> ModelOutcome {
-    let stripes = (l.workload == Workload::Stripes).then(stripes_kernel);
-    let mut sim = Sim::new(sim_config(None));
-    move |policy| {
-        sim.reset(sim_config(Some(policy)));
-        run_on(&l, &mut sim, stripes.as_ref())
-    }
-}
-
-/// One run on `sim`, which is in the state of `Sim::new(sim_config(_))`.
-fn run_on(
+/// One run of `l` on `sim`, which is in the state of a fresh simulator;
+/// `kernel` is the compiled stripes kernel for the stripes workload. The
+/// litmus data is the run's first allocation, recorded in `data`.
+pub(crate) fn run(
     l: &Litmus,
     sim: &mut Sim,
-    stripes: Option<&Result<txl::Kernel, String>>,
-) -> ModelOutcome {
+    kernel: Option<&txl::Kernel>,
+    rec: &Recorder,
+    data: &mut Vec<(Addr, u32)>,
+) -> Result<(), RunError> {
     let stagger = if sim.config().schedule.is_some() { 0 } else { STAGGER_CYCLES };
-    let sink = sim.config().race.clone().expect("litmus runs detect races");
+    let words = l.data_words();
+    let addr = sim.alloc(words)?;
+    data.push((addr, words));
+    let run = Run { litmus: *l, data: addr, stagger, stripes: kernel };
 
-    let data_words = l.data_words();
-    let data = match sim.alloc(data_words) {
-        Ok(a) => a,
-        Err(e) => return sim_failure(&e),
-    };
-    let rec = recorder();
-    let stm_cfg = StmConfig::new(N_LOCKS);
-    let run = Run { litmus: *l, data, stagger, stripes };
-
-    let result: Result<(), RunError> = if l.workload == Workload::Queue {
+    if l.workload == Workload::Queue {
         // The queue litmus always builds its own parking Pipeline<LockStm>:
         // the pipeline needs to own the runtime (and &mut Sim for its
         // registry anchors), which the generic dispatch cannot provide.
-        run_queue_blocking(l, sim, stm_cfg, rec.clone(), data, stagger)
+        let unsupported = "the blocking queue litmus requires a per-thread lock-based STM variant";
+        let inner = lock_stm(sim, l.variant, l.mutation, rec, unsupported)?;
+        run_queue_blocking(l, sim, inner, addr, stagger)
     } else if l.mutation.any() {
-        run_mutated(&run, sim, stm_cfg, rec.clone())
+        let unsupported = "seeded mutations exist only in the per-thread lock-based STM variants";
+        let stm = lock_stm(sim, l.variant, l.mutation, rec, unsupported)?;
+        run.run(sim, Rc::new(stm))
     } else {
-        dispatch(
-            sim,
-            l.variant,
-            stm_cfg,
-            u64::from(data_words),
-            l.grid(),
-            Some(rec.clone()),
-            None,
-            run,
-        )
-    };
-
-    let mut violations = Vec::new();
-    match result {
-        Err(RunError::Unsupported(msg)) => {
-            return ModelOutcome {
-                violations: Vec::new(),
-                state_hash: 0,
-                unsupported: Some(msg.to_string()),
-            }
-        }
-        Err(RunError::Sim(e)) => {
-            let kind = match &e {
-                SimError::Deadlock { .. } => ViolationKind::Deadlock,
-                SimError::Livelock { .. } => ViolationKind::Livelock,
-                _ => ViolationKind::Sim,
-            };
-            // Fold the per-warp progress lines into the message: for a
-            // blocked run the warp state (including any parked watch
-            // addresses) is the actionable part of the diagnosis.
-            let mut message = e.to_string();
-            for w in e.unfinished_warps() {
-                message.push_str("; ");
-                message.push_str(&w.to_string());
-            }
-            violations.push(ModelViolation { kind, message });
-            // The run is partial: history/final-state checks would report
-            // spurious mismatches, so only the progress failure counts.
-        }
-        Err(RunError::Verification(msg)) => {
-            violations.push(ModelViolation { kind: ViolationKind::Invariant, message: msg });
-        }
-        Err(other) => {
-            violations
-                .push(ModelViolation { kind: ViolationKind::Sim, message: other.to_string() });
-        }
-        Ok(()) => {
-            let hist = rec.borrow();
-            for v in tm_check::check_history(&hist, |_| 0).violations {
-                violations
-                    .push(ModelViolation { kind: ViolationKind::Opacity, message: v.to_string() });
-            }
-            let finals = tm_check::check_final_state(
-                &hist,
-                |_| 0,
-                |a| sim.read(a),
-                (0..data_words).map(|i| data.offset(i)),
-            );
-            for v in finals {
-                violations.push(ModelViolation {
-                    kind: ViolationKind::FinalState,
-                    message: v.to_string(),
-                });
-            }
-            if let Some(msg) = check_invariant(l, sim, data) {
-                violations.push(ModelViolation { kind: ViolationKind::Invariant, message: msg });
-            }
-        }
+        let stm_cfg = StmConfig::new(N_LOCKS);
+        dispatch(sim, l.variant, stm_cfg, u64::from(words), l.grid(), Some(rec.clone()), None, run)
     }
-    for v in tm_check::races_to_violations(&sink.borrow().races) {
-        violations.push(ModelViolation { kind: ViolationKind::Race, message: v.to_string() });
-    }
-
-    let mut h = Fnv::new();
-    for i in 0..data_words {
-        h.u32(sim.read(data.offset(i)));
-    }
-    for v in &violations {
-        h.str(&v.message);
-    }
-    ModelOutcome { violations, state_hash: h.finish(), unsupported: None }
 }
 
-/// Builds the footprint filter for workloads whose TXL analysis proves
-/// per-actor disjointness (currently: stripes). `None` for conflicting
-/// workloads or whenever the hulls overlap.
-pub fn footprint_filter(l: &Litmus) -> Option<FootprintFilter> {
-    if l.workload != Workload::Stripes {
-        return None;
-    }
-    let program = txl::compile(STRIPES_SRC).ok()?;
-    let kernel = program.kernel("stripes")?;
-    let data = l.data_addr();
+/// The footprint filter of a stripes litmus, when the TXL analysis of
+/// its `kernel` proves per-actor disjointness; `fresh` is a fresh
+/// simulator, whose first allocation is where every run's data lands.
+pub(crate) fn footprint_filter(
+    l: &Litmus,
+    kernel: &txl::Kernel,
+    fresh: &mut Sim,
+) -> Option<FootprintFilter> {
+    let data = fresh.alloc(l.data_words()).ok()?;
     let n = l.actors();
     let mut regions = Vec::new();
     for t in 0..n {
@@ -342,33 +233,6 @@ pub fn footprint_filter(l: &Litmus) -> Option<FootprintFilter> {
         regions.push(((t, 0), vec![(data.offset(iv.lo), data.offset(iv.hi))]));
     }
     FootprintFilter::new(regions)
-}
-
-fn sim_failure(e: &SimError) -> ModelOutcome {
-    let mut h = Fnv::new();
-    h.str(&e.to_string());
-    ModelOutcome {
-        violations: vec![ModelViolation { kind: ViolationKind::Sim, message: e.to_string() }],
-        state_hash: h.finish(),
-        unsupported: None,
-    }
-}
-
-/// Runs the litmus under a directly-constructed [`LockStm`] carrying the
-/// seeded mutation (only the four lock-based variants have mutants).
-fn run_mutated(
-    run: &Run,
-    sim: &mut Sim,
-    stm_cfg: StmConfig,
-    rec: Recorder,
-) -> Result<(), RunError> {
-    let l = &run.litmus;
-    let shared = StmShared::init(sim, &stm_cfg).map_err(RunError::Sim)?;
-    let stm = LockStm::for_variant(l.variant, shared, stm_cfg)
-        .unwrap_or_else(|| panic!("mutations only apply to lock-based variants, not {}", l.variant))
-        .with_mutation(l.mutation)
-        .with_recorder(rec);
-    run.workload(sim, Rc::new(stm))
 }
 
 /// The blocking wakeup litmus. Actor 0 produces `actors - 1` items by
@@ -388,20 +252,12 @@ fn run_mutated(
 fn run_queue_blocking(
     l: &Litmus,
     sim: &mut Sim,
-    stm_cfg: StmConfig,
-    rec: Recorder,
+    inner: LockStm,
     data: Addr,
     stagger: u64,
 ) -> Result<(), RunError> {
-    let shared = StmShared::init(sim, &stm_cfg).map_err(RunError::Sim)?;
-    let Some(inner) = LockStm::for_variant(l.variant, shared, stm_cfg) else {
-        return Err(RunError::Unsupported(
-            "the blocking queue litmus requires a per-thread lock-based STM variant",
-        ));
-    };
-    let inner = inner.with_mutation(l.mutation).with_recorder(rec);
     let policies = Policies { wake: Wake::Park, ..Policies::default() };
-    let stm = Pipeline::new(sim, inner, &stm_cfg, policies)
+    let stm = Pipeline::new(sim, inner, &StmConfig::new(N_LOCKS), policies)
         .map_err(RunError::Sim)?
         .with_mutation(l.blocking);
 
@@ -485,31 +341,24 @@ struct Run<'a> {
     data: Addr,
     stagger: u64,
     /// The compiled stripes kernel, for the stripes workload.
-    stripes: Option<&'a Result<txl::Kernel, String>>,
-}
-
-impl Run<'_> {
-    fn workload<S: Stm + 'static>(&self, sim: &mut Sim, stm: Rc<S>) -> Result<(), RunError> {
-        let (l, data, stagger) = (&self.litmus, self.data, self.stagger);
-        match l.workload {
-            Workload::Bank => run_bank(l, sim, stm, data, stagger),
-            Workload::Hashtable => run_hashtable(l, sim, stm, data, stagger),
-            Workload::Stripes => {
-                let kernel = self.stripes.expect("a stripes run carries its kernel");
-                let kernel = kernel.as_ref().map_err(|e| RunError::Verification(e.clone()))?;
-                run_stripes(l, sim, stm, data, kernel)
-            }
-            // Handled by `run_queue_blocking` before dispatch ever runs.
-            Workload::Queue => unreachable!("queue litmus bypasses the generic dispatch"),
-        }
-    }
+    stripes: Option<&'a txl::Kernel>,
 }
 
 impl StmRunner for Run<'_> {
     type Out = ();
 
     fn run<S: Stm + 'static>(self, sim: &mut Sim, stm: Rc<S>) -> Result<(), RunError> {
-        self.workload(sim, stm)
+        let (l, data, stagger) = (&self.litmus, self.data, self.stagger);
+        match l.workload {
+            Workload::Bank => run_bank(l, sim, stm, data, stagger),
+            Workload::Hashtable => run_hashtable(l, sim, stm, data, stagger),
+            Workload::Stripes => {
+                let kernel = self.stripes.expect("a stripes run carries its kernel");
+                launch_txl(sim, &stm, kernel, l.grid(), &[(data, l.data_words())])
+            }
+            // Handled by `run_queue_blocking` before dispatch ever runs.
+            Workload::Queue => unreachable!("queue litmus bypasses the generic dispatch"),
+        }
     }
 }
 
@@ -620,25 +469,9 @@ fn run_hashtable<S: Stm + 'static>(
     .map_err(RunError::Sim)
 }
 
-/// The TXL stripes kernel, interpreted over the STM under test.
-fn run_stripes<S: Stm + 'static>(
-    l: &Litmus,
-    sim: &mut Sim,
-    stm: Rc<S>,
-    data: Addr,
-    kernel: &txl::Kernel,
-) -> Result<(), RunError> {
-    let bindings = [txl::ArrayBinding::new("data", data, l.data_words())];
-    match txl::launch(sim, &stm, kernel, l.grid(), 7, &bindings) {
-        Ok(_) => Ok(()),
-        Err(txl::TxlError::Sim(e)) => Err(RunError::Sim(e)),
-        Err(other) => Err(RunError::Verification(other.to_string())),
-    }
-}
-
 /// Workload invariant over final device memory; `Some(message)` on
 /// violation.
-fn check_invariant(l: &Litmus, sim: &Sim, data: Addr) -> Option<String> {
+pub(crate) fn check_invariant(l: &Litmus, sim: &Sim, data: Addr) -> Option<String> {
     let words: Vec<u32> = sim.read_slice(data, l.data_words());
     match l.workload {
         Workload::Bank => {

@@ -11,29 +11,13 @@
 //! after `txl fix` rewrites the source, [`witness_reproduces`] replays
 //! the witness against the repaired program and must come back `false`.
 
-use crate::controller::Controller;
-use crate::explore::{
-    explore, ExploreConfig, ExploreReport, Finding, Fnv, ModelOutcome, ModelViolation,
-    ViolationKind,
-};
-use crate::{sched, Schedule};
-use gpu_sim::{race_sink, PolicyHandle, Sim, SimConfig, SimError};
-use gpu_stm::Mutation;
-use std::cell::RefCell;
+use crate::explore::Finding;
+use crate::model::{launch_txl, lock_stm, Model};
+use crate::sched;
+use gpu_sim::{Addr, LaunchConfig, Sim};
+use gpu_stm::{Mutation, Recorder};
 use std::rc::Rc;
-
-/// Simulated-cycle budget per explored run.
-const WATCHDOG_CYCLES: u64 = 20_000_000;
-/// No-progress limit: spinning-on-a-dead-lock classifies as a
-/// deadlock/livelock after this many quiescent cycles.
-const STALL_CYCLES: u64 = 150_000;
-/// Device words allocated for witness runs.
-const MEM_WORDS: usize = 1 << 16;
-/// Version locks configured for witness runs.
-const N_LOCKS: u32 = 64;
-/// RNG seed for `rand()` in explored TXL programs (fixed: runs must be
-/// deterministic given the schedule).
-const SEED: u64 = 7;
+use workloads::{RunError, Variant};
 
 /// A TXL program under schedule exploration, tagged with the lint rule
 /// its seeded bug corresponds to.
@@ -62,6 +46,27 @@ impl TxlCase {
     /// builds the post-fix replay case.
     pub fn with_source(&self, source: impl Into<String>) -> TxlCase {
         TxlCase { source: source.into(), ..self.clone() }
+    }
+
+    /// One run of the case's compiled `kernel` on `sim`, which is in the
+    /// state of a fresh simulator: the STM's shared state first, then one
+    /// array per kernel parameter, sized by [`txl::array_lens`] and
+    /// recorded in `data`.
+    pub(crate) fn run(
+        &self,
+        sim: &mut Sim,
+        kernel: Option<&txl::Kernel>,
+        rec: &Recorder,
+        data: &mut Vec<(Addr, u32)>,
+    ) -> Result<(), RunError> {
+        let kernel = kernel.expect("a case runs its TXL");
+        let stm =
+            lock_stm(sim, Variant::HvSorting, self.mutation, rec, "HV-Sorting is lock-based")?;
+        for words in txl::array_lens(kernel, self.threads) {
+            data.push((sim.alloc(words)?, words));
+        }
+        let grid = LaunchConfig::new(self.threads.max(1), 1);
+        launch_txl(sim, &Rc::new(stm), kernel, grid, data)
     }
 }
 
@@ -119,157 +124,6 @@ pub fn footprint_order() -> TxlCase {
     }
 }
 
-/// Executes one complete run of the case under an optional schedule
-/// policy and returns the checked outcome (progress failures, opacity of
-/// the recorded history, happens-before races, terminal-state hash).
-pub fn run_case(case: &TxlCase, policy: Option<PolicyHandle>) -> ModelOutcome {
-    let program = match txl::compile(&case.source) {
-        Ok(p) => p,
-        Err(e) => {
-            return outcome_for_error(ViolationKind::Sim, format!("case does not compile: {e}"))
-        }
-    };
-    let Some(kernel) = program.kernels.first() else {
-        return outcome_for_error(ViolationKind::Sim, "case has no kernels".to_string());
-    };
-
-    let mut sim_cfg = SimConfig::with_memory(MEM_WORDS);
-    sim_cfg.watchdog_cycles = WATCHDOG_CYCLES;
-    sim_cfg.stall_cycles = STALL_CYCLES;
-    let sink = race_sink();
-    sim_cfg.race = Some(sink.clone());
-    sim_cfg.schedule = policy;
-    let mut sim = Sim::new(sim_cfg);
-
-    let stm_cfg = gpu_stm::StmConfig::new(N_LOCKS);
-    let shared = match gpu_stm::StmShared::init(&mut sim, &stm_cfg) {
-        Ok(s) => s,
-        Err(e) => return outcome_for_error(ViolationKind::Sim, e.to_string()),
-    };
-    let rec = gpu_stm::recorder();
-    let stm = Rc::new(
-        gpu_stm::LockStm::hv_sorting(shared, stm_cfg)
-            .with_mutation(case.mutation)
-            .with_recorder(rec.clone()),
-    );
-
-    let fp = txl::kernel_footprint(
-        kernel,
-        txl::Interval::new(0, case.threads.saturating_sub(1)),
-        case.threads,
-    );
-    let mut bindings = Vec::new();
-    let mut data = Vec::new();
-    for (pi, p) in kernel.params.iter().enumerate() {
-        let len = p
-            .declared_len
-            .or_else(|| match fp.params[pi].touched() {
-                Some(hull) if !hull.is_top() && hull.hi < 4096 => Some(hull.hi + 1),
-                _ => None,
-            })
-            .unwrap_or(case.threads.max(1))
-            .max(1);
-        let addr = match sim.alloc(len) {
-            Ok(a) => a,
-            Err(e) => return outcome_for_error(ViolationKind::Sim, e.to_string()),
-        };
-        bindings.push(txl::ArrayBinding::new(p.name.clone(), addr, len));
-        data.push((addr, len));
-    }
-
-    let grid = gpu_sim::LaunchConfig::new(case.threads.max(1), 1);
-    let mut violations = Vec::new();
-    match txl::launch(&mut sim, &stm, kernel, grid, SEED, &bindings) {
-        Ok(_) => {
-            for v in tm_check::check_history(&rec.borrow(), |_| 0).violations {
-                violations
-                    .push(ModelViolation { kind: ViolationKind::Opacity, message: v.to_string() });
-            }
-        }
-        Err(txl::TxlError::Sim(e)) => {
-            let kind = match &e {
-                SimError::Deadlock { .. } => ViolationKind::Deadlock,
-                SimError::Livelock { .. } => ViolationKind::Livelock,
-                _ => ViolationKind::Sim,
-            };
-            violations.push(ModelViolation { kind, message: e.to_string() });
-        }
-        Err(other) => {
-            violations
-                .push(ModelViolation { kind: ViolationKind::Sim, message: other.to_string() });
-        }
-    }
-    for v in tm_check::races_to_violations(&sink.borrow().races) {
-        violations.push(ModelViolation { kind: ViolationKind::Race, message: v.to_string() });
-    }
-
-    let mut h = Fnv::new();
-    for &(addr, len) in &data {
-        for i in 0..len {
-            h.u32(sim.read(addr.offset(i)));
-        }
-    }
-    for v in &violations {
-        h.str(&v.message);
-    }
-    ModelOutcome { violations, state_hash: h.finish(), unsupported: None }
-}
-
-fn outcome_for_error(kind: ViolationKind, message: String) -> ModelOutcome {
-    let mut h = Fnv::new();
-    h.str(&message);
-    ModelOutcome {
-        violations: vec![ModelViolation { kind, message }],
-        state_hash: h.finish(),
-        unsupported: None,
-    }
-}
-
-/// Explores the case's schedule space under iterative preemption
-/// bounding. No footprint filter: witness cases are conflicting by
-/// construction.
-pub fn explore_case(case: &TxlCase, max_preemptions: u32, max_schedules: u64) -> ExploreReport {
-    let cfg =
-        ExploreConfig { max_preemptions, max_schedules, stop_on_finding: false, footprints: None };
-    let c = case.clone();
-    explore(&cfg, move |policy| run_case(&c, Some(policy)))
-}
-
-/// Replays one schedule against the case — the consumer of witness
-/// `.sched` files.
-pub fn replay_case(case: &TxlCase, schedule: &Schedule) -> ModelOutcome {
-    let ctl = Rc::new(RefCell::new(Controller::new(schedule.clone(), None)));
-    run_case(case, Some(PolicyHandle::shared(ctl)))
-}
-
-/// Shrinks a finding's schedule to a 1-minimal reproduction (per
-/// [`ViolationKind::matches`], so deadlock/livelock reclassification
-/// under shrinking does not block progress).
-pub fn minimize_case_finding(case: &TxlCase, finding: &Finding) -> Schedule {
-    let kind = finding.violation.kind;
-    sched::minimize(&finding.schedule, |s| {
-        replay_case(case, s).violations.iter().any(|v| kind.matches(v.kind))
-    })
-}
-
-/// Renders a finding as `.sched` witness text carrying the case name and
-/// the lint rule the bug maps to.
-pub fn finding_to_witness(case: &TxlCase, finding: &Finding, schedule: &Schedule) -> String {
-    let meta = vec![
-        ("case".to_string(), case.name.clone()),
-        ("rule".to_string(), case.rule.clone()),
-        ("threads".to_string(), case.threads.to_string()),
-        ("violation".to_string(), finding.violation.kind.to_string()),
-        ("preemptions".to_string(), finding.preemptions.to_string()),
-    ];
-    sched::serialize(schedule, &meta)
-}
-
-/// Extracts the `rule` metadata a witness carries, if any.
-pub fn witness_rule(meta: &[(String, String)]) -> Option<&str> {
-    meta.iter().find(|(k, _)| k == "rule").map(|(_, v)| v.as_str())
-}
-
 /// Provenance of a saved `.sched` witness: what it proves and where it
 /// lives. Observability layers attach this to incident bundles so a
 /// model-checker violation in a post-mortem links straight back to its
@@ -296,26 +150,13 @@ pub fn save_witness(
     case: &TxlCase,
     finding: &Finding,
 ) -> std::io::Result<WitnessProvenance> {
-    let min = minimize_case_finding(case, finding);
-    let text = finding_to_witness(case, finding, &min);
+    let mut model = Model::new(case.clone());
+    let min = model.minimize(finding);
+    let text = model.to_sched(finding, &min);
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{}.sched", case.name));
     std::fs::write(&path, text)?;
     Ok(WitnessProvenance { case: case.name.clone(), rule: case.rule.clone(), path })
-}
-
-/// Parses a [`ViolationKind`] from its `Display` name.
-fn parse_kind(s: &str) -> Option<ViolationKind> {
-    let all = [
-        ViolationKind::Opacity,
-        ViolationKind::Race,
-        ViolationKind::FinalState,
-        ViolationKind::Invariant,
-        ViolationKind::Deadlock,
-        ViolationKind::Livelock,
-        ViolationKind::Sim,
-    ];
-    all.into_iter().find(|k| k.to_string() == s)
 }
 
 /// Replays `.sched` witness text against the case and reports whether
@@ -329,15 +170,12 @@ fn parse_kind(s: &str) -> Option<ViolationKind> {
 ///
 /// # Errors
 ///
-/// A human-readable message when the witness text does not parse.
+/// A human-readable message when the witness text does not parse or
+/// claims an unknown violation kind.
 pub fn witness_reproduces(case: &TxlCase, witness: &str) -> Result<bool, String> {
     let (schedule, meta) = sched::parse(witness)?;
-    let outcome = replay_case(case, &schedule);
-    let want = meta.iter().find(|(k, _)| k == "violation").and_then(|(_, v)| parse_kind(v));
-    Ok(match want {
-        Some(kind) => outcome.violations.iter().any(|v| kind.matches(v.kind)),
-        None => !outcome.violations.is_empty(),
-    })
+    let kind = sched::claimed_violation(&meta)?;
+    Ok(Model::new(case.clone()).replay(&schedule).reproduces(kind))
 }
 
 #[cfg(test)]
@@ -370,14 +208,14 @@ mod tests {
 
     #[test]
     fn explorer_finds_the_footprint_order_deadlock() {
-        let case = footprint_order();
-        let report = explore_case(&case, 2, 500);
+        let mut model = Model::new(footprint_order());
+        let report = model.explore(2, 500, false);
         let finding = report
             .findings
             .iter()
             .find(|f| f.violation.kind.is_progress_failure())
             .unwrap_or_else(|| panic!("no deadlock among {} findings", report.findings.len()));
-        let outcome = replay_case(&case, &finding.schedule);
+        let outcome = model.replay(&finding.schedule);
         assert!(
             outcome.violations.iter().any(|v| finding.violation.kind.matches(v.kind)),
             "witness schedule does not replay: {outcome:?}"
@@ -388,23 +226,23 @@ mod tests {
     fn default_schedule_runs_the_case() {
         // The default controller-free run must produce *an* outcome
         // deterministically (violations allowed: the case is buggy).
-        let case = unsorted_locks();
-        let a = run_case(&case, None);
-        let b = run_case(&case, None);
+        let mut model = Model::new(unsorted_locks());
+        let a = model.run(None);
+        let b = model.run(None);
         assert_eq!(a.state_hash, b.state_hash);
     }
 
     #[test]
     fn explorer_finds_the_crossing_deadlock() {
-        let case = unsorted_locks();
-        let report = explore_case(&case, 2, 500);
+        let mut model = Model::new(unsorted_locks());
+        let report = model.explore(2, 500, false);
         let finding = report
             .findings
             .iter()
             .find(|f| f.violation.kind.is_progress_failure())
             .unwrap_or_else(|| panic!("no deadlock among {} findings", report.findings.len()));
         // The witness replays.
-        let outcome = replay_case(&case, &finding.schedule);
+        let outcome = model.replay(&finding.schedule);
         assert!(
             outcome.violations.iter().any(|v| finding.violation.kind.matches(v.kind)),
             "witness schedule does not replay: {outcome:?}"
@@ -414,17 +252,18 @@ mod tests {
     #[test]
     fn witness_round_trips_with_rule_provenance() {
         let case = unsorted_locks();
-        let report = explore_case(&case, 2, 500);
+        let mut model = Model::new(case.clone());
+        let report = model.explore(2, 500, false);
         let finding = report
             .findings
             .iter()
             .find(|f| f.violation.kind.is_progress_failure())
             .expect("deadlock finding");
-        let min = minimize_case_finding(&case, finding);
+        let min = model.minimize(finding);
         assert!(min.choices.len() <= finding.schedule.choices.len());
-        let text = finding_to_witness(&case, finding, &min);
+        let text = model.to_sched(finding, &min);
         let (_, meta) = sched::parse(&text).expect("witness parses");
-        assert_eq!(witness_rule(&meta), Some("TL002"));
+        assert_eq!(sched::witness_rule(&meta), Some("TL002"));
         assert_eq!(witness_reproduces(&case, &text), Ok(true));
     }
 }

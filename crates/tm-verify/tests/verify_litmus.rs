@@ -5,8 +5,7 @@
 
 use gpu_stm::{BlockingMutation, Mutation};
 use tm_verify::{
-    minimize_finding, parse, replay, run_once, verify, ExploreStats, Litmus, VerifyConfig,
-    ViolationKind, Workload,
+    parse, verify, ExploreStats, Litmus, Model, VerifyConfig, ViolationKind, Workload,
 };
 use workloads::Variant;
 
@@ -124,7 +123,7 @@ fn queue_litmus_rejects_non_lock_variants() {
 fn lost_wakeup_mutant_is_latent_under_the_default_schedule() {
     let mut l = Litmus::new(Workload::Queue, Variant::HvSorting, 1, 3);
     l.blocking = BlockingMutation { lost_wakeup: true };
-    let out = run_once(&l, None);
+    let out = Model::new(l).run(None);
     assert!(
         out.violations.is_empty(),
         "lost_wakeup: expected the mutant to stay latent under the default \
@@ -156,19 +155,20 @@ fn lost_wakeup_mutant_is_killed_with_a_minimized_replayable_witness() {
     );
 
     // Shrink, serialize, re-parse, replay: the full repro pipeline.
-    let min = minimize_finding(&l, f);
+    let mut model = Model::new(l);
+    let min = model.minimize(f);
     assert!(min.choices.len() <= f.schedule.choices.len());
     assert!(
         min.choices.len() <= 4,
         "minimized lost-wakeup witness still has {} forced choices",
         min.choices.len()
     );
-    let text = tm_verify::finding_to_sched(&l, f, &min);
+    let text = model.to_sched(f, &min);
     let (parsed, meta) = parse(&text).expect("well-formed .sched");
     assert_eq!(parsed, min);
     assert!(meta.iter().any(|(k, v)| k == "workload" && v == "queue"), "{meta:?}");
     assert!(meta.iter().any(|(k, v)| k == "blocking" && v == "lost_wakeup=true"), "{meta:?}");
-    let out = replay(&l, &parsed);
+    let out = model.replay(&parsed);
     assert!(
         out.violations.iter().any(|v| ViolationKind::Deadlock.matches(v.kind)),
         "minimized lost-wakeup witness does not reproduce; got {:?}",
@@ -212,7 +212,7 @@ fn mutants_are_latent_under_the_default_schedule() {
     for (name, m, _) in mutants() {
         let mut l = Litmus::new(Workload::Bank, Variant::HvSorting, 1, 2);
         l.mutation = m;
-        let out = run_once(&l, None);
+        let out = Model::new(l).run(None);
         assert!(
             out.violations.is_empty(),
             "{name}: expected the mutant to stay latent under the default \
@@ -243,18 +243,19 @@ fn every_mutant_is_killed_with_a_minimized_replayable_witness() {
         );
 
         // Shrink, serialize, re-parse, replay: the full repro pipeline.
-        let min = minimize_finding(&l, f);
+        let mut model = Model::new(l);
+        let min = model.minimize(f);
         assert!(min.choices.len() <= f.schedule.choices.len());
         assert!(
             min.choices.len() <= 4,
             "{name}: minimized witness still has {} forced choices",
             min.choices.len()
         );
-        let text = tm_verify::finding_to_sched(&l, f, &min);
+        let text = model.to_sched(f, &min);
         let (parsed, meta) = parse(&text).unwrap_or_else(|e| panic!("{name}: bad .sched: {e}"));
         assert_eq!(parsed, min);
         assert!(meta.iter().any(|(k, v)| k == "workload" && v == "bank"), "{meta:?}");
-        let out = replay(&l, &parsed);
+        let out = model.replay(&parsed);
         assert!(
             out.violations.iter().any(|v| expect.matches(v.kind)),
             "{name}: minimized witness does not reproduce; got {:?}",

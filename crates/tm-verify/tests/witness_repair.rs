@@ -2,24 +2,22 @@
 //! of the unsorted-locks deadlock must stop reproducing once `txl fix`
 //! repairs the program it was mined from.
 
-use tm_verify::{
-    explore_case, finding_to_witness, footprint_order, minimize_case_finding, unsorted_locks,
-    witness_reproduces, witness_rule,
-};
+use tm_verify::{footprint_order, unsorted_locks, witness_reproduces, witness_rule, Model};
 
 #[test]
 fn repaired_program_kills_the_deadlock_witness() {
     let case = unsorted_locks();
 
     // Mine a deadlock witness from the buggy program.
-    let report = explore_case(&case, 2, 500);
+    let mut model = Model::new(case.clone());
+    let report = model.explore(2, 500, false);
     let finding = report
         .findings
         .iter()
         .find(|f| f.violation.kind.is_progress_failure())
         .expect("the crossing-lock case deadlocks under exploration");
-    let min = minimize_case_finding(&case, finding);
-    let witness = finding_to_witness(&case, finding, &min);
+    let min = model.minimize(finding);
+    let witness = model.to_sched(finding, &min);
     assert_eq!(
         witness_reproduces(&case, &witness),
         Ok(true),
@@ -55,7 +53,7 @@ fn repaired_program_kills_the_deadlock_witness() {
 
     // And not just under the witness schedule: the repaired program's
     // whole bounded schedule space is deadlock-free.
-    let re = explore_case(&repaired, 2, 500);
+    let re = Model::new(repaired).explore(2, 500, false);
     assert!(
         re.findings.iter().all(|f| !f.violation.kind.is_progress_failure()),
         "repaired program still deadlocks somewhere: {:?}",
@@ -72,14 +70,15 @@ fn repaired_program_kills_the_deadlock_witness() {
 fn reordered_program_kills_the_footprint_order_witness() {
     let case = footprint_order();
 
-    let report = explore_case(&case, 2, 500);
+    let mut model = Model::new(case.clone());
+    let report = model.explore(2, 500, false);
     let finding = report
         .findings
         .iter()
         .find(|f| f.violation.kind.is_progress_failure())
         .expect("the footprint-order case deadlocks under the unsorted-locks mutant");
-    let min = minimize_case_finding(&case, finding);
-    let witness = finding_to_witness(&case, finding, &min);
+    let min = model.minimize(finding);
+    let witness = model.to_sched(finding, &min);
     assert_eq!(
         witness_reproduces(&case, &witness),
         Ok(true),
@@ -109,10 +108,66 @@ fn reordered_program_kills_the_footprint_order_witness() {
         fixed.fixed
     );
 
-    let re = explore_case(&repaired, 2, 500);
+    let re = Model::new(repaired).explore(2, 500, false);
     assert!(
         re.findings.iter().all(|f| !f.violation.kind.is_progress_failure()),
         "repaired program still deadlocks somewhere: {:?}",
         re.findings
     );
+}
+
+#[test]
+fn the_witness_case_explorations_are_pinned_schedule_for_schedule() {
+    // Both cases at bound 2, cap 500: every exploration counter, the
+    // number of findings and the minimized witness of the first progress
+    // failure, byte for byte. Counter columns: schedules, traces deduped,
+    // states deduped, backtracks queued, deferred, sleep-pruned,
+    // schedules deduped, footprint-invisible events, diverged, longest
+    // trace.
+    let cases = [
+        (
+            unsorted_locks(),
+            [248, 5, 146, 247, 179, 455, 0, 0, 0, 1120],
+            false,
+            197,
+            "meta case unsorted-locks\nmeta rule TL002\nmeta threads 2\n\
+             meta violation livelock\nmeta preemptions 1\nchoice 6 1 0\n",
+        ),
+        (
+            footprint_order(),
+            [500, 8, 490, 567, 891, 1115, 0, 0, 0, 863],
+            true,
+            1,
+            "meta case footprint-order\nmeta rule TL005\nmeta threads 2\n\
+             meta violation livelock\nmeta preemptions 2\nchoice 19 1 0\nchoice 67 0 0\n",
+        ),
+    ];
+    for (case, want, want_cap_hit, want_findings, want_witness) in cases {
+        let mut model = Model::new(case.clone());
+        let report = model.explore(2, 500, false);
+        let s = &report.stats;
+        let got = [
+            s.schedules_run,
+            s.traces_deduped,
+            s.states_deduped,
+            s.backtracks_queued,
+            s.backtracks_deferred,
+            s.sleep_pruned,
+            s.schedules_deduped,
+            s.footprint_invisible_events,
+            s.diverged,
+            s.max_trace_len as u64,
+        ];
+        assert_eq!(got, want, "{}", case.name);
+        assert_eq!(s.cap_hit, want_cap_hit, "{}", case.name);
+        assert_eq!(report.findings.len(), want_findings, "{}", case.name);
+        let finding = report
+            .findings
+            .iter()
+            .find(|f| f.violation.kind.is_progress_failure())
+            .unwrap_or_else(|| panic!("{}: no progress failure", case.name));
+        let min = model.minimize(finding);
+        let witness = model.to_sched(finding, &min);
+        assert_eq!(witness, format!("{}\n{want_witness}", tm_verify::HEADER), "{}", case.name);
+    }
 }

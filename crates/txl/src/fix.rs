@@ -797,9 +797,8 @@ impl DynamicReport {
 /// replays the history through `tm-check`: the dynamic half of the
 /// fix-verify gate.
 ///
-/// Array lengths come from the declared length when present, otherwise
-/// from the footprint hull (falling back to 64 words when the hull is
-/// unbounded). Runtime failures (deadlock, livelock, out-of-bounds) are
+/// Arrays are sized by [`array_lens`](crate::array_lens) at the gate's
+/// 64 threads. Runtime failures (deadlock, livelock, out-of-bounds) are
 /// reported as violations rather than errors, so a gate run always
 /// produces a report for a compilable program.
 ///
@@ -824,21 +823,8 @@ pub fn dynamic_check(src: &str, seed: u64) -> Result<DynamicReport, TxlError> {
         let rec = gpu_stm::recorder();
         let stm = Rc::new(gpu_stm::LockStm::hv_sorting(shared, stm_cfg).with_recorder(rec.clone()));
 
-        let fp = crate::footprint::kernel_footprint(
-            kernel,
-            crate::footprint::Interval::new(0, nthreads - 1),
-            nthreads,
-        );
         let mut bindings = Vec::new();
-        for (pi, p) in kernel.params.iter().enumerate() {
-            let len = p
-                .declared_len
-                .or_else(|| match fp.params[pi].touched() {
-                    Some(hull) if !hull.is_top() && hull.hi < 4096 => Some(hull.hi + 1),
-                    _ => None,
-                })
-                .unwrap_or(64)
-                .max(1);
+        for (p, len) in kernel.params.iter().zip(crate::footprint::array_lens(kernel, nthreads)) {
             let addr = sim.alloc(len)?;
             bindings.push(crate::interp::ArrayBinding::new(p.name.clone(), addr, len));
         }

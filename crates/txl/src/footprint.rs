@@ -398,6 +398,27 @@ pub fn kernel_footprint(kernel: &Kernel, tid: Interval, nthreads: u32) -> Kernel
     KernelFootprint { params: a.whole, atomics: a.atomics }
 }
 
+/// The array sizing rule of every dynamic TXL run: per parameter, the
+/// declared length, else `hi + 1` of the all-threads footprint hull when
+/// it is bounded below 4096, else `nthreads`; at least 1.
+pub fn array_lens(kernel: &Kernel, nthreads: u32) -> Vec<u32> {
+    let fp = kernel_footprint(kernel, Interval::new(0, nthreads.saturating_sub(1)), nthreads);
+    kernel
+        .params
+        .iter()
+        .zip(&fp.params)
+        .map(|(p, f)| {
+            p.declared_len
+                .or_else(|| match f.touched() {
+                    Some(hull) if !hull.is_top() && hull.hi < 4096 => Some(hull.hi + 1),
+                    _ => None,
+                })
+                .unwrap_or(nthreads)
+                .max(1)
+        })
+        .collect()
+}
+
 /// Per-thread whole-kernel footprint: everything thread `tid` (of
 /// `nthreads`) may read or write in each array parameter.
 pub fn thread_footprint(kernel: &Kernel, tid: u32, nthreads: u32) -> Vec<ParamFootprint> {

@@ -71,7 +71,7 @@ pub use cost::{analyze_program, analyze_source, CostConfig, StaticProfile, SymBo
 pub use error::TxlError;
 pub use fix::{fix_source, plan, AppliedPatch, DynamicReport, FixConfig, FixReport};
 pub use footprint::{
-    kernel_footprint, thread_footprint, Interval, KernelFootprint, ParamFootprint,
+    array_lens, kernel_footprint, thread_footprint, Interval, KernelFootprint, ParamFootprint,
 };
 pub use interp::{launch, ArrayBinding};
 pub use lint::{lint_program, lint_source, lint_source_with_fixes, Diagnostic, LintConfig, Rule};

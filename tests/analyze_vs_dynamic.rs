@@ -67,20 +67,9 @@ fn run_recorded(src: &str) -> Result<RunOutcome, txl::TxlError> {
     let rec = recorder();
     let stm = Rc::new(LockStm::hv_sorting(shared, stm_cfg).with_recorder(rec.clone()));
 
-    // Size each array from its declaration, falling back to the static
-    // footprint hull (the same policy tm-verify witness runs use).
-    let fp = txl::kernel_footprint(kernel, txl::Interval::new(0, THREADS - 1), THREADS);
     let mut bindings = Vec::new();
     let mut named = Vec::new();
-    for (pi, p) in kernel.params.iter().enumerate() {
-        let len = p
-            .declared_len
-            .or_else(|| match fp.params[pi].touched() {
-                Some(hull) if !hull.is_top() && hull.hi < 4096 => Some(hull.hi + 1),
-                _ => None,
-            })
-            .unwrap_or(THREADS)
-            .max(1);
+    for (p, len) in kernel.params.iter().zip(txl::array_lens(kernel, THREADS)) {
         let addr = sim.alloc(len).expect("alloc");
         bindings.push(ArrayBinding::new(p.name.clone(), addr, len));
         named.push((p.name.clone(), addr.0, len));

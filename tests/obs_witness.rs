@@ -5,7 +5,7 @@
 //! reproduces it.
 
 use tm_serve::{FlightBundle, FlightFrame, IncidentCause};
-use tm_verify::{explore_case, save_witness, unsorted_locks, witness_reproduces};
+use tm_verify::{save_witness, unsorted_locks, witness_reproduces, Model};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("gpu-stm-{tag}-{}", std::process::id()));
@@ -36,7 +36,7 @@ fn bundle_with(frames: Vec<FlightFrame>) -> FlightBundle {
 fn violation_bundles_carry_the_minimized_witness() {
     // 1. The model checker finds the crossing-lock deadlock.
     let case = unsorted_locks();
-    let report = explore_case(&case, 2, 500);
+    let report = Model::new(case.clone()).explore(2, 500, false);
     let finding = report
         .findings
         .iter()
