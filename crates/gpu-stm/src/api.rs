@@ -28,6 +28,7 @@
 //! serve every concurrency-control scheme in the evaluation.
 
 use crate::stats::StatsHandle;
+use crate::trace::TxTraceSink;
 use crate::warptx::WarpTx;
 use gpu_sim::{Addr, LaneAddrs, LaneMask, LaneVals, WarpCtx, WARP_SIZE};
 
@@ -46,6 +47,14 @@ pub trait Stm {
 
     /// Shared run statistics.
     fn stats(&self) -> StatsHandle;
+
+    /// The transaction-lifecycle trace sink the runtime emits to, if one
+    /// is attached. A [`Pipeline`](crate::Pipeline) built around the
+    /// runtime emits its policies' events there too, so a sink is
+    /// attached once, to the base runtime. Defaults to none.
+    fn tx_trace(&self) -> Option<TxTraceSink> {
+        None
+    }
 
     /// Begins a transaction on the lanes of `want`. Returns the lanes
     /// actually admitted; the kernel must re-request the rest later.

@@ -63,6 +63,7 @@
 mod api;
 mod config;
 pub mod history;
+mod ledger;
 pub mod locklog;
 pub mod park;
 mod pipeline;
@@ -93,9 +94,7 @@ pub use shared::StmShared;
 pub use stats::{
     phase_label, AbortCause, Breakdown, Phase, StatsHandle, TxStats, ABORT_CAUSES, PHASES,
 };
-pub use trace::{
-    chrome_trace, tx_trace_sink, TxEvent, TxEventKind, TxTrace, TxTraceBuffer, TxTraceSink,
-};
+pub use trace::{chrome_trace, tx_trace_sink, TxEvent, TxEventKind, TxTraceBuffer, TxTraceSink};
 pub use variant::Variant;
 pub use variants::{CglStm, EgpgvStm, LockStm, Mutation, NorecStm};
 pub use version_lock::VersionLock;

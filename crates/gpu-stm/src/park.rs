@@ -45,9 +45,10 @@
 
 use crate::api::{lane_addrs, Stm};
 use crate::config::StmConfig;
+use crate::ledger::Ledger;
 use crate::pipeline::Pipeline;
-use crate::stats::{Phase, StatsHandle};
-use crate::trace::{TxEventKind, TxTrace};
+use crate::stats::Phase;
+use crate::trace::TxEventKind;
 use crate::validation::vbv;
 use crate::warptx::WarpTx;
 use gpu_sim::rng::mix64;
@@ -409,8 +410,7 @@ impl Parking {
         w: &mut WarpTx,
         ctx: &WarpCtx,
         lanes: LaneMask,
-        stats: &StatsHandle,
-        trace: &TxTrace,
+        ledger: &Ledger,
     ) -> (LaneMask, LaneMask) {
         // The warp-wide watch set: the union of the parking lanes' read
         // sets. Any watched write wakes the warp; each lane then respins
@@ -484,16 +484,16 @@ impl Parking {
                 self.budget
             };
 
-            stats.borrow_mut().parks += lanes.count() as u64;
-            trace.emit(
+            ledger.stats.borrow_mut().parks += lanes.count() as u64;
+            ledger.emit(
                 ctx,
                 TxEventKind::Park { lanes: lanes.count(), watched: watched.len() as u32 },
             );
             w.enter_phase(ctx.now(), Phase::Parked);
             let outcome = ctx.park(lanes, &watched, budget).await;
             w.enter_phase(ctx.now(), Phase::Native);
-            stats.borrow_mut().wakes += lanes.count() as u64;
-            trace.emit(ctx, TxEventKind::Wake { timed_out: outcome == ParkOutcome::TimedOut });
+            ledger.stats.borrow_mut().wakes += lanes.count() as u64;
+            ledger.emit(ctx, TxEventKind::Wake { timed_out: outcome == ParkOutcome::TimedOut });
 
             match outcome {
                 ParkOutcome::Woken => {
@@ -520,8 +520,8 @@ impl Parking {
                         }
                         return (lanes, LaneMask::EMPTY);
                     }
-                    stats.borrow_mut().spurious_wakes += lanes.count() as u64;
-                    trace.emit(ctx, TxEventKind::SpuriousWake);
+                    ledger.stats.borrow_mut().spurious_wakes += lanes.count() as u64;
+                    ledger.emit(ctx, TxEventKind::SpuriousWake);
                     // Loop: re-register and re-park.
                 }
             }
@@ -604,11 +604,9 @@ impl<S: Stm> Pipeline<S> {
         }
         aborted |= respin;
 
-        let stats = self.stats();
         let parked = match parking {
             Some(p) if eligible.any() => {
-                let (parked, pre_respin) =
-                    p.park_lanes(w, ctx, eligible, &stats, &self.trace).await;
+                let (parked, pre_respin) = p.park_lanes(w, ctx, eligible, &self.ledger).await;
                 aborted |= pre_respin;
                 parked
             }
@@ -618,7 +616,7 @@ impl<S: Stm> Pipeline<S> {
         // Drain the wait span (and any straggler native time) into the
         // breakdown. Retry respins are voluntary, not aborts, so they do
         // not enter the proportional committed/aborted split.
-        w.flush_attempt(&mut stats.borrow_mut().breakdown, 0, 0);
+        w.flush_attempt(&mut self.ledger.stats.borrow_mut().breakdown, 0, 0);
         TxOutcome { committed, aborted, parked }
     }
 }

@@ -31,8 +31,8 @@
 //! [`Pipeline`]: crate::Pipeline
 //! [`Pipeline::abort_storm`]: crate::Pipeline::abort_storm
 
-use crate::stats::StatsHandle;
-use crate::trace::{TxEventKind, TxTrace};
+use crate::ledger::Ledger;
+use crate::trace::TxEventKind;
 use crate::warptx::WarpTx;
 use gpu_sim::rng::splitmix64;
 use gpu_sim::{Addr, LaneMask, Sim, SimError, WarpCtx};
@@ -137,8 +137,7 @@ impl Escalation {
         ctx: &WarpCtx,
         mask: LaneMask,
         committed: LaneMask,
-        stats: &StatsHandle,
-        trace: &TxTrace,
+        ledger: &Ledger,
     ) -> u32 {
         let aborted = mask & !committed;
 
@@ -152,7 +151,7 @@ impl Escalation {
             worst = worst.max(w.consec_aborts[l]);
         }
         if worst > 0 {
-            let mut st = stats.borrow_mut();
+            let mut st = ledger.stats.borrow_mut();
             st.max_consec_aborts = st.max_consec_aborts.max(worst as u64);
         }
 
@@ -165,7 +164,7 @@ impl Escalation {
                 if let Some(l) = committed.iter().find(|&l| ctx.id().thread_id(l) + 1 == holder) {
                     ctx.store_one(l, self.lock, 0).await;
                     ctx.fence(LaneMask::lane(l)).await;
-                    stats.borrow_mut().fallback_commits += 1;
+                    ledger.stats.borrow_mut().fallback_commits += 1;
                 }
             } else {
                 // Escalate the most-starved lane once it crosses the
@@ -177,8 +176,8 @@ impl Escalation {
                     let tid = ctx.id().thread_id(l) + 1;
                     let old = ctx.atomic_cas_one(l, self.lock, 0, tid).await;
                     if old == 0 {
-                        stats.borrow_mut().escalations += 1;
-                        trace.emit(ctx, TxEventKind::Escalate { tid: tid - 1 });
+                        ledger.stats.borrow_mut().escalations += 1;
+                        ledger.emit(ctx, TxEventKind::Escalate { tid: tid - 1 });
                     }
                 }
             }

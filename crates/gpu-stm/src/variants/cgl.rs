@@ -11,9 +11,10 @@
 //! there is no speculation and commits never fail.
 
 use crate::api::Stm;
-use crate::history::{Access, CommittedTx, Recorder};
-use crate::stats::{stats_handle, Phase, StatsHandle};
-use crate::trace::{TxEventKind, TxTrace, TxTraceSink};
+use crate::history::Recorder;
+use crate::ledger::Ledger;
+use crate::stats::{Phase, StatsHandle};
+use crate::trace::{TxEventKind, TxTraceSink};
 use crate::variant::Variant;
 use crate::warptx::WarpTx;
 use gpu_sim::{Addr, LaneAddrs, LaneMask, LaneVals, Sim, SimError, WarpCtx};
@@ -26,9 +27,7 @@ const MAX_BACKOFF: u64 = 4096;
 #[derive(Clone)]
 pub struct CglStm {
     lock: Addr,
-    stats: StatsHandle,
-    recorder: Option<Recorder>,
-    trace: TxTrace,
+    ledger: Ledger,
 }
 
 impl std::fmt::Debug for CglStm {
@@ -44,24 +43,17 @@ impl CglStm {
     ///
     /// Returns [`SimError::OutOfMemory`] when the device is full.
     pub fn init(sim: &mut Sim) -> Result<Self, SimError> {
-        Ok(CglStm {
-            lock: sim.alloc(1)?,
-            stats: stats_handle(),
-            recorder: None,
-            trace: TxTrace::off(),
-        })
+        Ok(CglStm { lock: sim.alloc(1)?, ledger: Ledger::new() })
     }
 
-    /// Attaches a history recorder.
-    pub fn with_recorder(mut self, rec: Recorder) -> Self {
-        self.recorder = Some(rec);
-        self
-    }
-
-    /// Attaches a transaction-lifecycle trace sink (pure observation; see
-    /// [`crate::trace`]).
-    pub fn with_trace(mut self, sink: TxTraceSink) -> Self {
-        self.trace = TxTrace::to(sink);
+    /// Attaches the optional history recorder and transaction-lifecycle
+    /// trace sink (pure observation; see [`crate::trace`]).
+    pub fn with_observers(
+        mut self,
+        recorder: Option<Recorder>,
+        trace: Option<TxTraceSink>,
+    ) -> Self {
+        self.ledger.attach(recorder, trace);
         self
     }
 }
@@ -80,7 +72,11 @@ impl Stm for CglStm {
     }
 
     fn stats(&self) -> StatsHandle {
-        StatsHandle::clone(&self.stats)
+        StatsHandle::clone(&self.ledger.stats)
+    }
+
+    fn tx_trace(&self) -> Option<TxTraceSink> {
+        self.ledger.trace.clone()
     }
 
     async fn begin(&self, w: &mut WarpTx, ctx: &WarpCtx, want: LaneMask) -> LaneMask {
@@ -88,7 +84,7 @@ impl Stm for CglStm {
         w.enter_phase(ctx.now(), Phase::Locking);
         let old = ctx.atomic_cas_one(leader, self.lock, 0, 1).await;
         if old != 0 {
-            self.trace.emit(ctx, TxEventKind::Lock { lanes: 1, busy: 1 });
+            self.ledger.emit(ctx, TxEventKind::Lock { lanes: 1, busy: 1 });
             // Contended: deterministic exponential backoff, seeded by the
             // thread id so warps desynchronise.
             let base = (w.backoff.max(32) * 2).min(MAX_BACKOFF);
@@ -101,8 +97,8 @@ impl Stm for CglStm {
         w.backoff = 0;
         w.reset_lane(leader);
         w.enter_phase(ctx.now(), Phase::Native);
-        self.trace.emit(ctx, TxEventKind::Lock { lanes: 1, busy: 0 });
-        self.trace.emit(ctx, TxEventKind::Begin { lanes: 1 });
+        self.ledger.emit(ctx, TxEventKind::Lock { lanes: 1, busy: 0 });
+        self.ledger.emit(ctx, TxEventKind::Begin { lanes: 1 });
         LaneMask::lane(leader)
     }
 
@@ -113,9 +109,9 @@ impl Stm for CglStm {
         mask: LaneMask,
         addrs: &LaneAddrs,
     ) -> LaneVals {
-        self.trace.emit(ctx, TxEventKind::Read { lanes: mask.count() });
+        self.ledger.emit(ctx, TxEventKind::Read { lanes: mask.count() });
         let vals = ctx.load(mask, addrs).await;
-        if self.recorder.is_some() {
+        if self.ledger.records() {
             for l in mask.iter() {
                 // A read of a location this critical section already wrote
                 // observes its own update, not pre-state: mirror TXRead's
@@ -137,9 +133,9 @@ impl Stm for CglStm {
         vals: &LaneVals,
     ) {
         // In-place update: the global lock is held.
-        self.trace.emit(ctx, TxEventKind::Write { lanes: mask.count() });
+        self.ledger.emit(ctx, TxEventKind::Write { lanes: mask.count() });
         ctx.store(mask, addrs, vals).await;
-        if self.recorder.is_some() {
+        if self.ledger.records() {
             for l in mask.iter() {
                 w.writes.insert(l, addrs[l], vals[l]);
             }
@@ -152,39 +148,9 @@ impl Stm for CglStm {
         w.enter_phase(ctx.now(), Phase::Commit);
         ctx.fence(mask).await;
         ctx.store_one(leader, self.lock, 0).await; // release
-        {
-            let mut st = self.stats.borrow_mut();
-            st.commits += 1;
-            st.reads_committed += w.reads.len(leader) as u64;
-            st.writes_committed += w.writes.len(leader) as u64;
-        }
-        if let Some(rec) = &self.recorder {
-            let mut h = rec.borrow_mut();
-            let version = h.commits.len() as u32 + 1; // lock order = serial order
-            h.record(CommittedTx {
-                tid: ctx.id().thread_id(leader),
-                version: Some(version),
-                snapshot: version.saturating_sub(1),
-                reads: w
-                    .reads
-                    .iter_lane(leader)
-                    .map(|e| Access { addr: e.addr, val: e.val })
-                    .collect(),
-                writes: w
-                    .writes
-                    .iter_lane(leader)
-                    .map(|e| Access { addr: e.addr, val: e.val })
-                    .collect(),
-            });
-        }
+        let version = self.ledger.next_serial_version(); // lock order = serial order
+        self.ledger.commit(ctx, w, leader, Some(version), version.saturating_sub(1));
         w.reset_lane(leader);
-        w.enter_phase(ctx.now(), Phase::Native);
-        {
-            let mut st = self.stats.borrow_mut();
-            w.flush_attempt(&mut st.breakdown, 1, 0);
-        }
-        self.trace.emit(ctx, TxEventKind::Commit { committed: 1, aborted: 0 });
-        ctx.mark_progress();
-        mask
+        self.ledger.finish(ctx, w, mask, 0)
     }
 }

@@ -15,10 +15,11 @@
 
 use crate::api::Stm;
 use crate::config::StmConfig;
-use crate::history::{Access, CommittedTx, Recorder};
+use crate::history::Recorder;
+use crate::ledger::Ledger;
 use crate::shared::StmShared;
-use crate::stats::{stats_handle, AbortCause, Phase, StatsHandle};
-use crate::trace::{TxEventKind, TxTrace, TxTraceSink};
+use crate::stats::{AbortCause, Phase, StatsHandle};
+use crate::trace::{TxEventKind, TxTraceSink};
 use crate::variant::Variant;
 use crate::version_lock::VersionLock;
 use crate::warptx::WarpTx;
@@ -34,9 +35,7 @@ pub struct EgpgvStm {
     /// One lock word per thread block, serialising transactions within it.
     block_locks: Addr,
     max_blocks: u32,
-    stats: StatsHandle,
-    recorder: Option<Recorder>,
-    trace: TxTrace,
+    ledger: Ledger,
 }
 
 impl std::fmt::Debug for EgpgvStm {
@@ -62,22 +61,18 @@ impl EgpgvStm {
             cfg,
             block_locks,
             max_blocks: Self::MAX_BLOCKS,
-            stats: stats_handle(),
-            recorder: None,
-            trace: TxTrace::off(),
+            ledger: Ledger::new(),
         })
     }
 
-    /// Attaches a history recorder.
-    pub fn with_recorder(mut self, rec: Recorder) -> Self {
-        self.recorder = Some(rec);
-        self
-    }
-
-    /// Attaches a transaction-lifecycle trace sink (pure observation; see
-    /// [`crate::trace`]).
-    pub fn with_trace(mut self, sink: TxTraceSink) -> Self {
-        self.trace = TxTrace::to(sink);
+    /// Attaches the optional history recorder and transaction-lifecycle
+    /// trace sink (pure observation; see [`crate::trace`]).
+    pub fn with_observers(
+        mut self,
+        recorder: Option<Recorder>,
+        trace: Option<TxTraceSink>,
+    ) -> Self {
+        self.ledger.attach(recorder, trace);
         self
     }
 
@@ -116,11 +111,7 @@ impl EgpgvStm {
         }
         w.acquired[lane] = 0;
         w.mark_inconsistent(lane);
-        self.stats.borrow_mut().record_abort(AbortCause::LockBusy);
-        self.trace.emit(ctx, TxEventKind::Abort { cause: AbortCause::LockBusy, lanes: 1 });
-        if let Some(rec) = &self.recorder {
-            rec.borrow_mut().aborts += 1;
-        }
+        self.ledger.abort(ctx, AbortCause::LockBusy, 1);
         // Inter-block backoff (no lockstep across blocks).
         let base = 128u64;
         let jitter = (ctx.id().thread_id(lane) as u64).wrapping_mul(40503) % base;
@@ -139,7 +130,7 @@ impl EgpgvStm {
         laddrs[lane] = self.shared.lock_addr(idx);
         let old = ctx.atomic_rmw(m, AtomicOp::Or, &laddrs, &[1u32; WARP_SIZE]).await;
         if VersionLock(old[lane]).is_locked() {
-            self.trace.emit(ctx, TxEventKind::Conflict { stripe: idx });
+            self.ledger.emit(ctx, TxEventKind::Conflict { stripe: idx });
             self.abort_busy(w, ctx, lane).await;
             return false;
         }
@@ -158,7 +149,11 @@ impl Stm for EgpgvStm {
     }
 
     fn stats(&self) -> StatsHandle {
-        StatsHandle::clone(&self.stats)
+        StatsHandle::clone(&self.ledger.stats)
+    }
+
+    fn tx_trace(&self) -> Option<TxTraceSink> {
+        self.ledger.trace.clone()
     }
 
     /// Admits at most one lane of the whole thread block: the block's
@@ -168,7 +163,7 @@ impl Stm for EgpgvStm {
         w.enter_phase(ctx.now(), Phase::Init);
         let old = ctx.atomic_cas_one(leader, self.block_lock(ctx), 0, 1).await;
         if old != 0 {
-            self.trace.emit(ctx, TxEventKind::Lock { lanes: 1, busy: 1 });
+            self.ledger.emit(ctx, TxEventKind::Lock { lanes: 1, busy: 1 });
             let base = (w.backoff.max(64) * 2).min(2048);
             w.backoff = base;
             let jitter = (ctx.id().thread_id(leader) as u64).wrapping_mul(2654435761) % base;
@@ -179,8 +174,8 @@ impl Stm for EgpgvStm {
         w.backoff = 0;
         w.reset_lane(leader);
         w.enter_phase(ctx.now(), Phase::Native);
-        self.trace.emit(ctx, TxEventKind::Lock { lanes: 1, busy: 0 });
-        self.trace.emit(ctx, TxEventKind::Begin { lanes: 1 });
+        self.ledger.emit(ctx, TxEventKind::Lock { lanes: 1, busy: 0 });
+        self.ledger.emit(ctx, TxEventKind::Begin { lanes: 1 });
         LaneMask::lane(leader)
     }
 
@@ -191,7 +186,7 @@ impl Stm for EgpgvStm {
         mask: LaneMask,
         addrs: &LaneAddrs,
     ) -> LaneVals {
-        self.trace.emit(ctx, TxEventKind::Read { lanes: mask.count() });
+        self.ledger.emit(ctx, TxEventKind::Read { lanes: mask.count() });
         let mut out = [0u32; WARP_SIZE];
         for l in mask.iter() {
             if !w.opaque.contains(l) {
@@ -224,7 +219,7 @@ impl Stm for EgpgvStm {
         addrs: &LaneAddrs,
         vals: &LaneVals,
     ) {
-        self.trace.emit(ctx, TxEventKind::Write { lanes: mask.count() });
+        self.ledger.emit(ctx, TxEventKind::Write { lanes: mask.count() });
         for l in mask.iter() {
             if !w.opaque.contains(l) {
                 continue;
@@ -277,52 +272,15 @@ impl Stm for EgpgvStm {
                     ctx.atomic_rmw(m, AtomicOp::Add, &a, &[u32::MAX; WARP_SIZE]).await;
                 }
             }
-            {
-                let mut st = self.stats.borrow_mut();
-                st.commits += 1;
-                st.reads_committed += w.reads.len(l) as u64;
-                st.writes_committed += w.writes.len(l) as u64;
-                if w.is_read_only(l) {
-                    st.read_only_commits += 1;
-                }
+            if w.is_read_only(l) {
+                self.ledger.stats.borrow_mut().read_only_commits += 1;
             }
-            if let Some(rec) = &self.recorder {
-                rec.borrow_mut().record(CommittedTx {
-                    tid: ctx.id().thread_id(l),
-                    version: Some(version),
-                    snapshot: version.saturating_sub(1),
-                    reads: w
-                        .reads
-                        .iter_lane(l)
-                        .map(|e| Access { addr: e.addr, val: e.val })
-                        .collect(),
-                    writes: w
-                        .writes
-                        .iter_lane(l)
-                        .map(|e| Access { addr: e.addr, val: e.val })
-                        .collect(),
-                });
-            }
+            self.ledger.commit(ctx, w, l, Some(version), version.saturating_sub(1));
             committed = m;
         }
         // Release the block's transaction slot either way.
         ctx.store_one(l, self.block_lock(ctx), 0).await;
         w.reset_lane(l);
-        w.enter_phase(ctx.now(), Phase::Native);
-        {
-            let mut st = self.stats.borrow_mut();
-            w.flush_attempt(&mut st.breakdown, committed.count(), m.count() - committed.count());
-        }
-        self.trace.emit(
-            ctx,
-            TxEventKind::Commit {
-                committed: committed.count(),
-                aborted: m.count() - committed.count(),
-            },
-        );
-        if committed.any() {
-            ctx.mark_progress();
-        }
-        committed
+        self.ledger.finish(ctx, w, committed, m.count() - committed.count())
     }
 }

@@ -16,10 +16,11 @@
 
 use crate::api::{lane_addrs, lane_vals, Stm};
 use crate::config::{Locking, StmConfig, Validation};
-use crate::history::{Access, CommittedTx, Recorder};
+use crate::history::Recorder;
+use crate::ledger::Ledger;
 use crate::shared::StmShared;
-use crate::stats::{stats_handle, AbortCause, Phase, StatsHandle};
-use crate::trace::{TxEventKind, TxTrace, TxTraceSink};
+use crate::stats::{AbortCause, Phase, StatsHandle};
+use crate::trace::{TxEventKind, TxTraceSink};
 use crate::validation::{post_validation, vbv};
 use crate::variant::Variant;
 use crate::version_lock::VersionLock;
@@ -64,9 +65,7 @@ pub struct LockStm {
     cfg: StmConfig,
     validation: Validation,
     locking: Locking,
-    stats: StatsHandle,
-    recorder: Option<Recorder>,
-    trace: TxTrace,
+    ledger: Ledger,
     variant: Variant,
     mutation: Mutation,
 }
@@ -94,9 +93,7 @@ impl LockStm {
             cfg,
             validation,
             locking,
-            stats: stats_handle(),
-            recorder: None,
-            trace: TxTrace::off(),
+            ledger: Ledger::new(),
             variant,
             mutation: Mutation::default(),
         }
@@ -167,16 +164,15 @@ impl LockStm {
         self.mutation
     }
 
-    /// Attaches a history recorder (for the opacity checker).
-    pub fn with_recorder(mut self, rec: Recorder) -> Self {
-        self.recorder = Some(rec);
-        self
-    }
-
-    /// Attaches a transaction-lifecycle trace sink (pure observation; see
+    /// Attaches the optional history recorder (for the opacity checker)
+    /// and transaction-lifecycle trace sink (pure observation; see
     /// [`crate::trace`]).
-    pub fn with_trace(mut self, sink: TxTraceSink) -> Self {
-        self.trace = TxTrace::to(sink);
+    pub fn with_observers(
+        mut self,
+        recorder: Option<Recorder>,
+        trace: Option<TxTraceSink>,
+    ) -> Self {
+        self.ledger.attach(recorder, trace);
         self
     }
 
@@ -285,7 +281,7 @@ impl LockStm {
                 if vl.is_locked() {
                     // Someone else holds it: stop acquiring, release later.
                     let e = w.locklog[l].nth_sorted(k).expect("lock-log cursor in range");
-                    self.trace.emit(ctx, TxEventKind::Conflict { stripe: e.lock });
+                    self.ledger.emit(ctx, TxEventKind::Conflict { stripe: e.lock });
                     failed |= LaneMask::lane(l);
                     trying = trying.without(l);
                 } else {
@@ -299,9 +295,9 @@ impl LockStm {
         }
         if failed.any() {
             self.release_locks(w, ctx, failed).await; // line 47
-            self.stats.borrow_mut().lock_retries += failed.count() as u64;
+            self.ledger.stats.borrow_mut().lock_retries += failed.count() as u64;
         }
-        self.trace.emit(ctx, TxEventKind::Lock { lanes: active.count(), busy: failed.count() });
+        self.ledger.emit(ctx, TxEventKind::Lock { lanes: active.count(), busy: failed.count() });
         (trying, failed)
     }
 
@@ -424,17 +420,7 @@ impl LockStm {
         let mut hard_failed = LaneMask::EMPTY;
         if !self.cfg.lock_read_set {
             hard_failed = self.validate_reads_unlocked(w, ctx, lanes).await;
-            if hard_failed.any() {
-                let mut st = self.stats.borrow_mut();
-                for _ in 0..hard_failed.count() {
-                    st.record_abort(AbortCause::CommitTbv);
-                }
-                drop(st);
-                self.trace.emit(
-                    ctx,
-                    TxEventKind::Abort { cause: AbortCause::CommitTbv, lanes: hard_failed.count() },
-                );
-            }
+            self.ledger.abort(ctx, AbortCause::CommitTbv, hard_failed.count());
         }
         // Lines 75–78: value-based validation where TBV failed. The
         // skip_validation mutant drops the check and commits regardless.
@@ -450,22 +436,9 @@ impl LockStm {
                     let vbv_failed = vbv(w, ctx, need_check).await;
                     failed |= vbv_failed;
                     let filtered = (need_check & !vbv_failed).count() as u64;
-                    let mut st = self.stats.borrow_mut();
-                    st.false_conflicts_filtered += filtered;
-                    for _ in 0..vbv_failed.count() {
-                        st.record_abort(AbortCause::CommitVbv);
-                    }
-                    drop(st);
-                    if vbv_failed.any() {
-                        self.trace.emit(
-                            ctx,
-                            TxEventKind::Abort {
-                                cause: AbortCause::CommitVbv,
-                                lanes: vbv_failed.count(),
-                            },
-                        );
-                    }
-                    self.trace.emit(
+                    self.ledger.stats.borrow_mut().false_conflicts_filtered += filtered;
+                    self.ledger.abort(ctx, AbortCause::CommitVbv, vbv_failed.count());
+                    self.ledger.emit(
                         ctx,
                         TxEventKind::Validate {
                             checked: need_check.count(),
@@ -476,19 +449,8 @@ impl LockStm {
                 Validation::Tbv => {
                     // Pure TBV: a stale read stripe is a conflict, full stop.
                     failed |= need_check;
-                    let mut st = self.stats.borrow_mut();
-                    for _ in 0..need_check.count() {
-                        st.record_abort(AbortCause::CommitTbv);
-                    }
-                    drop(st);
-                    self.trace.emit(
-                        ctx,
-                        TxEventKind::Abort {
-                            cause: AbortCause::CommitTbv,
-                            lanes: need_check.count(),
-                        },
-                    );
-                    self.trace.emit(
+                    self.ledger.abort(ctx, AbortCause::CommitTbv, need_check.count());
+                    self.ledger.emit(
                         ctx,
                         TxEventKind::Validate {
                             checked: need_check.count(),
@@ -502,9 +464,6 @@ impl LockStm {
             w.enter_phase(ctx.now(), Phase::Locking);
             self.release_locks(w, ctx, failed).await;
             w.enter_phase(ctx.now(), Phase::Commit);
-            if let Some(rec) = &self.recorder {
-                rec.borrow_mut().aborts += failed.count() as u64;
-            }
             for l in failed.iter() {
                 w.reset_lane(l);
             }
@@ -539,35 +498,8 @@ impl LockStm {
             self.publish_writes(w, ctx, ok).await;
         }
 
-        {
-            let mut st = self.stats.borrow_mut();
-            st.commits += ok.count() as u64;
-            for l in ok.iter() {
-                st.reads_committed += w.reads.len(l) as u64;
-                st.writes_committed += w.writes.len(l) as u64;
-            }
-        }
-        if let Some(rec) = &self.recorder {
-            let mut h = rec.borrow_mut();
-            for l in ok.iter() {
-                h.record(CommittedTx {
-                    tid: ctx.id().thread_id(l),
-                    version: Some(versions[l]),
-                    snapshot: w.snapshot[l],
-                    reads: w
-                        .reads
-                        .iter_lane(l)
-                        .map(|e| Access { addr: e.addr, val: e.val })
-                        .collect(),
-                    writes: w
-                        .writes
-                        .iter_lane(l)
-                        .map(|e| Access { addr: e.addr, val: e.val })
-                        .collect(),
-                });
-            }
-        }
         for l in ok.iter() {
+            self.ledger.commit(ctx, w, l, Some(versions[l]), w.snapshot[l]);
             w.reset_lane(l);
         }
         ok
@@ -584,7 +516,11 @@ impl Stm for LockStm {
     }
 
     fn stats(&self) -> StatsHandle {
-        StatsHandle::clone(&self.stats)
+        StatsHandle::clone(&self.ledger.stats)
+    }
+
+    fn tx_trace(&self) -> Option<TxTraceSink> {
+        self.ledger.trace.clone()
     }
 
     /// `TXBegin` (lines 1–5): reset lane state, snapshot the global clock,
@@ -602,7 +538,7 @@ impl Stm for LockStm {
         ctx.fence(want).await; // line 5
         w.enter_phase(ctx.now(), Phase::Native);
         if want.any() {
-            self.trace.emit(ctx, TxEventKind::Begin { lanes: want.count() });
+            self.ledger.emit(ctx, TxEventKind::Begin { lanes: want.count() });
         }
         want
     }
@@ -616,7 +552,7 @@ impl Stm for LockStm {
         addrs: &LaneAddrs,
     ) -> LaneVals {
         w.enter_phase(ctx.now(), Phase::Buffering);
-        self.trace.emit(ctx, TxEventKind::Read { lanes: mask.count() });
+        self.ledger.emit(ctx, TxEventKind::Read { lanes: mask.count() });
         let mut out = [0u32; WARP_SIZE];
         // Line 22: write-set lookup through the Bloom filter (or, in the
         // ablation, a full write-set scan — same result, higher cost).
@@ -662,45 +598,25 @@ impl Stm for LockStm {
         }
         let stale = need
             .filter(|l| VersionLock(words[l]).version() > w.snapshot[l] && w.opaque.contains(l));
-        let mut rv_failed = 0u32;
-        if stale.any() {
-            match self.validation {
-                Validation::Tbv => {
-                    // No value fallback: stale snapshot means abort.
-                    let mut st = self.stats.borrow_mut();
-                    for l in stale.iter() {
-                        w.mark_inconsistent(l);
-                        st.record_abort(AbortCause::ReadValidation);
-                    }
-                    if let Some(rec) = &self.recorder {
-                        rec.borrow_mut().aborts += stale.count() as u64;
-                    }
-                    rv_failed = stale.count();
-                }
-                Validation::Hv => {
-                    // Lines 31–33: hierarchical fallback to VBV.
-                    let versions = lane_vals(stale, |l| VersionLock(words[l]).version());
-                    let failed = post_validation(&self.shared, w, ctx, stale, &versions).await;
-                    let mut st = self.stats.borrow_mut();
-                    st.false_conflicts_filtered += (stale & !failed).count() as u64;
-                    for l in failed.iter() {
-                        w.mark_inconsistent(l);
-                        st.record_abort(AbortCause::ReadValidation);
-                    }
-                    if let Some(rec) = &self.recorder {
-                        rec.borrow_mut().aborts += failed.count() as u64;
-                    }
-                    rv_failed = failed.count();
-                }
+        let rv_failed = match self.validation {
+            // No value fallback: stale snapshot means abort.
+            Validation::Tbv => stale,
+            Validation::Hv if stale.any() => {
+                // Lines 31–33: hierarchical fallback to VBV.
+                let versions = lane_vals(stale, |l| VersionLock(words[l]).version());
+                let failed = post_validation(&self.shared, w, ctx, stale, &versions).await;
+                self.ledger.stats.borrow_mut().false_conflicts_filtered +=
+                    (stale & !failed).count() as u64;
+                failed
             }
+            Validation::Hv => LaneMask::EMPTY,
+        };
+        for l in rv_failed.iter() {
+            w.mark_inconsistent(l);
         }
-        if rv_failed > 0 {
-            self.trace.emit(
-                ctx,
-                TxEventKind::Abort { cause: AbortCause::ReadValidation, lanes: rv_failed },
-            );
-        }
-        self.trace.emit(ctx, TxEventKind::Validate { checked: need.count(), failed: rv_failed });
+        self.ledger.abort(ctx, AbortCause::ReadValidation, rv_failed.count());
+        self.ledger
+            .emit(ctx, TxEventKind::Validate { checked: need.count(), failed: rv_failed.count() });
 
         // Line 34: record the lock for commit-time acquisition (skipped in
         // the write-only-locking ablation, which validates reads unlocked).
@@ -727,7 +643,7 @@ impl Stm for LockStm {
         vals: &LaneVals,
     ) {
         w.enter_phase(ctx.now(), Phase::Buffering);
-        self.trace.emit(ctx, TxEventKind::Write { lanes: mask.count() });
+        self.ledger.emit(ctx, TxEventKind::Write { lanes: mask.count() });
         let mut max_cmp = 0;
         for l in mask.iter() {
             w.writes.insert(l, addrs[l], vals[l]);
@@ -752,60 +668,19 @@ impl Stm for LockStm {
         let mut active = mask & !doomed;
 
         // Lines 68–69: read-only transactions linearise at their last read.
-        let ro = active.filter(|l| w.is_read_only(l));
-        if ro.any() {
-            let mut st = self.stats.borrow_mut();
-            st.commits += ro.count() as u64;
-            st.read_only_commits += ro.count() as u64;
-            for l in ro.iter() {
-                st.reads_committed += w.reads.len(l) as u64;
-            }
-            drop(st);
-            if let Some(rec) = &self.recorder {
-                let mut h = rec.borrow_mut();
-                for l in ro.iter() {
-                    h.record(CommittedTx {
-                        tid: ctx.id().thread_id(l),
-                        version: None,
-                        snapshot: w.snapshot[l],
-                        reads: w
-                            .reads
-                            .iter_lane(l)
-                            .map(|e| Access { addr: e.addr, val: e.val })
-                            .collect(),
-                        writes: Vec::new(),
-                    });
-                }
-            }
-            for l in ro.iter() {
-                w.reset_lane(l);
-            }
-            committed |= ro;
-            active &= !ro;
-        }
+        let ro = self.ledger.commit_read_only(ctx, w, active);
+        committed |= ro;
+        active &= !ro;
 
         // Optional line 71: shed doomed transactions before locking.
         if self.cfg.pre_commit_vbv && active.any() {
             w.enter_phase(ctx.now(), Phase::Commit);
             let failed = vbv(w, ctx, active).await;
-            if failed.any() {
-                let mut st = self.stats.borrow_mut();
-                for _ in 0..failed.count() {
-                    st.record_abort(AbortCause::PreVbv);
-                }
-                drop(st);
-                self.trace.emit(
-                    ctx,
-                    TxEventKind::Abort { cause: AbortCause::PreVbv, lanes: failed.count() },
-                );
-                if let Some(rec) = &self.recorder {
-                    rec.borrow_mut().aborts += failed.count() as u64;
-                }
-                for l in failed.iter() {
-                    w.reset_lane(l);
-                }
-                active &= !failed;
+            self.ledger.abort(ctx, AbortCause::PreVbv, failed.count());
+            for l in failed.iter() {
+                w.reset_lane(l);
             }
+            active &= !failed;
         }
 
         // unsorted_locks mutant: bypass both deadlock-free protocols.
@@ -852,24 +727,7 @@ impl Stm for LockStm {
             }
         }
 
-        w.enter_phase(ctx.now(), Phase::Native);
-        let resolved_aborts = (mask & !committed).count();
-        {
-            let mut st = self.stats.borrow_mut();
-            let breakdown = &mut st.breakdown;
-            w.flush_attempt(breakdown, committed.count(), resolved_aborts);
-        }
-        self.trace.emit(
-            ctx,
-            TxEventKind::Commit { committed: committed.count(), aborted: resolved_aborts },
-        );
-        if committed.any() {
-            // Tell the simulator's progress monitor a transaction landed,
-            // so contention shows up as livelock/budget pressure rather
-            // than a false deadlock diagnosis.
-            ctx.mark_progress();
-        }
-        committed
+        self.ledger.finish(ctx, w, committed, (mask & !committed).count())
     }
 }
 

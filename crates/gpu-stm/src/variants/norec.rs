@@ -12,10 +12,11 @@
 
 use crate::api::Stm;
 use crate::config::StmConfig;
-use crate::history::{Access, CommittedTx, Recorder};
+use crate::history::Recorder;
+use crate::ledger::Ledger;
 use crate::shared::StmShared;
-use crate::stats::{stats_handle, AbortCause, Phase, StatsHandle};
-use crate::trace::{TxEventKind, TxTrace, TxTraceSink};
+use crate::stats::{AbortCause, Phase, StatsHandle};
+use crate::trace::{TxEventKind, TxTraceSink};
 use crate::validation::vbv;
 use crate::variant::Variant;
 use crate::warptx::WarpTx;
@@ -26,9 +27,7 @@ use gpu_sim::{LaneAddrs, LaneMask, LaneVals, WarpCtx, WARP_SIZE};
 pub struct NorecStm {
     shared: StmShared,
     cfg: StmConfig,
-    stats: StatsHandle,
-    recorder: Option<Recorder>,
-    trace: TxTrace,
+    ledger: Ledger,
 }
 
 impl std::fmt::Debug for NorecStm {
@@ -41,19 +40,17 @@ impl NorecStm {
     /// Creates the variant. Only the global clock word of `shared` is
     /// used; the lock table is ignored (NOrec's defining property).
     pub fn new(shared: StmShared, cfg: StmConfig) -> Self {
-        NorecStm { shared, cfg, stats: stats_handle(), recorder: None, trace: TxTrace::off() }
+        NorecStm { shared, cfg, ledger: Ledger::new() }
     }
 
-    /// Attaches a history recorder.
-    pub fn with_recorder(mut self, rec: Recorder) -> Self {
-        self.recorder = Some(rec);
-        self
-    }
-
-    /// Attaches a transaction-lifecycle trace sink (pure observation; see
-    /// [`crate::trace`]).
-    pub fn with_trace(mut self, sink: TxTraceSink) -> Self {
-        self.trace = TxTrace::to(sink);
+    /// Attaches the optional history recorder and transaction-lifecycle
+    /// trace sink (pure observation; see [`crate::trace`]).
+    pub fn with_observers(
+        mut self,
+        recorder: Option<Recorder>,
+        trace: Option<TxTraceSink>,
+    ) -> Self {
+        self.ledger.attach(recorder, trace);
         self
     }
 
@@ -62,24 +59,10 @@ impl NorecStm {
     /// Returns the failing lanes.
     async fn revalidate(&self, w: &mut WarpTx, ctx: &WarpCtx, lanes: LaneMask, t: u32) -> LaneMask {
         let failed = vbv(w, ctx, lanes).await;
-        {
-            let mut st = self.stats.borrow_mut();
-            for _ in 0..failed.count() {
-                st.record_abort(AbortCause::ReadValidation);
-            }
-        }
-        if let Some(rec) = &self.recorder {
-            rec.borrow_mut().aborts += failed.count() as u64;
-        }
         // Events carry the initial (read-validation) cause even when the
         // stats later reclassify a commit-time failure; totals reconcile.
-        if failed.any() {
-            self.trace.emit(
-                ctx,
-                TxEventKind::Abort { cause: AbortCause::ReadValidation, lanes: failed.count() },
-            );
-        }
-        self.trace
+        self.ledger.abort(ctx, AbortCause::ReadValidation, failed.count());
+        self.ledger
             .emit(ctx, TxEventKind::Validate { checked: lanes.count(), failed: failed.count() });
         for l in failed.iter() {
             w.mark_inconsistent(l);
@@ -111,7 +94,11 @@ impl Stm for NorecStm {
     }
 
     fn stats(&self) -> StatsHandle {
-        StatsHandle::clone(&self.stats)
+        StatsHandle::clone(&self.ledger.stats)
+    }
+
+    fn tx_trace(&self) -> Option<TxTraceSink> {
+        self.ledger.trace.clone()
     }
 
     async fn begin(&self, w: &mut WarpTx, ctx: &WarpCtx, want: LaneMask) -> LaneMask {
@@ -127,7 +114,7 @@ impl Stm for NorecStm {
         ctx.fence(want).await;
         w.enter_phase(ctx.now(), Phase::Native);
         if want.any() {
-            self.trace.emit(ctx, TxEventKind::Begin { lanes: want.count() });
+            self.ledger.emit(ctx, TxEventKind::Begin { lanes: want.count() });
         }
         want
     }
@@ -140,7 +127,7 @@ impl Stm for NorecStm {
         addrs: &LaneAddrs,
     ) -> LaneVals {
         w.enter_phase(ctx.now(), Phase::Buffering);
-        self.trace.emit(ctx, TxEventKind::Read { lanes: mask.count() });
+        self.ledger.emit(ctx, TxEventKind::Read { lanes: mask.count() });
         let mut out = [0u32; WARP_SIZE];
         let mut hits = LaneMask::EMPTY;
         for l in mask.iter() {
@@ -203,7 +190,7 @@ impl Stm for NorecStm {
         vals: &LaneVals,
     ) {
         w.enter_phase(ctx.now(), Phase::Buffering);
-        self.trace.emit(ctx, TxEventKind::Write { lanes: mask.count() });
+        self.ledger.emit(ctx, TxEventKind::Write { lanes: mask.count() });
         for l in mask.iter() {
             w.writes.insert(l, addrs[l], vals[l]);
         }
@@ -220,37 +207,9 @@ impl Stm for NorecStm {
         let mut active = mask & !doomed;
 
         // Read-only transactions are already valid at their snapshot.
-        let ro = active.filter(|l| w.is_read_only(l));
-        if ro.any() {
-            let mut st = self.stats.borrow_mut();
-            st.commits += ro.count() as u64;
-            st.read_only_commits += ro.count() as u64;
-            for l in ro.iter() {
-                st.reads_committed += w.reads.len(l) as u64;
-            }
-            drop(st);
-            if let Some(rec) = &self.recorder {
-                let mut h = rec.borrow_mut();
-                for l in ro.iter() {
-                    h.record(CommittedTx {
-                        tid: ctx.id().thread_id(l),
-                        version: None,
-                        snapshot: w.snapshot[l],
-                        reads: w
-                            .reads
-                            .iter_lane(l)
-                            .map(|e| Access { addr: e.addr, val: e.val })
-                            .collect(),
-                        writes: Vec::new(),
-                    });
-                }
-            }
-            for l in ro.iter() {
-                w.reset_lane(l);
-            }
-            committed |= ro;
-            active &= !ro;
-        }
+        let ro = self.ledger.commit_read_only(ctx, w, active);
+        committed |= ro;
+        active &= !ro;
 
         while active.any() {
             w.enter_phase(ctx.now(), Phase::Locking);
@@ -261,7 +220,7 @@ impl Stm for NorecStm {
             let new_vals: [u32; WARP_SIZE] = std::array::from_fn(|l| w.snapshot[l].wrapping_add(1));
             let old = ctx.atomic_cas(active, &clock_addrs, &cmp_vals, &new_vals).await;
             let winner = active.filter(|l| old[l] == w.snapshot[l]);
-            self.trace.emit(
+            self.ledger.emit(
                 ctx,
                 TxEventKind::Lock { lanes: active.count(), busy: (active & !winner).count() },
             );
@@ -277,29 +236,7 @@ impl Stm for NorecStm {
                 }
                 ctx.fence(m).await;
                 ctx.store_one(l, self.shared.clock, version + 1).await; // release: even
-                {
-                    let mut st = self.stats.borrow_mut();
-                    st.commits += 1;
-                    st.reads_committed += w.reads.len(l) as u64;
-                    st.writes_committed += w.writes.len(l) as u64;
-                }
-                if let Some(rec) = &self.recorder {
-                    rec.borrow_mut().record(CommittedTx {
-                        tid: ctx.id().thread_id(l),
-                        version: Some(version),
-                        snapshot: w.snapshot[l],
-                        reads: w
-                            .reads
-                            .iter_lane(l)
-                            .map(|e| Access { addr: e.addr, val: e.val })
-                            .collect(),
-                        writes: w
-                            .writes
-                            .iter_lane(l)
-                            .map(|e| Access { addr: e.addr, val: e.val })
-                            .collect(),
-                    });
-                }
+                self.ledger.commit(ctx, w, l, Some(version), w.snapshot[l]);
                 w.reset_lane(l);
                 committed |= m;
                 active &= !m;
@@ -315,7 +252,7 @@ impl Stm for NorecStm {
                     // Failed lanes were recorded as read-validation aborts;
                     // re-classify as commit-time for accounting accuracy.
                     if failed.any() {
-                        let mut st = self.stats.borrow_mut();
+                        let mut st = self.ledger.stats.borrow_mut();
                         st.aborts_read_validation -= failed.count() as u64;
                         st.aborts_commit_vbv += failed.count() as u64;
                     }
@@ -327,16 +264,6 @@ impl Stm for NorecStm {
             }
         }
 
-        w.enter_phase(ctx.now(), Phase::Native);
-        let aborted = (mask & !committed).count();
-        {
-            let mut st = self.stats.borrow_mut();
-            w.flush_attempt(&mut st.breakdown, committed.count(), aborted);
-        }
-        self.trace.emit(ctx, TxEventKind::Commit { committed: committed.count(), aborted });
-        if committed.any() {
-            ctx.mark_progress();
-        }
-        committed
+        self.ledger.finish(ctx, w, committed, (mask & !committed).count())
     }
 }

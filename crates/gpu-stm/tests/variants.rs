@@ -263,7 +263,7 @@ fn recorder_captures_history() {
     let shared = StmShared::init(&mut s, &cfg).unwrap();
     let counters = s.alloc(4).unwrap();
     let rec = recorder();
-    let stm = Rc::new(LockStm::hv_sorting(shared, cfg).with_recorder(Rc::clone(&rec)));
+    let stm = Rc::new(LockStm::hv_sorting(shared, cfg).with_observers(Some(Rc::clone(&rec)), None));
     run_counter_kernel(&mut s, Rc::clone(&stm), LaunchConfig::new(2, 64), counters, 4, 2);
     let h = rec.borrow();
     assert_eq!(h.commits.len(), 2 * 64 * 2);

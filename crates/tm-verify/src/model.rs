@@ -236,7 +236,7 @@ pub(crate) fn lock_stm(
     let cfg = StmConfig::new(N_LOCKS);
     let stm = LockStm::for_variant(variant, StmShared::init(sim, &cfg)?, cfg);
     let stm = stm.ok_or(RunError::Unsupported(unsupported))?;
-    Ok(stm.with_mutation(mutation).with_recorder(rec.clone()))
+    Ok(stm.with_mutation(mutation).with_observers(Some(rec.clone()), None))
 }
 
 /// Interprets `kernel` over `stm`, binding its array parameters, in

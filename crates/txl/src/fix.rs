@@ -821,7 +821,9 @@ pub fn dynamic_check(src: &str, seed: u64) -> Result<DynamicReport, TxlError> {
         let stm_cfg = gpu_stm::StmConfig::new(64);
         let shared = gpu_stm::StmShared::init(&mut sim, &stm_cfg)?;
         let rec = gpu_stm::recorder();
-        let stm = Rc::new(gpu_stm::LockStm::hv_sorting(shared, stm_cfg).with_recorder(rec.clone()));
+        let stm = Rc::new(
+            gpu_stm::LockStm::hv_sorting(shared, stm_cfg).with_observers(Some(rec.clone()), None),
+        );
 
         let mut bindings = Vec::new();
         for (p, len) in kernel.params.iter().zip(crate::footprint::array_lens(kernel, nthreads)) {

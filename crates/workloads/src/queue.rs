@@ -82,23 +82,14 @@ fn blocking_stm(
 ) -> Result<Pipeline<LockStm>, RunError> {
     let stm_cfg = cfg.stm;
     let shared = StmShared::init(sim, &stm_cfg)?;
-    let Some(mut inner) = LockStm::for_variant(variant, shared, stm_cfg) else {
+    let Some(inner) = LockStm::for_variant(variant, shared, stm_cfg) else {
         return Err(RunError::Unsupported(
             "blocking queue workloads require a per-thread lock-based STM variant",
         ));
     };
-    if let Some(rec) = cfg.recorder.clone() {
-        inner = inner.with_recorder(rec);
-    }
-    if let Some(t) = cfg.trace.clone() {
-        inner = inner.with_trace(t);
-    }
+    let inner = inner.with_observers(cfg.recorder.clone(), cfg.trace.clone());
     let wake = if park { Wake::Park } else { Wake::Respin };
-    let mut stm = Pipeline::new(sim, inner, &stm_cfg, Policies { wake, ..Policies::default() })?;
-    if let Some(t) = cfg.trace.clone() {
-        stm = stm.with_trace(t);
-    }
-    Ok(stm)
+    Ok(Pipeline::new(sim, inner, &stm_cfg, Policies { wake, ..Policies::default() })?)
 }
 
 /// Device layout of the ring (or deque): two cursors, a done/remaining

@@ -51,22 +51,9 @@ impl AnyStm {
         recorder: Option<Recorder>,
         trace: Option<TxTraceSink>,
     ) -> Result<AnyStm, RunError> {
-        // Attaches the optional observers to any runtime type.
-        macro_rules! observed {
-            ($stm:expr) => {{
-                let mut stm = $stm;
-                if let Some(rec) = recorder {
-                    stm = stm.with_recorder(rec);
-                }
-                if let Some(t) = trace {
-                    stm = stm.with_trace(t);
-                }
-                stm
-            }};
-        }
         // CGL keeps no version locks, so it allocates no `StmShared`.
         if variant == Variant::Cgl {
-            return Ok(AnyStm::Cgl(observed!(CglStm::init(sim)?)));
+            return Ok(AnyStm::Cgl(CglStm::init(sim)?.with_observers(recorder, trace)));
         }
         let shared = StmShared::init(sim, &stm_cfg)?;
         Ok(match variant {
@@ -78,16 +65,19 @@ impl AnyStm {
                          per-block metadata capacity",
                     ));
                 }
-                AnyStm::Egpgv(observed!(stm))
+                AnyStm::Egpgv(stm.with_observers(recorder, trace))
             }
-            Variant::Vbv => AnyStm::Vbv(observed!(NorecStm::new(shared, stm_cfg))),
-            Variant::Optimized => {
-                AnyStm::Lock(observed!(LockStm::optimized(shared, stm_cfg, shared_data_words)))
+            Variant::Vbv => {
+                AnyStm::Vbv(NorecStm::new(shared, stm_cfg).with_observers(recorder, trace))
             }
+            Variant::Optimized => AnyStm::Lock(
+                LockStm::optimized(shared, stm_cfg, shared_data_words)
+                    .with_observers(recorder, trace),
+            ),
             lock => {
                 let stm = LockStm::for_variant(lock, shared, stm_cfg)
                     .expect("every remaining variant is a fixed lock-based one");
-                AnyStm::Lock(observed!(stm))
+                AnyStm::Lock(stm.with_observers(recorder, trace))
             }
         })
     }
@@ -115,6 +105,10 @@ impl Stm for AnyStm {
 
     fn stats(&self) -> StatsHandle {
         each!(self, s => s.stats())
+    }
+
+    fn tx_trace(&self) -> Option<TxTraceSink> {
+        each!(self, s => s.tx_trace())
     }
 
     async fn begin(&self, w: &mut WarpTx, ctx: &WarpCtx, want: LaneMask) -> LaneMask {

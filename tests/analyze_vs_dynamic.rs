@@ -65,7 +65,7 @@ fn run_recorded(src: &str) -> Result<RunOutcome, txl::TxlError> {
     let stm_cfg = StmConfig::new(1 << 6);
     let shared = StmShared::init(&mut sim, &stm_cfg).expect("stm init");
     let rec = recorder();
-    let stm = Rc::new(LockStm::hv_sorting(shared, stm_cfg).with_recorder(rec.clone()));
+    let stm = Rc::new(LockStm::hv_sorting(shared, stm_cfg).with_observers(Some(rec.clone()), None));
 
     let mut bindings = Vec::new();
     let mut named = Vec::new();
