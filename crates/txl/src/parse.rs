@@ -23,20 +23,34 @@
 //! ```
 //!
 //! Built-in calls: `rand(n)`, `tid()`, `nthreads()`.
+//!
+//! Programs nest at most [`MAX_DEPTH`] levels deep: each block, each
+//! unary operand (so each `!`, parenthesis and index or call argument)
+//! and each binary operator of a chain is one level.
 
 use crate::ast::{BinOp, Expr, Kernel, Param, Program, Stmt};
 use crate::error::TxlError;
 use crate::token::{lex, Span, Spanned, Tok};
+
+/// Deepest nesting a program may have (see the module docs for what
+/// counts as a level). Every pass after the parser walks the tree
+/// recursively, so a deeper program would overflow the stack instead of
+/// failing with an error. At this bound the deepest accepted programs
+/// pass every pass in about 1.5 MiB of stack in a debug build, inside
+/// the 2 MiB of a test thread
+/// (`tests::deepest_accepted_programs_pass_every_pass`).
+pub const MAX_DEPTH: u32 = 128;
 
 /// Parses a TXL program (without semantic checking; see
 /// [`crate::check::check_program`]).
 ///
 /// # Errors
 ///
-/// [`TxlError::Lex`] or [`TxlError::Parse`] with a 1-based line number.
+/// [`TxlError::Lex`] or [`TxlError::Parse`] with a 1-based line number,
+/// also when the program nests deeper than [`MAX_DEPTH`].
 pub fn parse(src: &str) -> Result<Program, TxlError> {
     let toks = lex(src)?;
-    let mut p = Parser { toks, pos: 0 };
+    let mut p = Parser { toks, pos: 0, depth: 0 };
     let mut kernels = Vec::new();
     while !p.at_end() {
         kernels.push(p.kernel()?);
@@ -47,6 +61,8 @@ pub fn parse(src: &str) -> Result<Program, TxlError> {
 struct Parser {
     toks: Vec<Spanned>,
     pos: usize,
+    /// Nesting levels entered and not yet left.
+    depth: u32,
 }
 
 impl Parser {
@@ -90,6 +106,16 @@ impl Parser {
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T, TxlError> {
         Err(TxlError::Parse { line: self.line(), span: self.cur_span(), message: message.into() })
+    }
+
+    /// Enters one more nesting level at the current token; errors past
+    /// [`MAX_DEPTH`]. The caller leaves it by decrementing `depth`.
+    fn deeper(&mut self) -> Result<(), TxlError> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return self.err(format!("program nests deeper than {MAX_DEPTH} levels"));
+        }
+        Ok(())
     }
 
     fn expect(&mut self, want: &Tok) -> Result<(), TxlError> {
@@ -152,6 +178,7 @@ impl Parser {
     }
 
     fn block(&mut self) -> Result<Vec<Stmt>, TxlError> {
+        self.deeper()?;
         self.expect(&Tok::LBrace)?;
         let mut stmts = Vec::new();
         while self.peek() != Some(&Tok::RBrace) {
@@ -161,6 +188,7 @@ impl Parser {
             stmts.push(self.stmt()?);
         }
         self.pos += 1; // consume `}`
+        self.depth -= 1;
         Ok(stmts)
     }
 
@@ -247,7 +275,9 @@ impl Parser {
         self.bin_level(0)
     }
 
-    fn bin_level(&mut self, level: usize) -> Result<Expr, TxlError> {
+    /// Precedence climbing: the operators of `LEVELS[min..]`, each level
+    /// left-associative and binding tighter than the ones before it.
+    fn bin_level(&mut self, min: usize) -> Result<Expr, TxlError> {
         const LEVELS: &[&[(Tok, BinOp)]] = &[
             &[(Tok::OrOr, BinOp::OrOr)],
             &[(Tok::AndAnd, BinOp::AndAnd)],
@@ -266,31 +296,36 @@ impl Parser {
             &[(Tok::Plus, BinOp::Add), (Tok::Minus, BinOp::Sub)],
             &[(Tok::Star, BinOp::Mul), (Tok::Slash, BinOp::Div), (Tok::Percent, BinOp::Rem)],
         ];
-        if level == LEVELS.len() {
-            return self.unary();
+        let operator = |tok: &Tok| {
+            LEVELS.iter().enumerate().skip(min).find_map(|(level, ops)| {
+                ops.iter().find(|(t, _)| t == tok).map(|&(_, op)| (level, op))
+            })
+        };
+        let mut lhs = self.unary()?;
+        // The chain is built left-deep in this loop: each operator nests
+        // the chain so far one level deeper.
+        let mut chain = 0;
+        while let Some((level, op)) = self.peek().and_then(operator) {
+            self.deeper()?;
+            chain += 1;
+            self.pos += 1;
+            let rhs = self.bin_level(level + 1)?;
+            lhs = Expr::Bin { op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
         }
-        let mut lhs = self.bin_level(level + 1)?;
-        'outer: loop {
-            for (tok, op) in LEVELS[level] {
-                if self.peek() == Some(tok) {
-                    self.pos += 1;
-                    let rhs = self.bin_level(level + 1)?;
-                    lhs = Expr::Bin { op: *op, lhs: Box::new(lhs), rhs: Box::new(rhs) };
-                    continue 'outer;
-                }
-            }
-            break;
-        }
+        self.depth -= chain;
         Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, TxlError> {
-        if self.peek() == Some(&Tok::Bang) {
+        self.deeper()?;
+        let e = if self.peek() == Some(&Tok::Bang) {
             self.pos += 1;
-            Ok(Expr::Not(Box::new(self.unary()?)))
+            Expr::Not(Box::new(self.unary()?))
         } else {
-            self.primary()
-        }
+            self.primary()?
+        };
+        self.depth -= 1;
+        Ok(e)
     }
 
     fn primary(&mut self) -> Result<Expr, TxlError> {
@@ -468,6 +503,46 @@ mod tests {
     #[test]
     fn unterminated_block_rejected() {
         assert!(parse("kernel k() { let x = 1;").is_err());
+    }
+
+    /// The four ways to nest deeply, `n` levels of each on line 2 of a
+    /// kernel that stores the result, so every pass has work to do.
+    fn deep(shape: usize, n: usize) -> String {
+        let body = match shape {
+            0 => format!("let x = {}1{};\n a[0] = x;", "(".repeat(n), ")".repeat(n)),
+            1 => format!("let x = 1{};\n a[0] = x;", "+1".repeat(n)),
+            2 => format!("let x = {}1;\n a[0] = x;", "!".repeat(n)),
+            _ => format!("{}atomic {{ a[0] = a[0] + 1; }}{}", "if 1 { ".repeat(n), " }".repeat(n)),
+        };
+        format!("kernel k(a: array[4]) {{\n {body}\n}}\n")
+    }
+
+    #[test]
+    fn deep_nesting_is_a_parse_error_naming_the_line() {
+        for (shape, n) in [(0, 10_000), (1, 100_000), (2, 100_000), (3, 100_000)] {
+            let err = parse(&deep(shape, n)).unwrap_err();
+            let TxlError::Parse { line, message, .. } = err else { panic!("shape {shape}") };
+            assert_eq!(line, 2, "shape {shape}");
+            assert!(message.contains("deeper than"), "shape {shape}: {message}");
+        }
+    }
+
+    #[test]
+    fn deepest_accepted_programs_pass_every_pass() {
+        use crate::{analyze_source, compile, fix_source, lint_source, thread_footprint};
+        for shape in 0..4 {
+            // The largest accepted count: one more level is rejected.
+            let n = (1..).find(|&n| parse(&deep(shape, n)).is_err()).unwrap() - 1;
+            assert!(n >= MAX_DEPTH as usize / 2, "shape {shape} accepts only {n} levels");
+            let src = deep(shape, n);
+            let program = compile(&src).unwrap();
+            lint_source(&src, &crate::LintConfig::default()).unwrap();
+            thread_footprint(&program.kernels[0], 0, 64);
+            analyze_source(&src, &crate::CostConfig::default()).unwrap();
+            fix_source(&src, &crate::FixConfig::default()).unwrap();
+            let report = crate::fix::dynamic_check(&src, 1).unwrap();
+            assert_eq!(report.kernels, 1, "shape {shape}: {:?}", report.violations);
+        }
     }
 
     #[test]

@@ -70,6 +70,29 @@ fn lint_parse_error_exits_two() {
 }
 
 #[test]
+fn deep_nesting_is_a_parse_error_not_a_stack_overflow() {
+    let shapes = [
+        (
+            "parens",
+            format!("kernel k() {{ let x = {}1{}; }}", "(".repeat(10_000), ")".repeat(10_000)),
+        ),
+        ("chain", format!("kernel k() {{ let x = 1{}; }}", "+1".repeat(100_000))),
+        ("bangs", format!("kernel k() {{ let x = {}1; }}", "!".repeat(100_000))),
+        ("ifs", format!("kernel k() {{ {}{} }}", "if 1 { ".repeat(100_000), "}".repeat(100_000))),
+    ];
+    for (name, src) in shapes {
+        let file = Scratch::new(&format!("deep-{name}.txl"), &src);
+        for mode in ["lint", "analyze", "fix"] {
+            let out = txl(&[mode, file.path()]);
+            assert_eq!(code(&out), 2, "{mode} {name}: {out:?}");
+            assert!(String::from_utf8_lossy(&out.stderr).contains("deeper than"), "{out:?}");
+        }
+        let out = Command::new(env!("CARGO_BIN_EXE_txlc")).arg(file.path()).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "txlc {name}: {out:?}");
+    }
+}
+
+#[test]
 fn usage_errors_exit_two() {
     assert_eq!(code(&txl(&[])), 2);
     assert_eq!(code(&txl(&["lint"])), 2, "no files");
