@@ -241,14 +241,17 @@ pub(crate) struct SimState {
     pub(crate) race: Option<RaceDetector>,
     pub(crate) trace: Option<TraceSink>,
     /// Whether warp ops should record their [`StepEffect`]: true iff a
-    /// schedule policy is installed, since building an effect allocates its
-    /// address list. With no policy, race sink or trace sink attached a
-    /// warp instruction allocates nothing and borrows this state once;
+    /// schedule policy is installed. A warp instruction allocates nothing
+    /// and borrows this state once, with or without a policy;
     /// `tests/no_alloc.rs` enforces the first half of that.
     pub(crate) observe_effects: bool,
     /// The effect of the instruction currently being executed, taken by the
     /// event loop after each poll and reported to the schedule policy.
     pub(crate) last_effect: Option<StepEffect>,
+    /// The addresses of `last_effect` when it is a memory effect, sorted
+    /// and deduplicated. One buffer, sized for a warp in `new` and reused
+    /// by every instruction of every launch.
+    pub(crate) effect_addrs: Vec<Addr>,
     /// Wakes for parked warps (progress-board slot indices), enqueued by
     /// [`WakeHandle`](crate::WakeHandle)s and drained by the event loop
     /// before every scheduling decision. Fresh per launch.
@@ -269,6 +272,7 @@ impl SimState {
             trace: config.trace.clone(),
             observe_effects: config.schedule.is_some(),
             last_effect: None,
+            effect_addrs: Vec::with_capacity(WARP_SIZE),
             wake_queue: Rc::new(RefCell::new(Vec::new())),
         }
     }
@@ -280,9 +284,12 @@ impl SimState {
         self.stats = SimStats::new();
         self.fault = FaultState::new(config.fault);
         self.progress = ProgressBoard::default();
-        // Fresh vector clocks per launch (warp slots are per-launch); the
-        // sinks keep accumulating across launches.
-        self.race = config.race.clone().map(RaceDetector::new);
+        // Fresh vector clocks per launch (warp slots are per-launch), in the
+        // last launch's buffers; the sinks keep accumulating across launches.
+        match (&mut self.race, &config.race) {
+            (Some(race), Some(sink)) => race.reset(Rc::clone(sink)),
+            (race, sink) => *race = sink.clone().map(RaceDetector::new),
+        }
         self.trace = config.trace.clone();
         self.observe_effects = config.schedule.is_some();
         self.last_effect = None;
@@ -537,7 +544,9 @@ impl Sim {
     /// `kernel` is invoked once per warp to build that warp's future; the
     /// returned futures are interleaved by the event loop at warp-instruction
     /// granularity. Per-launch statistics and the completion cycle are
-    /// returned; device memory persists across launches.
+    /// returned; device memory persists across launches. Every warp future
+    /// is dropped before `launch` returns, so the futures may borrow from
+    /// the caller.
     ///
     /// # Errors
     ///
@@ -547,10 +556,14 @@ impl Sim {
     ///   (`watchdog_cycles`) or the progress stall limit (`stall_cycles`)
     ///   is exhausted before all warps finish, classified by the progress
     ///   monitor with per-warp diagnostics.
-    pub fn launch<F, Fut>(&mut self, grid: LaunchConfig, kernel: F) -> Result<RunReport, SimError>
+    pub fn launch<'k, F, Fut>(
+        &mut self,
+        grid: LaunchConfig,
+        kernel: F,
+    ) -> Result<RunReport, SimError>
     where
         F: Fn(WarpCtx) -> Fut,
-        Fut: Future<Output = ()> + 'static,
+        Fut: Future<Output = ()> + 'k,
     {
         grid.validate()?;
         let wake_queue = {
@@ -578,7 +591,7 @@ impl Sim {
         // Live warp count per resident block, indexed by block id.
         let mut block_live: Vec<u32> = vec![0; grid.blocks as usize];
 
-        let admit = |scheduler: &mut Scheduler,
+        let admit = |scheduler: &mut Scheduler<'k>,
                      next_block: &mut u32,
                      resident_blocks: &mut u64,
                      resident_warps: &mut u64,
@@ -611,7 +624,7 @@ impl Sim {
                         st.progress.register(b, w, now)
                     };
                     let ctx = WarpCtx::new(Rc::clone(&self.state), id, Rc::clone(&mailbox), pslot);
-                    let fut: Pin<Box<dyn Future<Output = ()>>> = Box::pin(kernel(ctx));
+                    let fut: Pin<Box<dyn Future<Output = ()> + 'k>> = Box::pin(kernel(ctx));
                     let entry = WarpSlot {
                         fut,
                         resume: ParkSignal::None,
@@ -691,13 +704,13 @@ impl Sim {
             let park_request = mailbox.park.take();
             if let Some(p) = &policy {
                 let (block, warp_in_block) = scheduler.identity(slot);
+                let st = &mut *self.state.borrow_mut();
                 let effect = match poll {
-                    Poll::Pending => {
-                        self.state.borrow_mut().last_effect.take().unwrap_or(StepEffect::Local)
-                    }
+                    Poll::Pending => st.last_effect.take().unwrap_or(StepEffect::Local),
                     Poll::Ready(()) => StepEffect::Retire,
                 };
-                p.observe(StepRecord { block, warp_in_block, effect });
+                let addrs = if effect.accesses_memory() { &st.effect_addrs[..] } else { &[] };
+                p.observe(StepRecord { block, warp_in_block, effect, addrs });
             }
             match poll {
                 Poll::Pending => {
@@ -796,8 +809,8 @@ impl Sim {
     }
 }
 
-struct WarpSlot {
-    fut: Pin<Box<dyn Future<Output = ()>>>,
+struct WarpSlot<'a> {
+    fut: Pin<Box<dyn Future<Output = ()> + 'a>>,
     // Why the warp's park ended, held from the unpark until its next poll.
     resume: ParkSignal,
     block: u32,
@@ -805,8 +818,8 @@ struct WarpSlot {
     pslot: usize,
 }
 
-struct Scheduler {
-    slots: Vec<Option<WarpSlot>>,
+struct Scheduler<'a> {
+    slots: Vec<Option<WarpSlot<'a>>>,
     free: Vec<usize>,
     // Ordered by (ready_cycle, key): FIFO among equal ready times, unless
     // a fault plan shuffles same-cycle dispatch with seeded-random keys.
@@ -835,7 +848,7 @@ struct Scheduler {
     deadlines: BTreeSet<(u64, usize)>,
 }
 
-impl Scheduler {
+impl<'a> Scheduler<'a> {
     fn new(shuffle_seed: Option<u64>, policy: Option<PolicyHandle>) -> Self {
         Scheduler {
             slots: Vec::new(),
@@ -853,7 +866,7 @@ impl Scheduler {
         }
     }
 
-    fn spawn(&mut self, entry: WarpSlot, ready: u64) {
+    fn spawn(&mut self, entry: WarpSlot<'a>, ready: u64) {
         let slot = match self.free.pop() {
             Some(i) => {
                 self.slots[i] = Some(entry);
@@ -1441,10 +1454,14 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// One observed step, with its addresses copied out of the
+    /// simulator's buffer.
+    type OwnedStep = (u32, u32, StepEffect, Vec<Addr>);
+
     /// Picks a fixed runnable index each decision and logs every step.
     struct FixedPick {
         index: usize,
-        steps: Rc<RefCell<Vec<StepRecord>>>,
+        steps: Rc<RefCell<Vec<OwnedStep>>>,
     }
 
     impl crate::schedule::SchedulePolicy for FixedPick {
@@ -1452,13 +1469,14 @@ mod tests {
             self.index.min(runnable.len() - 1)
         }
 
-        fn observe(&mut self, step: StepRecord) {
-            self.steps.borrow_mut().push(step);
+        fn observe(&mut self, step: StepRecord<'_>) {
+            let owned = (step.block, step.warp_in_block, step.effect, step.addrs.to_vec());
+            self.steps.borrow_mut().push(owned);
         }
     }
 
-    fn ticket_order_under(index: usize) -> (Vec<u32>, Vec<StepRecord>) {
-        let steps: Rc<RefCell<Vec<StepRecord>>> = Rc::default();
+    fn ticket_order_under(index: usize) -> (Vec<u32>, Vec<OwnedStep>, Addr) {
+        let steps: Rc<RefCell<Vec<OwnedStep>>> = Rc::default();
         let mut cfg = SimConfig::with_memory(1 << 16);
         cfg.schedule =
             Some(crate::schedule::PolicyHandle::new(FixedPick { index, steps: Rc::clone(&steps) }));
@@ -1473,36 +1491,35 @@ mod tests {
         .unwrap();
         let order = sim.read_slice(tickets, 4);
         let log = steps.borrow().clone();
-        (order, log)
+        (order, log, tickets)
     }
 
     #[test]
     fn schedule_policy_controls_interleaving() {
         // Always picking the first runnable warp runs blocks in order;
         // always picking the last reverses the ticket order.
-        let (first, _) = ticket_order_under(0);
+        let (first, _, _) = ticket_order_under(0);
         assert_eq!(first, vec![0, 1, 2, 3]);
-        let (last, _) = ticket_order_under(usize::MAX);
+        let (last, _, _) = ticket_order_under(usize::MAX);
         assert_eq!(last, vec![3, 2, 1, 0]);
     }
 
     #[test]
     fn schedule_policy_observes_effects_and_retires() {
-        let (_, log) = ticket_order_under(0);
-        let atomics = log
-            .iter()
-            .filter(|s| matches!(s.effect, crate::schedule::StepEffect::Atomic(_)))
-            .count();
-        let stores = log
-            .iter()
-            .filter(|s| matches!(s.effect, crate::schedule::StepEffect::Store(_)))
-            .count();
-        let retires =
-            log.iter().filter(|s| matches!(s.effect, crate::schedule::StepEffect::Retire)).count();
-        assert_eq!(atomics, 4);
-        assert_eq!(stores, 4);
-        assert_eq!(retires, 4);
-        // Every observed step names a real warp of the 4×1 grid.
-        assert!(log.iter().all(|s| s.block < 4 && s.warp_in_block == 0));
+        let (_, log, tickets) = ticket_order_under(0);
+        let count = |e: StepEffect| log.iter().filter(|s| s.2 == e).count();
+        assert_eq!(count(StepEffect::Atomic), 4);
+        assert_eq!(count(StepEffect::Store), 4);
+        assert_eq!(count(StepEffect::Retire), 4);
+        // Every observed step names a real warp of the 4×1 grid, and only
+        // memory steps carry addresses: a store its block's ticket word.
+        assert!(log.iter().all(|s| s.0 < 4 && s.1 == 0));
+        for (block, _, effect, addrs) in &log {
+            match effect {
+                StepEffect::Store => assert_eq!(addrs, &[tickets.offset(*block)]),
+                StepEffect::Atomic => assert_eq!(addrs.len(), 1),
+                _ => assert!(addrs.is_empty(), "{effect:?} carries {addrs:?}"),
+            }
+        }
     }
 }

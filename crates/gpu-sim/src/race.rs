@@ -139,7 +139,7 @@ pub fn race_sink() -> RaceSink {
 
 type VectorClock = Vec<u64>;
 
-fn join(into: &mut VectorClock, from: &VectorClock) {
+fn join(into: &mut VectorClock, from: &[u64]) {
     if into.len() < from.len() {
         into.resize(from.len(), 0);
     }
@@ -166,58 +166,55 @@ struct Epoch {
     cycle: u64,
 }
 
+/// Read/write history of an ordinary data word. An entry whose `launch`
+/// is not the detector's current one is empty: it is kept, with its read
+/// list's buffer, for the next launch that touches the word.
 #[derive(Clone, Debug, Default)]
 struct WordState {
+    launch: u64,
     write: Option<Epoch>,
     /// Last read per warp slot (kept sparse; warps re-reading overwrite).
     reads: Vec<Epoch>,
 }
 
-/// The per-launch detector state. Owned by the simulator; reset on every
-/// launch while the sink accumulates across launches.
-#[derive(Debug)]
-pub(crate) struct RaceDetector {
-    sink: RaceSink,
-    warps: Vec<WarpClock>,
-    /// Addresses ever touched by an atomic: permanent sync variables.
-    sync_addrs: HashSet<u32>,
-    /// Release clocks of sync variables.
-    sync_clocks: HashMap<u32, VectorClock>,
-    /// Read/write history of ordinary data words.
-    words: HashMap<u32, WordState>,
-    /// Words already reported (one report per word keeps logs readable).
-    reported: HashSet<u32>,
+/// A synchronization variable: a word some atomic touched in the current
+/// launch (`launch` matches the detector's), with its release clock.
+#[derive(Clone, Debug, Default)]
+struct SyncVar {
+    launch: u64,
+    clock: VectorClock,
 }
 
-impl RaceDetector {
-    pub(crate) fn new(sink: RaceSink) -> Self {
-        RaceDetector {
-            sink,
-            warps: Vec::new(),
-            sync_addrs: HashSet::new(),
-            sync_clocks: HashMap::new(),
-            words: HashMap::new(),
-            reported: HashSet::new(),
-        }
-    }
+/// The vector clocks of one launch's warps, indexed by progress-board
+/// slot. Entries past `live` belong to no warp of this launch; they keep
+/// their clock buffers for the next one.
+#[derive(Debug, Default)]
+struct Clocks {
+    warps: Vec<WarpClock>,
+    live: usize,
+}
 
+impl Clocks {
     fn ensure(&mut self, pslot: usize, id: WarpId) {
-        while self.warps.len() <= pslot {
-            let p = self.warps.len();
-            let mut vc = vec![0; p + 1];
-            vc[p] = 1;
-            self.warps.push(WarpClock {
-                vc,
-                speculative: false,
-                block: id.block,
-                warp_in_block: id.warp_in_block,
-            });
+        while self.live <= pslot {
+            let p = self.live;
+            if p == self.warps.len() {
+                self.warps.push(WarpClock {
+                    vc: Vec::new(),
+                    speculative: false,
+                    block: 0,
+                    warp_in_block: 0,
+                });
+            }
+            let w = &mut self.warps[p];
+            w.vc.clear();
+            w.vc.resize(p + 1, 0);
+            w.vc[p] = 1;
+            w.speculative = false;
+            w.block = id.block;
+            w.warp_in_block = id.warp_in_block;
+            self.live += 1;
         }
-    }
-
-    pub(crate) fn set_speculative(&mut self, pslot: usize, id: WarpId, on: bool) {
-        self.ensure(pslot, id);
-        self.warps[pslot].speculative = on;
     }
 
     /// `epoch` happens-before the current state of warp `pslot`.
@@ -250,99 +247,163 @@ impl RaceDetector {
         }
     }
 
+    /// Records a new epoch of warp `pslot`'s own accesses.
+    fn tick(&mut self, pslot: usize) {
+        self.warps[pslot].vc[pslot] += 1;
+    }
+}
+
+/// Where races go: the sink, and the words already reported this launch
+/// (one report per word keeps logs readable).
+#[derive(Debug)]
+struct Reports {
+    sink: RaceSink,
+    reported: HashSet<u32>,
+}
+
+impl Reports {
     fn report(&mut self, addr: u32, prior: RaceAccess, current: RaceAccess) {
         if self.reported.insert(addr) {
             self.sink.borrow_mut().races.push(DataRace { addr: Addr(addr), prior, current });
         }
+    }
+}
+
+/// The per-launch detector state. Owned by the simulator and emptied at
+/// every launch, while the sink accumulates across launches. Emptying
+/// keeps every table's capacity, and the clocks join in place, so once
+/// the tables have grown to a workload's footprint the detector
+/// allocates nothing.
+#[derive(Debug)]
+pub(crate) struct RaceDetector {
+    /// Numbers the launches this detector has served; table entries of
+    /// earlier launches are stale.
+    launch: u64,
+    clocks: Clocks,
+    /// Words touched by an atomic: sync variables for the rest of the
+    /// launch.
+    sync: HashMap<u32, SyncVar>,
+    words: HashMap<u32, WordState>,
+    reports: Reports,
+}
+
+impl RaceDetector {
+    pub(crate) fn new(sink: RaceSink) -> Self {
+        RaceDetector {
+            launch: 1,
+            clocks: Clocks::default(),
+            sync: HashMap::new(),
+            words: HashMap::new(),
+            reports: Reports { sink, reported: HashSet::new() },
+        }
+    }
+
+    /// Empties the detector for a new launch reporting to `sink`, as
+    /// [`new`](Self::new) would build it but keeping every buffer.
+    pub(crate) fn reset(&mut self, sink: RaceSink) {
+        self.launch += 1;
+        self.clocks.live = 0;
+        self.reports.sink = sink;
+        self.reports.reported.clear();
+    }
+
+    pub(crate) fn set_speculative(&mut self, pslot: usize, id: WarpId, on: bool) {
+        self.clocks.ensure(pslot, id);
+        self.clocks.warps[pslot].speculative = on;
+    }
+
+    /// The history of data word `addr`, emptied first if it is stale.
+    fn word(words: &mut HashMap<u32, WordState>, launch: u64, addr: u32) -> &mut WordState {
+        let word = words.entry(addr).or_default();
+        if word.launch != launch {
+            word.launch = launch;
+            word.write = None;
+            word.reads.clear();
+        }
+        word
     }
 
     /// Atomic instruction on `addr`: classify it as a sync variable and
     /// perform acquire + release (join both ways), then advance the warp's
     /// local clock so later accesses are distinguishable from this one.
     pub(crate) fn on_atomic(&mut self, pslot: usize, id: WarpId, addr: Addr, _cycle: u64) {
-        self.ensure(pslot, id);
+        self.clocks.ensure(pslot, id);
         let a = addr.0;
-        if self.sync_addrs.insert(a) {
+        let sync = self.sync.entry(a).or_default();
+        if sync.launch != self.launch {
             // Newly classified: its plain-access history is retroactively
             // synchronization traffic, not data.
-            self.words.remove(&a);
+            sync.launch = self.launch;
+            sync.clock.clear();
+            if let Some(word) = self.words.get_mut(&a) {
+                word.launch = 0;
+            }
         }
-        let lock = self.sync_clocks.entry(a).or_default();
-        join(&mut self.warps[pslot].vc, lock);
-        lock.clone_from(&self.warps[pslot].vc);
-        self.tick(pslot);
+        let vc = &mut self.clocks.warps[pslot].vc;
+        join(vc, &sync.clock);
+        sync.clock.clone_from(vc);
+        self.clocks.tick(pslot);
     }
 
     /// Plain load of `addr` by warp `pslot` (issued by `lane`).
     pub(crate) fn on_read(&mut self, pslot: usize, id: WarpId, lane: u32, addr: Addr, cycle: u64) {
-        self.ensure(pslot, id);
+        self.clocks.ensure(pslot, id);
         let a = addr.0;
-        if self.sync_addrs.contains(&a) {
+        if let Some(sync) = self.sync.get(&a).filter(|s| s.launch == self.launch) {
             // Acquire: observing a sync word orders this warp after its
             // releasers (spin-wait on a lock or a published flag).
-            if let Some(lock) = self.sync_clocks.get(&a) {
-                let lock = lock.clone();
-                join(&mut self.warps[pslot].vc, &lock);
-            }
+            join(&mut self.clocks.warps[pslot].vc, &sync.clock);
             return;
         }
-        let spec = self.warps[pslot].speculative;
-        let entry = self.words.entry(a).or_default();
-        let write = entry.write;
-        if let Some(wr) = write {
-            if !(self.ordered(pslot, &wr) || (wr.speculative && spec)) {
-                let prior = self.epoch_access(&wr, AccessKind::Write);
-                let current = self.access(pslot, lane, AccessKind::Read, cycle);
-                self.report(a, prior, current);
+        let clocks = &self.clocks;
+        let spec = clocks.warps[pslot].speculative;
+        let word = Self::word(&mut self.words, self.launch, a);
+        if let Some(wr) = word.write {
+            if !(clocks.ordered(pslot, &wr) || (wr.speculative && spec)) {
+                let prior = clocks.epoch_access(&wr, AccessKind::Write);
+                let current = clocks.access(pslot, lane, AccessKind::Read, cycle);
+                self.reports.report(a, prior, current);
             }
         }
-        let clock = self.warps[pslot].vc[pslot];
-        let entry = self.words.entry(a).or_default();
-        match entry.reads.iter_mut().find(|e| e.pslot == pslot) {
-            Some(e) => *e = Epoch { pslot, clock, lane, speculative: spec, cycle },
-            None => entry.reads.push(Epoch { pslot, clock, lane, speculative: spec, cycle }),
+        let epoch =
+            Epoch { pslot, clock: clocks.warps[pslot].vc[pslot], lane, speculative: spec, cycle };
+        match word.reads.iter_mut().find(|e| e.pslot == pslot) {
+            Some(e) => *e = epoch,
+            None => word.reads.push(epoch),
         }
     }
 
     /// Plain store to `addr` by warp `pslot` (issued by `lane`).
     pub(crate) fn on_write(&mut self, pslot: usize, id: WarpId, lane: u32, addr: Addr, cycle: u64) {
-        self.ensure(pslot, id);
+        self.clocks.ensure(pslot, id);
         let a = addr.0;
-        if self.sync_addrs.contains(&a) {
+        if let Some(sync) = self.sync.get_mut(&a).filter(|s| s.launch == self.launch) {
             // Release: publishing to a sync word (lock release, version
             // unlock) makes this warp's history visible to later acquirers.
-            let vc = self.warps[pslot].vc.clone();
-            join(self.sync_clocks.entry(a).or_default(), &vc);
-            self.tick(pslot);
+            join(&mut sync.clock, &self.clocks.warps[pslot].vc);
+            self.clocks.tick(pslot);
             return;
         }
-        let spec = self.warps[pslot].speculative;
-        let state = self.words.entry(a).or_default();
-        let write = state.write;
-        let reads = state.reads.clone();
-        if let Some(wr) = write {
-            if !(self.ordered(pslot, &wr) || (wr.speculative && spec)) {
-                let prior = self.epoch_access(&wr, AccessKind::Write);
-                let current = self.access(pslot, lane, AccessKind::Write, cycle);
-                self.report(a, prior, current);
+        let clocks = &self.clocks;
+        let spec = clocks.warps[pslot].speculative;
+        let word = Self::word(&mut self.words, self.launch, a);
+        if let Some(wr) = word.write {
+            if !(clocks.ordered(pslot, &wr) || (wr.speculative && spec)) {
+                let prior = clocks.epoch_access(&wr, AccessKind::Write);
+                let current = clocks.access(pslot, lane, AccessKind::Write, cycle);
+                self.reports.report(a, prior, current);
             }
         }
-        for rd in &reads {
-            if rd.pslot != pslot && !self.ordered(pslot, rd) && !(rd.speculative && spec) {
-                let prior = self.epoch_access(rd, AccessKind::Read);
-                let current = self.access(pslot, lane, AccessKind::Write, cycle);
-                self.report(a, prior, current);
+        for rd in &word.reads {
+            if rd.pslot != pslot && !clocks.ordered(pslot, rd) && !(rd.speculative && spec) {
+                let prior = clocks.epoch_access(rd, AccessKind::Read);
+                let current = clocks.access(pslot, lane, AccessKind::Write, cycle);
+                self.reports.report(a, prior, current);
             }
         }
-        let clock = self.warps[pslot].vc[pslot];
-        let state = self.words.entry(a).or_default();
-        state.write = Some(Epoch { pslot, clock, lane, speculative: spec, cycle });
-        state.reads.clear();
-    }
-
-    fn tick(&mut self, pslot: usize) {
-        let w = &mut self.warps[pslot];
-        w.vc[pslot] += 1;
+        let clock = clocks.warps[pslot].vc[pslot];
+        word.write = Some(Epoch { pslot, clock, lane, speculative: spec, cycle });
+        word.reads.clear();
     }
 }
 

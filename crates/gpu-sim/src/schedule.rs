@@ -23,21 +23,19 @@ use crate::warp::LaneAddrs;
 use std::cell::RefCell;
 use std::rc::Rc;
 
-/// The shared-memory effect of one executed warp instruction, as observed
-/// by a [`SchedulePolicy`].
-///
-/// Address lists are the *active lanes'* addresses, sorted and
-/// deduplicated, so effects compare cheaply.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// The kind of shared-memory effect one executed warp instruction had, as
+/// observed by a [`SchedulePolicy`]. The addresses of a memory effect
+/// travel beside it, in [`StepRecord::addrs`].
+#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
 pub enum StepEffect {
     /// No global-memory effect (ALU, idle, thread-local metadata access).
     Local,
     /// A global load by the active lanes.
-    Load(Vec<Addr>),
+    Load,
     /// A global store by the active lanes.
-    Store(Vec<Addr>),
+    Store,
     /// An atomic read-modify-write / compare-and-swap by the active lanes.
-    Atomic(Vec<Addr>),
+    Atomic,
     /// A memory fence.
     Fence,
     /// The warp's future completed; it will issue no further steps.
@@ -45,32 +43,15 @@ pub enum StepEffect {
 }
 
 impl StepEffect {
-    /// The addresses this effect touches (empty for non-memory effects).
-    pub fn addrs(&self) -> &[Addr] {
-        match self {
-            StepEffect::Load(a) | StepEffect::Store(a) | StepEffect::Atomic(a) => a,
-            _ => &[],
-        }
-    }
-
     /// Whether the effect may change memory (store or atomic).
-    pub fn writes(&self) -> bool {
-        matches!(self, StepEffect::Store(_) | StepEffect::Atomic(_))
+    pub fn writes(self) -> bool {
+        matches!(self, StepEffect::Store | StepEffect::Atomic)
     }
 
-    /// Whether two effects *from different warps* conflict under the
-    /// verifier's independence relation: same-address pairs where at least
-    /// one side writes conflict, reads commute, and fences conservatively
-    /// order against every memory effect (and each other). `Local` and
-    /// `Retire` commute with everything.
-    pub fn conflicts(&self, other: &StepEffect) -> bool {
-        use StepEffect::*;
-        match (self, other) {
-            (Local | Retire, _) | (_, Local | Retire) => false,
-            (Fence, _) | (_, Fence) => true,
-            (Load(_), Load(_)) => false,
-            _ => intersects(self.addrs(), other.addrs()),
-        }
+    /// Whether the effect touches global-memory words (load, store or
+    /// atomic), i.e. has addresses.
+    pub(crate) fn accesses_memory(self) -> bool {
+        matches!(self, StepEffect::Load | StepEffect::Store | StepEffect::Atomic)
     }
 }
 
@@ -87,13 +68,14 @@ fn intersects(a: &[Addr], b: &[Addr]) -> bool {
     false
 }
 
-/// Collects the active lanes' addresses of a warp instruction, sorted and
-/// deduplicated, for effect recording.
-pub(crate) fn effect_addrs(mask: LaneMask, addrs: &LaneAddrs) -> Vec<Addr> {
-    let mut out: Vec<Addr> = mask.iter().map(|l| addrs[l]).collect();
+/// Collects the active lanes' addresses of a warp instruction into `out`,
+/// sorted and deduplicated, for effect recording. `out` is the
+/// simulator's one reused buffer, so recording allocates nothing.
+pub(crate) fn effect_addrs(mask: LaneMask, addrs: &LaneAddrs, out: &mut Vec<Addr>) {
+    out.clear();
+    out.extend(mask.iter().map(|l| addrs[l]));
     out.sort_unstable();
     out.dedup();
-    out
 }
 
 /// One warp the policy may schedule next.
@@ -108,14 +90,38 @@ pub struct RunnableWarp {
 }
 
 /// One executed warp instruction, reported to the policy after the fact.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StepRecord {
+///
+/// A borrowed view: `addrs` points into a buffer the simulator reuses for
+/// every instruction, so a policy that keeps the addresses copies them
+/// (into a pool of its own, say) before `observe` returns.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub struct StepRecord<'a> {
     /// Block index within the grid.
     pub block: u32,
     /// Warp index within the block.
     pub warp_in_block: u32,
     /// The instruction's observable memory effect.
     pub effect: StepEffect,
+    /// The active lanes' addresses of a memory effect, sorted and
+    /// deduplicated so effects compare cheaply; empty for the others.
+    pub addrs: &'a [Addr],
+}
+
+impl StepRecord<'_> {
+    /// Whether two steps *from different warps* conflict under the
+    /// verifier's independence relation: same-address pairs where at least
+    /// one side writes conflict, reads commute, and fences conservatively
+    /// order against every memory effect (and each other). `Local` and
+    /// `Retire` commute with everything.
+    pub fn conflicts(&self, other: &StepRecord<'_>) -> bool {
+        use StepEffect::*;
+        match (self.effect, other.effect) {
+            (Local | Retire, _) | (_, Local | Retire) => false,
+            (Fence, _) | (_, Fence) => true,
+            (Load, Load) => false,
+            _ => intersects(self.addrs, other.addrs),
+        }
+    }
 }
 
 /// An external warp-scheduling controller.
@@ -130,9 +136,10 @@ pub trait SchedulePolicy {
     fn pick(&mut self, now: u64, runnable: &[RunnableWarp]) -> usize;
 
     /// Observes the instruction the picked warp just executed (including
-    /// its [`StepEffect::Retire`] when the warp finishes). The record is
-    /// handed over, so a policy that keeps the effect need not clone it.
-    fn observe(&mut self, _step: StepRecord) {}
+    /// its [`StepEffect::Retire`] when the warp finishes). The record
+    /// borrows the simulator's address buffer for the duration of the
+    /// call.
+    fn observe(&mut self, _step: StepRecord<'_>) {}
 }
 
 /// A cloneable, shareable handle to a [`SchedulePolicy`], installable in
@@ -159,7 +166,7 @@ impl PolicyHandle {
         self.0.borrow_mut().pick(now, runnable)
     }
 
-    pub(crate) fn observe(&self, step: StepRecord) {
+    pub(crate) fn observe(&self, step: StepRecord<'_>) {
         self.0.borrow_mut().observe(step);
     }
 }
@@ -174,32 +181,39 @@ impl std::fmt::Debug for PolicyHandle {
 mod tests {
     use super::*;
 
+    fn step(effect: StepEffect, addrs: &[Addr]) -> StepRecord<'_> {
+        StepRecord { block: 0, warp_in_block: 0, effect, addrs }
+    }
+
     fn addr_list(xs: &[u32]) -> Vec<Addr> {
         xs.iter().map(|&x| Addr(x)).collect()
     }
 
     #[test]
     fn reads_commute_writes_conflict() {
-        let r = StepEffect::Load(addr_list(&[4, 8]));
-        let r2 = StepEffect::Load(addr_list(&[4]));
-        let w = StepEffect::Store(addr_list(&[8]));
-        let a = StepEffect::Atomic(addr_list(&[2, 4]));
+        let (a48, a4, a8, a24) =
+            (addr_list(&[4, 8]), addr_list(&[4]), addr_list(&[8]), addr_list(&[2, 4]));
+        let r = step(StepEffect::Load, &a48);
+        let r2 = step(StepEffect::Load, &a4);
+        let w = step(StepEffect::Store, &a8);
+        let a = step(StepEffect::Atomic, &a24);
         assert!(!r.conflicts(&r2));
         assert!(r.conflicts(&w));
         assert!(w.conflicts(&r));
         assert!(r.conflicts(&a));
         assert!(!w.conflicts(&a));
-        assert!(a.conflicts(&StepEffect::Atomic(addr_list(&[4]))));
+        assert!(a.conflicts(&step(StepEffect::Atomic, &a4)));
     }
 
     #[test]
     fn fences_order_everything_but_local() {
-        let f = StepEffect::Fence;
-        assert!(f.conflicts(&StepEffect::Fence));
-        assert!(f.conflicts(&StepEffect::Load(addr_list(&[1]))));
-        assert!(!f.conflicts(&StepEffect::Local));
-        assert!(!f.conflicts(&StepEffect::Retire));
-        assert!(!StepEffect::Local.conflicts(&f));
+        let a1 = addr_list(&[1]);
+        let f = step(StepEffect::Fence, &[]);
+        assert!(f.conflicts(&step(StepEffect::Fence, &[])));
+        assert!(f.conflicts(&step(StepEffect::Load, &a1)));
+        assert!(!f.conflicts(&step(StepEffect::Local, &[])));
+        assert!(!f.conflicts(&step(StepEffect::Retire, &[])));
+        assert!(!step(StepEffect::Local, &[]).conflicts(&f));
     }
 
     #[test]
@@ -208,7 +222,8 @@ mod tests {
         addrs[0] = Addr(9);
         addrs[1] = Addr(3);
         addrs[2] = Addr(9);
-        let got = effect_addrs(LaneMask::first_n(3), &addrs);
+        let mut got = vec![Addr(1)];
+        effect_addrs(LaneMask::first_n(3), &addrs, &mut got);
         assert_eq!(got, addr_list(&[3, 9]));
     }
 }

@@ -250,8 +250,9 @@ impl WarpCtx {
     }
 
     /// The observer half of a memory instruction: feeds the race detector
-    /// and records the [`StepEffect`] for the schedule policy. Does nothing
-    /// (and allocates nothing) when neither is attached.
+    /// and records the [`StepEffect`] for the schedule policy, its
+    /// addresses in the simulator's one reused buffer. Does nothing when
+    /// neither is attached.
     fn observe_access(&self, st: &mut SimState, kind: MemKind, mask: LaneMask, addrs: &LaneAddrs) {
         if let Some(r) = st.race.as_mut() {
             for lane in mask.iter() {
@@ -264,11 +265,11 @@ impl WarpCtx {
             }
         }
         if st.observe_effects {
-            let touched = effect_addrs(mask, addrs);
+            effect_addrs(mask, addrs, &mut st.effect_addrs);
             st.last_effect = Some(match kind {
-                MemKind::Load => StepEffect::Load(touched),
-                MemKind::Store => StepEffect::Store(touched),
-                MemKind::Atomic => StepEffect::Atomic(touched),
+                MemKind::Load => StepEffect::Load,
+                MemKind::Store => StepEffect::Store,
+                MemKind::Atomic => StepEffect::Atomic,
             });
         }
     }
@@ -301,7 +302,9 @@ impl WarpCtx {
                 r.on_read(self.pslot, self.id, lane, addr, st.now);
             }
             if st.observe_effects {
-                st.last_effect = Some(StepEffect::Load(vec![addr]));
+                st.effect_addrs.clear();
+                st.effect_addrs.push(addr);
+                st.last_effect = Some(StepEffect::Load);
             }
             (cost, st.mem.read(addr))
         });

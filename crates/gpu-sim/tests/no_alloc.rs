@@ -6,8 +6,17 @@
 //! push past the wheel with room for every queued warp; running them does
 //! not — so the allocation count of a launch may depend on its grid, but
 //! not on how many instructions each warp issues.
+//!
+//! The same holds for a controlled run, with a schedule policy observing
+//! every step and a race sink attached, once the race detector's tables
+//! have grown to the kernel's footprint: a step's addresses reach the
+//! policy in one buffer the simulator reuses, the detector joins clocks
+//! in place, and its tables keep their capacity across `Sim::reset`.
 
-use gpu_sim::{Addr, AtomicOp, LaunchConfig, Sim, SimConfig, WarpCtx, WARP_SIZE};
+use gpu_sim::{
+    race_sink, Addr, AtomicOp, LaunchConfig, PolicyHandle, RunnableWarp, SchedulePolicy, Sim,
+    SimConfig, StepRecord, WarpCtx, WARP_SIZE,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -128,6 +137,63 @@ fn steady_state_instructions_do_not_allocate() {
             let short = launch_allocations(op, grid, 12);
             let long = launch_allocations(op, grid, 120);
             // Spawning warps allocates, and the counter must see it.
+            assert!(short > 0, "{op:?} on {grid:?}: no allocation counted");
+            assert_eq!(short, long, "{op:?} on {grid:?}: allocations grew with the round count");
+        }
+    }
+}
+
+/// Rotates through the runnable warps and observes every step, checking
+/// that a step's addresses arrive sorted and deduplicated.
+#[derive(Default)]
+struct Observer {
+    picks: usize,
+}
+
+impl SchedulePolicy for Observer {
+    fn pick(&mut self, _now: u64, runnable: &[RunnableWarp]) -> usize {
+        self.picks += 1;
+        self.picks % runnable.len()
+    }
+
+    fn observe(&mut self, step: StepRecord<'_>) {
+        assert!(step.addrs.windows(2).all(|w| w[0] < w[1]), "unsorted step addresses");
+    }
+}
+
+/// Heap allocations made by one controlled launch of `op` over `grid`,
+/// each warp issuing `rounds` instructions. The simulator first runs the
+/// kernel for 120 rounds and is then reset, so the race detector's tables
+/// and the race log already hold the kernel's footprint.
+fn controlled_allocations(op: Op, grid: LaunchConfig, rounds: u32) -> u64 {
+    let races = race_sink();
+    let mut cfg = SimConfig::with_memory(1 << 14);
+    cfg.race = Some(races.clone());
+    cfg.schedule = Some(PolicyHandle::new(Observer::default()));
+    let mut sim = Sim::new(cfg.clone());
+    let buf = sim.alloc(BUF_WORDS).unwrap();
+    sim.launch(grid, move |ctx| kernel(ctx, op, buf, 120)).unwrap();
+    sim.reset(cfg);
+    races.borrow_mut().races.clear();
+    let buf = sim.alloc(BUF_WORDS).unwrap();
+
+    let before = ALLOCATIONS.get();
+    let report = sim.launch(grid, move |ctx| kernel(ctx, op, buf, rounds)).unwrap();
+    let allocations = ALLOCATIONS.get() - before;
+    let warps = u64::from(grid.blocks * grid.warps_per_block());
+    assert_eq!(report.stats.instructions, warps * u64::from(rounds), "{op:?}");
+    allocations
+}
+
+#[test]
+fn controlled_steps_do_not_allocate() {
+    // One warp; a few blocks with a partial tail warp; and more 2-lane
+    // blocks than stay resident, so blocks are admitted mid-run.
+    let grids = [LaunchConfig::new(1, 32), LaunchConfig::new(6, 40), LaunchConfig::new(130, 2)];
+    for grid in grids {
+        for op in OPS {
+            let short = controlled_allocations(op, grid, 12);
+            let long = controlled_allocations(op, grid, 120);
             assert!(short > 0, "{op:?} on {grid:?}: no allocation counted");
             assert_eq!(short, long, "{op:?} on {grid:?}: allocations grew with the round count");
         }

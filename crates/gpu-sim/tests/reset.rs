@@ -6,18 +6,18 @@
 
 use gpu_sim::{
     race_sink, trace_sink, Addr, CacheConfig, LaneMask, LaunchConfig, PolicyHandle, RaceSink,
-    RunReport, RunnableWarp, SchedulePolicy, Sim, SimConfig, SimEvent, StepRecord, TraceSink,
-    WakeHandle, WarpCtx, WARP_SIZE,
+    RunReport, RunnableWarp, SchedulePolicy, Sim, SimConfig, SimEvent, StepEffect, StepRecord,
+    TraceSink, WakeHandle, WarpCtx, WARP_SIZE,
 };
 use std::cell::RefCell;
 use std::rc::Rc;
 
 /// Rotates through the runnable warps, one instruction each, and keeps
-/// what it observes.
+/// a copy of what it observes.
 #[derive(Default)]
 struct RoundRobin {
     picks: usize,
-    steps: Vec<StepRecord>,
+    steps: Vec<(u32, u32, StepEffect, Vec<Addr>)>,
 }
 
 impl SchedulePolicy for RoundRobin {
@@ -26,8 +26,8 @@ impl SchedulePolicy for RoundRobin {
         self.picks % runnable.len()
     }
 
-    fn observe(&mut self, step: StepRecord) {
-        self.steps.push(step);
+    fn observe(&mut self, step: StepRecord<'_>) {
+        self.steps.push((step.block, step.warp_in_block, step.effect, step.addrs.to_vec()));
     }
 }
 
@@ -143,4 +143,49 @@ fn reset_is_new_across_a_memory_and_cache_change() {
     let clean = || config(1 << 12, CacheConfig::fermi_l2(), false);
     let (dirty, _sinks) = config(1 << 14, CacheConfig::tiny(), true);
     reset_matches_new(dirty, clean, 3000);
+}
+
+/// Words X and Y, allocated in that order.
+fn two_words(sim: &mut Sim) -> (Addr, Addr) {
+    (sim.alloc(1).expect("fits"), sim.alloc(1).expect("fits"))
+}
+
+#[test]
+fn a_reset_race_detector_forgets_the_last_run() {
+    let with_sink = |race: &RaceSink| {
+        let mut cfg = SimConfig::with_memory(1 << 12);
+        cfg.race = Some(race.clone());
+        cfg
+    };
+    // Run one: an atomic makes X a sync variable, and a warp reads Y.
+    let first = race_sink();
+    let mut reused = Sim::new(with_sink(&first));
+    let (x, y) = two_words(&mut reused);
+    reused
+        .launch(LaunchConfig::new(1, 64), move |ctx: WarpCtx| async move {
+            ctx.atomic_add_uniform(LaneMask::lane(0), x, 1).await;
+            let _ = ctx.load_one(0, y).await;
+        })
+        .expect("run one completes");
+    assert!(first.borrow().races.is_empty(), "{:?}", first.borrow().races);
+
+    // Run two: plain stores to X and Y by both warps, unordered.
+    let run_two = |sim: &mut Sim| {
+        let (x, y) = two_words(sim);
+        sim.launch(LaunchConfig::new(1, 64), move |ctx: WarpCtx| async move {
+            let v = ctx.id().warp_in_block + 1;
+            ctx.store_one(0, x, v).await;
+            ctx.store_one(0, y, v).await;
+        })
+        .expect("run two completes");
+    };
+    let (reused_races, fresh_races) = (race_sink(), race_sink());
+    reused.reset(with_sink(&reused_races));
+    run_two(&mut reused);
+    let mut fresh = Sim::new(with_sink(&fresh_races));
+    run_two(&mut fresh);
+
+    let (got, want) = (reused_races.borrow(), fresh_races.borrow());
+    assert_eq!(want.races.len(), 2, "{:?}", want.races);
+    assert_eq!(got.races, want.races);
 }

@@ -10,7 +10,7 @@
 //! history, `(forced choices, model) → execution` is deterministic, which
 //! is what makes stateless replay — and `.sched` repro files — possible.
 
-use gpu_sim::{RunnableWarp, SchedulePolicy, StepEffect, StepRecord};
+use gpu_sim::{Addr, RunnableWarp, SchedulePolicy, StepEffect, StepRecord};
 use std::ops::Range;
 
 /// Identity of a warp: `(block, warp_in_block)`.
@@ -63,6 +63,9 @@ pub struct Event {
     pub warp: WarpKey,
     /// Its shared-memory effect.
     pub effect: StepEffect,
+    /// Where the effect's addresses sit in the run's pool; read the whole
+    /// step with [`Controller::step`].
+    pub addrs: Range<usize>,
     /// The decision index at which it was scheduled.
     pub decision: u64,
 }
@@ -120,15 +123,16 @@ impl FootprintFilter {
         Some(FootprintFilter { regions })
     }
 
-    /// Whether `effect`, issued by `warp`, is provably private to it.
-    pub fn invisible(&self, warp: WarpKey, effect: &StepEffect) -> bool {
-        match effect {
+    /// Whether `step` is provably private to the warp that issued it.
+    pub fn invisible(&self, step: &StepRecord<'_>) -> bool {
+        match step.effect {
             StepEffect::Local | StepEffect::Retire | StepEffect::Fence => false,
             _ => {
+                let warp = (step.block, step.warp_in_block);
                 let Some((_, regions)) = self.regions.iter().find(|(w, _)| *w == warp) else {
                     return false;
                 };
-                let addrs = effect.addrs();
+                let addrs = step.addrs;
                 !addrs.is_empty()
                     && addrs.iter().all(|a| regions.iter().any(|&(lo, hi)| lo <= *a && *a <= hi))
             }
@@ -138,6 +142,10 @@ impl FootprintFilter {
 
 /// The policy driven by the explorer: forced-prefix replay + default
 /// continuation, with full decision/trace recording.
+///
+/// One controller serves a whole exploration: [`reset`](Self::reset)
+/// readies it for the next schedule and keeps every buffer, so a run
+/// only allocates when it records more than any earlier run did.
 #[derive(Debug)]
 pub struct Controller {
     forced: Vec<ForcedChoice>,
@@ -164,6 +172,8 @@ pub struct Controller {
     pub effective: Vec<ForcedChoice>,
     /// The visible memory-event trace.
     pub trace: Vec<Event>,
+    /// Every traced event's addresses, back to back.
+    addr_pool: Vec<Addr>,
     /// Events demoted to invisible by the footprint filter.
     pub invisible_pruned: u64,
 }
@@ -172,10 +182,8 @@ impl Controller {
     /// Creates a controller replaying `schedule` under an optional
     /// footprint filter.
     pub fn new(schedule: Schedule, filter: Option<FootprintFilter>) -> Self {
-        let mut forced = schedule.choices;
-        forced.sort_by_key(|c| c.decision);
-        Controller {
-            forced,
+        let mut ctl = Controller {
+            forced: Vec::new(),
             next_forced: 0,
             decision: 0,
             current: None,
@@ -188,8 +196,32 @@ impl Controller {
             runnable_pool: Vec::new(),
             effective: Vec::new(),
             trace: Vec::new(),
+            addr_pool: Vec::new(),
             invisible_pruned: 0,
-        }
+        };
+        ctl.reset(schedule);
+        ctl
+    }
+
+    /// Readies the controller to replay `schedule` from the first
+    /// decision, as [`new`](Self::new) would under the same filter, but
+    /// in the buffers of the runs before.
+    pub fn reset(&mut self, schedule: Schedule) {
+        self.forced = schedule.choices;
+        self.forced.sort_by_key(|c| c.decision);
+        self.next_forced = 0;
+        self.decision = 0;
+        self.current = None;
+        self.consecutive = 0;
+        self.quantum_start = 0;
+        self.preemptions = 0;
+        self.diverged = false;
+        self.decisions.clear();
+        self.runnable_pool.clear();
+        self.effective.clear();
+        self.trace.clear();
+        self.addr_pool.clear();
+        self.invisible_pruned = 0;
     }
 
     /// Preemptions charged over the whole run.
@@ -200,6 +232,17 @@ impl Controller {
     /// The warps that were runnable at `rec`, sorted by identity.
     pub fn runnable(&self, rec: &DecisionRecord) -> &[WarpKey] {
         &self.runnable_pool[rec.runnable.clone()]
+    }
+
+    /// The traced `event` as the simulator reported it, its addresses
+    /// read from the run's pool.
+    pub fn step(&self, event: &Event) -> StepRecord<'_> {
+        StepRecord {
+            block: event.warp.0,
+            warp_in_block: event.warp.1,
+            effect: event.effect,
+            addrs: &self.addr_pool[event.addrs.clone()],
+        }
     }
 
     /// The deterministic default continuation: keep running the current
@@ -297,7 +340,7 @@ impl SchedulePolicy for Controller {
         idx
     }
 
-    fn observe(&mut self, step: StepRecord) {
+    fn observe(&mut self, step: StepRecord<'_>) {
         let warp = (step.block, step.warp_in_block);
         match step.effect {
             StepEffect::Retire => {
@@ -307,16 +350,17 @@ impl SchedulePolicy for Controller {
                 }
             }
             StepEffect::Local => {}
-            eff => {
-                if let Some(f) = &self.filter {
-                    if f.invisible(warp, &eff) {
-                        self.invisible_pruned += 1;
-                        return;
-                    }
+            effect => {
+                if self.filter.as_ref().is_some_and(|f| f.invisible(&step)) {
+                    self.invisible_pruned += 1;
+                    return;
                 }
                 // `pick` already advanced the counter for this step.
                 let decision = self.decision.saturating_sub(1);
-                self.trace.push(Event { warp, effect: eff, decision });
+                let start = self.addr_pool.len();
+                self.addr_pool.extend_from_slice(step.addrs);
+                let addrs = start..self.addr_pool.len();
+                self.trace.push(Event { warp, effect, addrs, decision });
             }
         }
     }
@@ -325,10 +369,13 @@ impl SchedulePolicy for Controller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::Addr;
 
     fn runnable(keys: &[WarpKey]) -> Vec<RunnableWarp> {
         keys.iter().map(|&(b, w)| RunnableWarp { block: b, warp_in_block: w, ready: 0 }).collect()
+    }
+
+    fn step(warp: WarpKey, effect: StepEffect, addrs: &[Addr]) -> StepRecord<'_> {
+        StepRecord { block: warp.0, warp_in_block: warp.1, effect, addrs }
     }
 
     #[test]
@@ -393,18 +440,38 @@ mod tests {
         let mut c = Controller::new(Schedule::default(), None);
         let r = runnable(&[(0, 0), (0, 1)]);
         c.pick(0, &r);
-        c.observe(StepRecord { block: 0, warp_in_block: 0, effect: StepEffect::Local });
-        c.observe(StepRecord {
-            block: 0,
-            warp_in_block: 0,
-            effect: StepEffect::Store(vec![Addr(7)]),
-        });
-        c.observe(StepRecord { block: 0, warp_in_block: 0, effect: StepEffect::Retire });
+        c.observe(step((0, 0), StepEffect::Local, &[]));
+        c.observe(step((0, 0), StepEffect::Store, &[Addr(7)]));
+        c.observe(step((0, 0), StepEffect::Retire, &[]));
         assert_eq!(c.trace.len(), 1);
         assert_eq!(c.trace[0].decision, 0);
+        assert_eq!(c.step(&c.trace[0]), step((0, 0), StepEffect::Store, &[Addr(7)]));
         // After retire the default continuation starts the next warp.
         assert_eq!(c.pick(0, &runnable(&[(0, 1)])), 0);
         assert_eq!(c.preemptions(), 0);
+    }
+
+    #[test]
+    fn a_reset_controller_replays_like_a_new_one() {
+        let r = runnable(&[(0, 0), (0, 1)]);
+        let drive = |c: &mut Controller| {
+            for i in 0..6u32 {
+                let picked = r[c.pick(u64::from(i), &r)];
+                let warp = (picked.block, picked.warp_in_block);
+                c.observe(step(warp, StepEffect::Store, &[Addr(i), Addr(i + 1)]));
+            }
+            let addrs: Vec<_> = c.trace.iter().map(|e| c.step(e).addrs.to_vec()).collect();
+            let state = (c.preemptions(), c.diverged, c.invisible_pruned, &c.effective);
+            format!("{:?} {:?} {addrs:?} {state:?}", c.decisions, c.trace)
+        };
+        let sched = Schedule { choices: vec![ForcedChoice { decision: 2, warp: (0, 1) }] };
+        let mut fresh = Controller::new(sched.clone(), None);
+        let want = drive(&mut fresh);
+        let other = Schedule { choices: vec![ForcedChoice { decision: 0, warp: (0, 1) }] };
+        let mut reused = Controller::new(other, None);
+        drive(&mut reused);
+        reused.reset(sched);
+        assert_eq!(drive(&mut reused), want);
     }
 
     #[test]
@@ -414,10 +481,10 @@ mod tests {
             ((1, 0), vec![(Addr(14), Addr(17))]),
         ])
         .expect("disjoint");
-        assert!(f.invisible((0, 0), &StepEffect::Store(vec![Addr(10), Addr(12)])));
-        assert!(!f.invisible((0, 0), &StepEffect::Store(vec![Addr(14)])));
-        assert!(!f.invisible((1, 0), &StepEffect::Fence));
-        assert!(!f.invisible((2, 0), &StepEffect::Load(vec![Addr(10)])));
+        assert!(f.invisible(&step((0, 0), StepEffect::Store, &[Addr(10), Addr(12)])));
+        assert!(!f.invisible(&step((0, 0), StepEffect::Store, &[Addr(14)])));
+        assert!(!f.invisible(&step((1, 0), StepEffect::Fence, &[])));
+        assert!(!f.invisible(&step((2, 0), StepEffect::Load, &[Addr(10)])));
     }
 
     #[test]

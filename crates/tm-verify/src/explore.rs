@@ -13,7 +13,7 @@
 //! bounding (CHESS) explores all 0-preemption schedules, then 1, then 2…
 //! so the cheapest witnesses surface first.
 
-use crate::controller::{Controller, Event, FootprintFilter, ForcedChoice, Schedule, WarpKey};
+use crate::controller::{Controller, FootprintFilter, ForcedChoice, Schedule, WarpKey};
 /// FNV-1a, used for all exploration-internal hashing (deterministic
 /// across runs and platforms, with no dependency on hasher seeding).
 pub use gpu_sim::rng::Fnv;
@@ -186,25 +186,26 @@ impl ExploreReport {
     }
 }
 
-fn effect_tag(e: &gpu_sim::StepEffect) -> u32 {
+fn effect_tag(e: gpu_sim::StepEffect) -> u32 {
     use gpu_sim::StepEffect::*;
     match e {
         Local => 0,
-        Load(_) => 1,
-        Store(_) => 2,
-        Atomic(_) => 3,
+        Load => 1,
+        Store => 2,
+        Atomic => 3,
         Fence => 4,
         Retire => 5,
     }
 }
 
-fn trace_hash(trace: &[Event]) -> u64 {
+/// Hash of the run's visible trace.
+fn trace_hash(ctl: &Controller) -> u64 {
     let mut h = Fnv::new();
-    for e in trace {
+    for e in &ctl.trace {
         h.u32(e.warp.0);
         h.u32(e.warp.1);
-        h.u32(effect_tag(&e.effect));
-        for a in e.effect.addrs() {
+        h.u32(effect_tag(e.effect));
+        for a in ctl.step(e).addrs {
             h.u32(a.0);
         }
     }
@@ -270,6 +271,9 @@ fn search(
     frontier.pending[0].push_back(Schedule::default());
     let mut seen_traces: HashSet<u64> = HashSet::new();
     let mut seen_states: HashSet<u64> = HashSet::new();
+    // One controller, and one copy of the footprint filter, for every run.
+    let shared =
+        Rc::new(RefCell::new(Controller::new(Schedule::default(), cfg.footprints.clone())));
 
     'bounds: for bound in 0..nbounds {
         while let Some(p) = frontier.pending[bound].pop_front() {
@@ -277,11 +281,11 @@ fn search(
                 stats.cap_hit = true;
                 break 'bounds;
             }
-            let ctl = Rc::new(RefCell::new(Controller::new(p, cfg.footprints.clone())));
-            let outcome = run(PolicyHandle::shared(ctl.clone()));
+            shared.borrow_mut().reset(p);
+            let outcome = run(PolicyHandle::shared(shared.clone()));
             stats.schedules_run += 1;
 
-            let ctl = ctl.borrow();
+            let ctl = shared.borrow();
             stats.footprint_invisible_events += ctl.invisible_pruned;
             stats.max_trace_len = stats.max_trace_len.max(ctl.trace.len());
             if ctl.diverged {
@@ -294,7 +298,7 @@ fn search(
                 break 'bounds;
             }
 
-            if !seen_traces.insert(trace_hash(&ctl.trace)) {
+            if !seen_traces.insert(trace_hash(&ctl)) {
                 stats.traces_deduped += 1;
                 continue;
             }
@@ -350,11 +354,12 @@ struct Backtracker {
 
 impl Backtracker {
     fn run(&mut self, ctl: &Controller, stats: &mut ExploreStats, frontier: &mut Frontier) {
-        self.find_races(&ctl.trace);
+        self.find_races(ctl);
         self.queue_flips(ctl, stats, frontier);
     }
 
-    fn find_races(&mut self, trace: &[Event]) {
+    fn find_races(&mut self, ctl: &Controller) {
+        let trace = &ctl.trace;
         self.races.clear();
         self.warps.clear();
         self.event_warp.clear();
@@ -394,7 +399,7 @@ impl Backtracker {
                     let post_i = &self.post[i * n..(i + 1) * n];
                     if wi == wj
                         || self.acc[wi] >= post_i[wi]
-                        || !trace[i].effect.conflicts(&trace[j].effect)
+                        || !ctl.step(&trace[i]).conflicts(&ctl.step(&trace[j]))
                     {
                         continue;
                     }
@@ -488,7 +493,7 @@ mod tests {
     use super::*;
     use crate::litmus::{Litmus, Workload};
     use crate::model::Model;
-    use gpu_sim::StepEffect;
+    use gpu_sim::{SchedulePolicy, StepEffect, StepRecord};
     use workloads::Variant;
 
     /// A vector clock counting, per warp index, how many of that warp's
@@ -538,7 +543,9 @@ mod tests {
             let wj = warp_ix[&trace[j].warp];
             let mut acc = warp_clock[wj].clone();
             for i in (0..j).rev() {
-                if trace[i].warp == trace[j].warp || !trace[i].effect.conflicts(&trace[j].effect) {
+                if trace[i].warp == trace[j].warp
+                    || !ctl.step(&trace[i]).conflicts(&ctl.step(&trace[j]))
+                {
                     continue;
                 }
                 if !clock_le(&post[i], &acc) {
@@ -670,14 +677,20 @@ mod tests {
 
     #[test]
     fn trace_hash_distinguishes_orders() {
-        let load = |w: u32| Event {
-            warp: (0, w),
-            effect: StepEffect::Store(vec![gpu_sim::Addr(5)]),
-            decision: 0,
+        let traced = |warps: [u32; 2]| {
+            let mut ctl = Controller::new(Schedule::default(), None);
+            for w in warps {
+                let addrs = [gpu_sim::Addr(5)];
+                ctl.observe(StepRecord {
+                    block: 0,
+                    warp_in_block: w,
+                    effect: StepEffect::Store,
+                    addrs: &addrs,
+                });
+            }
+            trace_hash(&ctl)
         };
-        let t1 = [load(0), load(1)];
-        let t2 = [load(1), load(0)];
-        assert_ne!(trace_hash(&t1), trace_hash(&t2));
+        assert_ne!(traced([0, 1]), traced([1, 0]));
     }
 
     #[test]

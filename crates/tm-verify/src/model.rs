@@ -13,7 +13,7 @@ use crate::explore::{
 use crate::litmus::{self, Litmus, Workload, STRIPES_SRC};
 use crate::sched;
 use crate::witness::TxlCase;
-use gpu_sim::{race_sink, Addr, LaunchConfig, PolicyHandle, Sim, SimConfig, SimError};
+use gpu_sim::{race_sink, Addr, LaunchConfig, PolicyHandle, RaceSink, Sim, SimConfig, SimError};
 use gpu_stm::{recorder, LockStm, Mutation, Recorder, Stm, StmConfig, StmShared};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -67,6 +67,8 @@ pub struct Model {
     /// The regions the current run allocated for the subject's data:
     /// hashed into the terminal state, bound to the kernel's arrays.
     data: Vec<(Addr, u32)>,
+    /// The race log of the current run, emptied before every run.
+    races: RaceSink,
     sim: Sim,
 }
 
@@ -80,12 +82,13 @@ impl Model {
             Subject::Case(c) => Some(c.source.as_str()),
         };
         let kernel = source.map(compile).transpose();
-        let mut sim = Sim::new(sim_config(None));
+        let races = race_sink();
+        let mut sim = Sim::new(sim_config(None, &races));
         let footprints = match (&subject, &kernel) {
             (Subject::Litmus(l), Ok(Some(k))) => litmus::footprint_filter(l, k, &mut sim),
             _ => None,
         };
-        Model { subject, kernel, footprints, data: Vec::new(), sim }
+        Model { subject, kernel, footprints, data: Vec::new(), races, sim }
     }
 
     /// Executes one complete run under an optional schedule policy and
@@ -95,7 +98,8 @@ impl Model {
     /// simulator scheduler (the single-schedule baseline seeded mutants
     /// must survive).
     pub fn run(&mut self, policy: Option<PolicyHandle>) -> ModelOutcome {
-        self.sim.reset(sim_config(policy));
+        self.races.borrow_mut().races.clear();
+        self.sim.reset(sim_config(policy, &self.races));
         self.data.clear();
         let rec = recorder();
         let (sim, data) = (&mut self.sim, &mut self.data);
@@ -136,8 +140,7 @@ impl Model {
                 }
             }
         }
-        let sink = self.sim.config().race.as_ref().expect("model runs detect races");
-        for v in tm_check::races_to_violations(&sink.borrow().races) {
+        for v in tm_check::races_to_violations(&self.races.borrow().races) {
             push(ViolationKind::Race, v.to_string());
         }
 
@@ -189,12 +192,13 @@ impl Model {
     }
 }
 
-/// The simulator configuration of one run under `policy`.
-fn sim_config(policy: Option<PolicyHandle>) -> SimConfig {
+/// The simulator configuration of one run under `policy`, reporting
+/// races to `races`.
+fn sim_config(policy: Option<PolicyHandle>, races: &RaceSink) -> SimConfig {
     let mut cfg = SimConfig::with_memory(MEM_WORDS as usize);
     cfg.watchdog_cycles = WATCHDOG_CYCLES;
     cfg.stall_cycles = STALL_CYCLES;
-    cfg.race = Some(race_sink());
+    cfg.race = Some(Rc::clone(races));
     cfg.schedule = policy;
     cfg
 }

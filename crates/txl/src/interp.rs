@@ -45,21 +45,24 @@ impl ArrayBinding {
     }
 }
 
-struct St<S: Stm> {
+struct St<'k, S: Stm> {
     stm: Rc<S>,
     ctx: WarpCtx,
     w: WarpTx,
     locals: Vec<LaneVals>,
     rng: WarpRng,
-    arrays: Vec<(Addr, u32)>,
+    arrays: &'k [(Addr, u32)],
     nthreads: u32,
     in_atomic: bool,
     tx_live: LaneMask,
     /// Lanes that executed `retry;` in the current transaction attempt.
     retrying: LaneMask,
+    /// The register checkpoint of the current transaction attempt (atomic
+    /// blocks do not nest), reused by every attempt.
+    saved: Vec<(usize, LaneVals)>,
 }
 
-impl<S: Stm> St<S> {
+impl<S: Stm> St<'_, S> {
     fn effective(&self, mask: LaneMask) -> LaneMask {
         if self.in_atomic {
             mask & self.tx_live
@@ -81,80 +84,138 @@ impl<S: Stm> St<S> {
 
 type Fut<'a, T> = Pin<Box<dyn Future<Output = Result<T, TxlError>> + 'a>>;
 
-fn eval<'a, S: Stm>(st: &'a mut St<S>, e: &'a Expr, mask: LaneMask) -> Fut<'a, LaneVals> {
+/// Whether evaluating `e` reads an array. Only such an expression can
+/// suspend the warp, so only it needs a future.
+fn reads_array(e: &Expr) -> bool {
+    match e {
+        Expr::Index { .. } => true,
+        Expr::Int(_) | Expr::Var { .. } | Expr::Tid | Expr::NThreads => false,
+        Expr::Not(x) | Expr::Rand(x) => reads_array(x),
+        Expr::Bin { lhs, rhs, .. } => reads_array(lhs) || reads_array(rhs),
+    }
+}
+
+/// The operands of `e`, in evaluation order.
+fn operands(e: &Expr) -> [Option<&Expr>; 2] {
+    match e {
+        Expr::Int(_) | Expr::Var { .. } | Expr::Tid | Expr::NThreads => [None, None],
+        Expr::Not(x) | Expr::Rand(x) => [Some(x), None],
+        Expr::Index { index, .. } => [Some(index), None],
+        Expr::Bin { lhs, rhs, .. } => [Some(lhs), Some(rhs)],
+    }
+}
+
+/// Evaluates `e` per lane of `mask`. An expression without an array read
+/// is evaluated in place; one with a read goes through the boxed
+/// recursion of [`eval_read`].
+async fn eval<S: Stm>(st: &mut St<'_, S>, e: &Expr, mask: LaneMask) -> Result<LaneVals, TxlError> {
+    if reads_array(e) {
+        eval_read(st, e, mask).await
+    } else {
+        Ok(eval_pure(st, e, mask))
+    }
+}
+
+/// [`eval`] of an expression that reads no array.
+fn eval_pure<S: Stm>(st: &mut St<'_, S>, e: &Expr, mask: LaneMask) -> LaneVals {
+    let mask = st.effective(mask);
+    let mut args = [[0u32; WARP_SIZE]; 2];
+    if mask.none() {
+        return args[0];
+    }
+    for (arg, x) in args.iter_mut().zip(operands(e).into_iter().flatten()) {
+        *arg = eval_pure(st, x, mask);
+    }
+    node(st, e, mask, &args)
+}
+
+/// [`eval`] of an expression that reads an array: the operands through
+/// [`eval`], then the read itself or the node's [`node`] value.
+fn eval_read<'a, S: Stm>(st: &'a mut St<'_, S>, e: &'a Expr, mask: LaneMask) -> Fut<'a, LaneVals> {
     Box::pin(async move {
         let mask = st.effective(mask);
-        let mut out = [0u32; WARP_SIZE];
+        let mut args = [[0u32; WARP_SIZE]; 2];
         if mask.none() {
-            return Ok(out);
+            return Ok(args[0]);
         }
-        match e {
-            Expr::Int(v) => {
-                for l in mask.iter() {
-                    out[l] = *v;
-                }
+        for (arg, x) in args.iter_mut().zip(operands(e).into_iter().flatten()) {
+            *arg = eval(st, x, mask).await?;
+        }
+        let Expr::Index { param, .. } = e else {
+            return Ok(node(st, e, mask, &args));
+        };
+        let idx = &args[0];
+        // Re-narrow: the index evaluation may have dropped lanes.
+        let mask = st.effective(mask);
+        let (base, len) = st.arrays[*param];
+        for l in mask.iter() {
+            if idx[l] >= len {
+                return Err(st.oob(l, *param, idx[l], len));
             }
-            Expr::Var { slot, .. } => {
-                for l in mask.iter() {
-                    out[l] = st.locals[*slot][l];
-                }
-            }
-            Expr::Tid => {
-                for l in mask.iter() {
-                    out[l] = st.ctx.id().thread_id(l);
-                }
-            }
-            Expr::NThreads => {
-                for l in mask.iter() {
-                    out[l] = st.nthreads;
-                }
-            }
-            Expr::Rand(n) => {
-                let n = eval(st, n, mask).await?;
-                for l in mask.iter() {
-                    out[l] = if n[l] == 0 { 0 } else { st.rng.below(l, n[l]) };
-                }
-            }
-            Expr::Not(inner) => {
-                let v = eval(st, inner, mask).await?;
-                for l in mask.iter() {
-                    out[l] = u32::from(v[l] == 0);
-                }
-            }
-            Expr::Bin { op, lhs, rhs } => {
-                let a = eval(st, lhs, mask).await?;
-                let b = eval(st, rhs, mask).await?;
-                for l in mask.iter() {
-                    out[l] = apply_bin(*op, a[l], b[l]);
-                }
-            }
-            Expr::Index { param, index, .. } => {
-                let idx = eval(st, index, mask).await?;
-                // Re-narrow: the index evaluation may have dropped lanes.
-                let mask = st.effective(mask);
-                let (base, len) = st.arrays[*param];
-                for l in mask.iter() {
-                    if idx[l] >= len {
-                        return Err(st.oob(l, *param, idx[l], len));
-                    }
-                }
-                let addrs = lane_addrs(mask, |l| base.offset(idx[l]));
-                let vals = if st.in_atomic {
-                    // Auto-inserted TXRead + opacity check.
-                    let stm = Rc::clone(&st.stm);
-                    let v = stm.read(&mut st.w, &st.ctx, mask, &addrs).await;
-                    st.tx_live &= stm.opaque(&st.w);
-                    v
-                } else {
-                    st.ctx.load(mask, &addrs).await
-                };
-                for l in mask.iter() {
-                    out[l] = vals[l];
-                }
-            }
+        }
+        let addrs = lane_addrs(mask, |l| base.offset(idx[l]));
+        let vals = if st.in_atomic {
+            // Auto-inserted TXRead + opacity check.
+            let stm = Rc::clone(&st.stm);
+            let v = stm.read(&mut st.w, &st.ctx, mask, &addrs).await;
+            st.tx_live &= stm.opaque(&st.w);
+            v
+        } else {
+            st.ctx.load(mask, &addrs).await
+        };
+        let mut out = [0u32; WARP_SIZE];
+        for l in mask.iter() {
+            out[l] = vals[l];
         }
         Ok(out)
     })
+}
+
+/// The value of node `e`, which is not an array read, on the non-empty
+/// `mask`, given its [`operands`]' values in order: the one evaluator of
+/// every node kind but the array read.
+fn node<S: Stm>(st: &mut St<'_, S>, e: &Expr, mask: LaneMask, args: &[LaneVals; 2]) -> LaneVals {
+    let [a, b] = args;
+    let mut out = [0u32; WARP_SIZE];
+    match e {
+        Expr::Int(v) => {
+            for l in mask.iter() {
+                out[l] = *v;
+            }
+        }
+        Expr::Var { slot, .. } => {
+            for l in mask.iter() {
+                out[l] = st.locals[*slot][l];
+            }
+        }
+        Expr::Tid => {
+            for l in mask.iter() {
+                out[l] = st.ctx.id().thread_id(l);
+            }
+        }
+        Expr::NThreads => {
+            for l in mask.iter() {
+                out[l] = st.nthreads;
+            }
+        }
+        Expr::Rand(_) => {
+            for l in mask.iter() {
+                out[l] = if a[l] == 0 { 0 } else { st.rng.below(l, a[l]) };
+            }
+        }
+        Expr::Not(_) => {
+            for l in mask.iter() {
+                out[l] = u32::from(a[l] == 0);
+            }
+        }
+        Expr::Bin { op, .. } => {
+            for l in mask.iter() {
+                out[l] = apply_bin(*op, a[l], b[l]);
+            }
+        }
+        Expr::Index { .. } => unreachable!("an array read is evaluated by `eval_read`"),
+    }
+    out
 }
 
 fn apply_bin(op: BinOp, a: u32, b: u32) -> u32 {
@@ -180,7 +241,7 @@ fn apply_bin(op: BinOp, a: u32, b: u32) -> u32 {
     }
 }
 
-fn exec_block<'a, S: Stm>(st: &'a mut St<S>, stmts: &'a [Stmt], mask: LaneMask) -> Fut<'a, ()> {
+fn exec_block<'a, S: Stm>(st: &'a mut St<'_, S>, stmts: &'a [Stmt], mask: LaneMask) -> Fut<'a, ()> {
     Box::pin(async move {
         for stmt in stmts {
             exec_stmt(st, stmt, mask).await?;
@@ -189,132 +250,134 @@ fn exec_block<'a, S: Stm>(st: &'a mut St<S>, stmts: &'a [Stmt], mask: LaneMask) 
     })
 }
 
-fn exec_stmt<'a, S: Stm>(st: &'a mut St<S>, stmt: &'a Stmt, mask: LaneMask) -> Fut<'a, ()> {
-    Box::pin(async move {
-        let mask = st.effective(mask);
-        if mask.none() {
-            return Ok(());
+async fn exec_stmt<S: Stm>(
+    st: &mut St<'_, S>,
+    stmt: &Stmt,
+    mask: LaneMask,
+) -> Result<(), TxlError> {
+    let mask = st.effective(mask);
+    if mask.none() {
+        return Ok(());
+    }
+    match stmt {
+        Stmt::Let { slot, init, .. } | Stmt::Assign { slot, value: init, .. } => {
+            let v = eval(st, init, mask).await?;
+            let m = st.effective(mask);
+            for l in m.iter() {
+                st.locals[*slot][l] = v[l];
+            }
+            st.ctx.alu(m).await;
         }
-        match stmt {
-            Stmt::Let { slot, init, .. } | Stmt::Assign { slot, value: init, .. } => {
-                let v = eval(st, init, mask).await?;
-                let m = st.effective(mask);
-                for l in m.iter() {
-                    st.locals[*slot][l] = v[l];
-                }
-                st.ctx.alu(m).await;
+        Stmt::Store { param, index, value, .. } => {
+            let idx = eval(st, index, mask).await?;
+            let val = eval(st, value, mask).await?;
+            let m = st.effective(mask);
+            if m.none() {
+                return Ok(());
             }
-            Stmt::Store { param, index, value, .. } => {
-                let idx = eval(st, index, mask).await?;
-                let val = eval(st, value, mask).await?;
-                let m = st.effective(mask);
-                if m.none() {
-                    return Ok(());
-                }
-                let (base, len) = st.arrays[*param];
-                for l in m.iter() {
-                    if idx[l] >= len {
-                        return Err(st.oob(l, *param, idx[l], len));
-                    }
-                }
-                let addrs = lane_addrs(m, |l| base.offset(idx[l]));
-                if st.in_atomic {
-                    // Auto-inserted TXWrite.
-                    let stm = Rc::clone(&st.stm);
-                    stm.write(&mut st.w, &st.ctx, m, &addrs, &val).await;
-                } else {
-                    st.ctx.store(m, &addrs, &val).await;
+            let (base, len) = st.arrays[*param];
+            for l in m.iter() {
+                if idx[l] >= len {
+                    return Err(st.oob(l, *param, idx[l], len));
                 }
             }
-            Stmt::If { cond, then_blk, else_blk, .. } => {
-                st.ctx.alu(mask).await;
-                let c = eval(st, cond, mask).await?;
-                let base = st.effective(mask);
-                let taken = base.filter(|l| c[l] != 0);
-                // SIMT: both sides execute serially under sub-masks,
-                // reconverging afterwards.
-                if taken.any() {
-                    exec_block(st, then_blk, taken).await?;
-                }
-                let not_taken = base & !taken;
-                if not_taken.any() {
-                    exec_block(st, else_blk, not_taken).await?;
-                }
+            let addrs = lane_addrs(m, |l| base.offset(idx[l]));
+            if st.in_atomic {
+                // Auto-inserted TXWrite.
+                let stm = Rc::clone(&st.stm);
+                stm.write(&mut st.w, &st.ctx, m, &addrs, &val).await;
+            } else {
+                st.ctx.store(m, &addrs, &val).await;
             }
-            Stmt::While { cond, body, .. } => {
-                let mut active = mask;
-                loop {
-                    active = st.effective(active);
-                    if active.none() {
-                        break;
-                    }
-                    st.ctx.alu(active).await;
-                    let c = eval(st, cond, active).await?;
-                    active = st.effective(active).filter(|l| c[l] != 0);
-                    if active.none() {
-                        break;
-                    }
-                    exec_block(st, body, active).await?;
+        }
+        Stmt::If { cond, then_blk, else_blk, .. } => {
+            st.ctx.alu(mask).await;
+            let c = eval(st, cond, mask).await?;
+            let base = st.effective(mask);
+            let taken = base.filter(|l| c[l] != 0);
+            // SIMT: both sides execute serially under sub-masks,
+            // reconverging afterwards.
+            if taken.any() {
+                exec_block(st, then_blk, taken).await?;
+            }
+            let not_taken = base & !taken;
+            if not_taken.any() {
+                exec_block(st, else_blk, not_taken).await?;
+            }
+        }
+        Stmt::While { cond, body, .. } => {
+            let mut active = mask;
+            loop {
+                active = st.effective(active);
+                if active.none() {
+                    break;
                 }
+                st.ctx.alu(active).await;
+                let c = eval(st, cond, active).await?;
+                active = st.effective(active).filter(|l| c[l] != 0);
+                if active.none() {
+                    break;
+                }
+                exec_block(st, body, active).await?;
             }
-            Stmt::Retry { .. } => {
-                // The lane abandons this attempt: it leaves the
-                // transaction's live set (skipping the rest of the block,
-                // like a doomed lane) and is excluded from commit so the
-                // atomic loop respins it — `retry` lowered to
-                // abort-and-respin, the same fallback the wake policy
-                // of `gpu_stm::Pipeline` uses when parking is unavailable.
-                st.ctx.alu(mask).await;
-                st.retrying |= mask;
-                st.tx_live &= !mask;
-            }
-            Stmt::Atomic { body, checkpoint, .. } => {
-                let mut pending = mask;
-                // Everything from begin to commit (including STM metadata
-                // traffic) is speculative: the race detector must not pair
-                // two transactional accesses (the STM itself orders them).
-                st.ctx.set_speculative(true);
-                while pending.any() {
-                    let stm = Rc::clone(&st.stm);
-                    let active = stm.begin(&mut st.w, &st.ctx, pending).await;
-                    if active.none() {
-                        continue;
-                    }
-                    // Compiler-inserted register checkpoint (Section 3.2.3).
-                    let saved: Vec<(usize, LaneVals)> =
-                        checkpoint.iter().map(|s| (*s, st.locals[*s])).collect();
-                    st.in_atomic = true;
-                    st.tx_live = active;
-                    st.retrying = LaneMask::EMPTY;
-                    let result = exec_block(st, body, active).await;
-                    st.in_atomic = false;
-                    result?;
-                    // `retry;` lanes abandon the attempt: discard their
-                    // buffered speculative state and keep them pending so
-                    // they respin once peers have committed.
-                    let retrying = st.retrying & active;
-                    st.retrying = LaneMask::EMPTY;
-                    for l in retrying.iter() {
-                        st.w.reset_lane(l);
-                    }
-                    let committed = stm.commit(&mut st.w, &st.ctx, active & !retrying).await;
-                    let undone = (active & !committed) | retrying;
-                    if undone.any() {
-                        // Restore: neither an aborted nor an abandoned
-                        // attempt's register effects may be observable.
-                        for (slot, vals) in &saved {
-                            for l in undone.iter() {
-                                st.locals[*slot][l] = vals[l];
-                            }
+        }
+        Stmt::Retry { .. } => {
+            // The lane abandons this attempt: it leaves the
+            // transaction's live set (skipping the rest of the block,
+            // like a doomed lane) and is excluded from commit so the
+            // atomic loop respins it — `retry` lowered to
+            // abort-and-respin, the same fallback the wake policy
+            // of `gpu_stm::Pipeline` uses when parking is unavailable.
+            st.ctx.alu(mask).await;
+            st.retrying |= mask;
+            st.tx_live &= !mask;
+        }
+        Stmt::Atomic { body, checkpoint, .. } => {
+            let mut pending = mask;
+            // Everything from begin to commit (including STM metadata
+            // traffic) is speculative: the race detector must not pair
+            // two transactional accesses (the STM itself orders them).
+            st.ctx.set_speculative(true);
+            while pending.any() {
+                let stm = Rc::clone(&st.stm);
+                let active = stm.begin(&mut st.w, &st.ctx, pending).await;
+                if active.none() {
+                    continue;
+                }
+                // Compiler-inserted register checkpoint (Section 3.2.3).
+                st.saved.clear();
+                st.saved.extend(checkpoint.iter().map(|s| (*s, st.locals[*s])));
+                st.in_atomic = true;
+                st.tx_live = active;
+                st.retrying = LaneMask::EMPTY;
+                let result = exec_block(st, body, active).await;
+                st.in_atomic = false;
+                result?;
+                // `retry;` lanes abandon the attempt: discard their
+                // buffered speculative state and keep them pending so
+                // they respin once peers have committed.
+                let retrying = st.retrying & active;
+                st.retrying = LaneMask::EMPTY;
+                for l in retrying.iter() {
+                    st.w.reset_lane(l);
+                }
+                let committed = stm.commit(&mut st.w, &st.ctx, active & !retrying).await;
+                let undone = (active & !committed) | retrying;
+                if undone.any() {
+                    // Restore: neither an aborted nor an abandoned
+                    // attempt's register effects may be observable.
+                    for (slot, vals) in &st.saved {
+                        for l in undone.iter() {
+                            st.locals[*slot][l] = vals[l];
                         }
                     }
-                    pending &= !committed;
                 }
-                st.ctx.set_speculative(false);
+                pending &= !committed;
             }
+            st.ctx.set_speculative(false);
         }
-        Ok(())
-    })
+    }
+    Ok(())
 }
 
 /// Launches a checked TXL kernel on the simulator under the given STM.
@@ -354,16 +417,13 @@ pub fn launch<S: Stm + 'static>(
         arrays.push((b.addr, b.len));
     }
 
-    let kernel = Rc::new(kernel.clone());
-    let stm = Rc::clone(stm);
-    let err_cell: Rc<RefCell<Option<TxlError>>> = Rc::new(RefCell::new(None));
+    // Every warp future is gone when `Sim::launch` returns, so the warps
+    // borrow the kernel, the arrays and the error slot.
+    let err_cell: RefCell<Option<TxlError>> = RefCell::new(None);
+    let (arrays, err_cell) = (&arrays, &err_cell);
     let nthreads = grid.total_threads() as u32;
-    let cell = Rc::clone(&err_cell);
-    let launch_result = sim.launch(grid, move |ctx: WarpCtx| {
-        let kernel = Rc::clone(&kernel);
-        let stm = Rc::clone(&stm);
-        let arrays = arrays.clone();
-        let cell = Rc::clone(&cell);
+    let launch_result = sim.launch(grid, |ctx: WarpCtx| {
+        let stm = Rc::clone(stm);
         async move {
             let mut st = St {
                 w: stm.new_warp(),
@@ -375,11 +435,12 @@ pub fn launch<S: Stm + 'static>(
                 in_atomic: false,
                 tx_live: LaneMask::FULL,
                 retrying: LaneMask::EMPTY,
+                saved: Vec::new(),
                 ctx: ctx.clone(),
             };
             let mask = ctx.id().launch_mask;
             if let Err(e) = exec_block(&mut st, &kernel.body, mask).await {
-                let mut slot = cell.borrow_mut();
+                let mut slot = err_cell.borrow_mut();
                 if slot.is_none() {
                     *slot = Some(e);
                 }
