@@ -195,6 +195,10 @@ struct Clocks {
 }
 
 impl Clocks {
+    /// Readies the clocks of slot `pslot` and every slot below it for
+    /// this launch, and names `pslot` after warp `id`. A lower slot made
+    /// live here takes its own warp's identity at that warp's first
+    /// access, which comes before any epoch of it can be reported.
     fn ensure(&mut self, pslot: usize, id: WarpId) {
         while self.live <= pslot {
             let p = self.live;
@@ -211,10 +215,11 @@ impl Clocks {
             w.vc.resize(p + 1, 0);
             w.vc[p] = 1;
             w.speculative = false;
-            w.block = id.block;
-            w.warp_in_block = id.warp_in_block;
             self.live += 1;
         }
+        let w = &mut self.warps[pslot];
+        w.block = id.block;
+        w.warp_in_block = id.warp_in_block;
     }
 
     /// `epoch` happens-before the current state of warp `pslot`.
@@ -436,6 +441,39 @@ mod tests {
         assert_eq!(r.prior.kind, AccessKind::Write);
         assert_eq!(r.current.kind, AccessKind::Write);
         assert!(!r.prior.speculative && !r.current.speculative);
+    }
+
+    /// Runs warp 0.1 before warp 0.0 whenever both are runnable.
+    struct SecondWarpFirst;
+
+    impl crate::schedule::SchedulePolicy for SecondWarpFirst {
+        fn pick(&mut self, _now: u64, runnable: &[crate::schedule::RunnableWarp]) -> usize {
+            runnable.iter().position(|w| w.warp_in_block == 1).unwrap_or(0)
+        }
+    }
+
+    /// A higher slot that touches memory first must not lend its identity
+    /// to the lower slots it makes live: each side of the report names
+    /// its own warp.
+    #[test]
+    fn race_reports_name_each_warp_when_a_higher_slot_acts_first() {
+        let sink = race_sink();
+        let mut cfg = SimConfig::with_memory(1 << 16);
+        cfg.race = Some(sink.clone());
+        cfg.schedule = Some(crate::schedule::PolicyHandle::new(SecondWarpFirst));
+        let mut sim = Sim::new(cfg);
+        let word = sim.alloc(1).unwrap();
+        sim.launch(LaunchConfig::new(1, 64), move |ctx| async move {
+            ctx.store_one(0, word, ctx.id().warp_in_block + 1).await;
+        })
+        .unwrap();
+        let log = sink.borrow();
+        assert_eq!(log.races.len(), 1, "{:?}", log.races);
+        let r = &log.races[0];
+        assert_eq!((r.prior.block, r.prior.warp_in_block), (0, 1), "{r}");
+        assert_eq!((r.current.block, r.current.warp_in_block), (0, 0), "{r}");
+        let text = r.to_string();
+        assert!(text.contains("by warp 0.1 ") && text.contains("by warp 0.0 "), "{text}");
     }
 
     #[test]

@@ -1129,18 +1129,15 @@ impl ShardEngine {
         };
 
         let history = self.recorder.borrow();
-        let check = tm_check::check_history(&history, &init_fn);
-        let mut violations: Vec<String> = check.violations.iter().map(|v| v.to_string()).collect();
         // Final-state replay over everything the device owns except the
         // host-written TXL argument buffer.
         let data_end =
             self.txl_data.index() as u32 + self.cfg.txl_words + self.cfg.batch_capacity() as u32;
         let addrs = (self.accounts.index() as u32..data_end).map(Addr);
-        violations.extend(
-            tm_check::check_final_state(&history, &init_fn, &final_fn, addrs)
-                .iter()
-                .map(|v| v.to_string()),
-        );
+        let (check, final_state) =
+            tm_check::check_history_and_final_state(&history, &init_fn, &final_fn, addrs);
+        let violations: Vec<String> =
+            check.violations.iter().chain(&final_state).map(|v| v.to_string()).collect();
 
         let mut hist_fnv = Fnv::new();
         hist_fnv.u64(history.aborts);

@@ -125,17 +125,27 @@ impl Model {
             Err(other) => push(ViolationKind::Sim, other.to_string()),
             Ok(()) => {
                 let hist = rec.borrow();
-                for v in tm_check::check_history(&hist, |_| 0).violations {
-                    push(ViolationKind::Opacity, v.to_string());
-                }
                 if let Subject::Litmus(l) = &self.subject {
                     let ((addr, words), sim) = (self.data[0], &self.sim);
                     let words = (0..words).map(|i| addr.offset(i));
-                    for v in tm_check::check_final_state(&hist, |_| 0, |a| sim.read(a), words) {
+                    let (check, final_state) = tm_check::check_history_and_final_state(
+                        &hist,
+                        |_| 0,
+                        |a| sim.read(a),
+                        words,
+                    );
+                    for v in check.violations {
+                        push(ViolationKind::Opacity, v.to_string());
+                    }
+                    for v in final_state {
                         push(ViolationKind::FinalState, v.to_string());
                     }
                     if let Some(msg) = litmus::check_invariant(l, sim, addr) {
                         push(ViolationKind::Invariant, msg);
+                    }
+                } else {
+                    for v in tm_check::check_history(&hist, |_| 0).violations {
+                        push(ViolationKind::Opacity, v.to_string());
                     }
                 }
             }

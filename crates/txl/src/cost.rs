@@ -31,6 +31,11 @@ use gpu_stm::Variant;
 use std::collections::BTreeSet;
 use std::fmt;
 
+mod graph;
+
+use graph::build_graph;
+pub use graph::{ConflictEdge, ConflictGraph};
+
 /// Threads at or below which per-thread (exact-`tid`) footprints are
 /// computed for every block; above it the analysis falls back to the
 /// symbolic hull (still sound, far less precise).
@@ -205,52 +210,6 @@ pub struct TxProfile {
     /// Sum of incident conflict-edge rates (filled from the graph);
     /// the TL006 "statically hot" score.
     pub conflict_degree: f64,
-}
-
-/// One may-conflict edge between two blocks (`a <= b`; `a == b` is a
-/// self-edge: two *different threads* running the same block).
-#[derive(Clone, Debug)]
-pub struct ConflictEdge {
-    /// First endpoint (index into [`StaticProfile::tx`]).
-    pub a: usize,
-    /// Second endpoint.
-    pub b: usize,
-    /// Fraction of ordered distinct thread pairs `(i, j)` whose exact
-    /// footprints may conflict (1.0 under the symbolic fallback).
-    pub rate: f64,
-    /// Size of the symbolic touched-hull intersection across the
-    /// conflicting arrays — the overlap weight.
-    pub overlap: u64,
-    /// Names of the arrays the blocks may conflict on.
-    pub arrays: Vec<String>,
-}
-
-/// The pairwise static conflict graph.
-#[derive(Clone, Debug, Default)]
-pub struct ConflictGraph {
-    /// Number of nodes (= `StaticProfile::tx.len()`).
-    pub nodes: usize,
-    /// May-conflict edges, lexicographic by `(a, b)`.
-    pub edges: Vec<ConflictEdge>,
-}
-
-impl ConflictGraph {
-    /// Whether blocks `a` and `b` share an edge (order-insensitive).
-    pub fn has_edge(&self, a: usize, b: usize) -> bool {
-        let (a, b) = (a.min(b), a.max(b));
-        self.edges.iter().any(|e| e.a == a && e.b == b)
-    }
-
-    /// Number of edges incident to `n` (a self-edge counts once).
-    pub fn degree(&self, n: usize) -> usize {
-        self.edges.iter().filter(|e| e.a == n || e.b == n).count()
-    }
-
-    /// Sum of incident edge rates — the contention score TL006
-    /// thresholds on.
-    pub fn weighted_degree(&self, n: usize) -> f64 {
-        self.edges.iter().filter(|e| e.a == n || e.b == n).map(|e| e.rate).sum()
-    }
 }
 
 /// One entry of the variant ranking.
@@ -751,7 +710,7 @@ fn count_kernel(kernel: &Kernel, tid: Interval, nthreads: u32) -> Vec<RawBlock> 
 }
 
 // ---------------------------------------------------------------------------
-// Footprint collection and the conflict graph.
+// Footprint collection (the conflict graph is in `graph`).
 // ---------------------------------------------------------------------------
 
 /// Footprints of one syntactic block (the `footprint` pass emits one
@@ -819,135 +778,6 @@ impl PerThread {
     }
 }
 
-/// `(i, j)` for each parameter `i` of `a` whose name `b` also takes, `j`
-/// being `b`'s first parameter of that name: the arrays two blocks may
-/// conflict on, resolved once per block pair.
-fn shared_params(a: &BlockData, b: &BlockData) -> Vec<(usize, usize)> {
-    a.param_names
-        .iter()
-        .enumerate()
-        .filter_map(|(i, name)| b.param_names.iter().position(|n| n == name).map(|j| (i, j)))
-        .collect()
-}
-
-/// Which threads' hulls, of one (parameter, read|write) of one block,
-/// overlap a query interval.
-///
-/// Hull `[l, h]` overlaps `[lo, hi]` iff `l <= hi` and `h >= lo`. The
-/// first set is a prefix of the threads sorted by `l`, the second a
-/// suffix of the threads sorted by `h`; each cut point stores its set as
-/// a bitset of `words` words, so a query is two binary searches and an
-/// AND. Threads with no hull are in neither set.
-#[derive(Default)]
-struct HullIndex {
-    /// Hull lower bounds, ascending.
-    los: Vec<u32>,
-    /// Row `k`: the threads owning `los[..k]`.
-    prefix: Vec<u64>,
-    /// Hull upper bounds, ascending.
-    his: Vec<u32>,
-    /// Row `k`: the threads owning `his[k..]`.
-    suffix: Vec<u64>,
-}
-
-impl HullIndex {
-    /// Indexes `hulls[t]`, thread `t`'s hull, over `words · 64` threads.
-    fn new(hulls: impl Iterator<Item = Option<Interval>>, words: usize) -> HullIndex {
-        let (mut by_lo, mut by_hi) = (Vec::new(), Vec::new());
-        for (t, iv) in hulls.enumerate().filter_map(|(t, h)| Some((t, h?))) {
-            by_lo.push((iv.lo, t));
-            by_hi.push((iv.hi, t));
-        }
-        if by_lo.is_empty() {
-            return HullIndex::default();
-        }
-        by_lo.sort_unstable();
-        by_hi.sort_unstable();
-        let rows = by_lo.len() + 1;
-        let mut prefix = vec![0u64; rows * words];
-        for (k, &(_, t)) in by_lo.iter().enumerate() {
-            let (done, next) = prefix.split_at_mut((k + 1) * words);
-            next[..words].copy_from_slice(&done[k * words..]);
-            next[t / 64] |= 1 << (t % 64);
-        }
-        let mut suffix = vec![0u64; rows * words];
-        for (k, &(_, t)) in by_hi.iter().enumerate().rev() {
-            let (row, after) = suffix.split_at_mut((k + 1) * words);
-            let row = &mut row[k * words..];
-            row.copy_from_slice(&after[..words]);
-            row[t / 64] |= 1 << (t % 64);
-        }
-        HullIndex {
-            los: by_lo.into_iter().map(|(lo, _)| lo).collect(),
-            prefix,
-            his: by_hi.into_iter().map(|(hi, _)| hi).collect(),
-            suffix,
-        }
-    }
-
-    /// ORs into `out` the threads whose hull overlaps `q`.
-    fn or_overlapping(&self, q: Interval, out: &mut [u64]) {
-        let words = out.len();
-        let starts_before = self.los.partition_point(|&lo| lo <= q.hi);
-        let ends_before = self.his.partition_point(|&hi| hi < q.lo);
-        if starts_before == 0 || ends_before == self.his.len() {
-            return;
-        }
-        let prefix = &self.prefix[starts_before * words..][..words];
-        let suffix = &self.suffix[ends_before * words..][..words];
-        for ((o, p), s) in out.iter_mut().zip(prefix).zip(suffix) {
-            *o |= p & s;
-        }
-    }
-}
-
-/// One block's per-thread hulls, indexed per parameter.
-struct ParamIndex {
-    read: HullIndex,
-    write: HullIndex,
-}
-
-fn index_block(pt: &PerThread, words: usize) -> Vec<ParamIndex> {
-    (0..pt.nparams)
-        .map(|p| ParamIndex {
-            read: HullIndex::new(pt.rows().map(|fps| fps[p].read), words),
-            write: HullIndex::new(pt.rows().map(|fps| fps[p].write), words),
-        })
-        .collect()
-}
-
-/// The exact edge rate's numerator: ordered distinct-thread pairs
-/// `(i, j)` where thread `i` running block `a` (footprints `fa`) and
-/// thread `j` running block `b` (indexed as `ib`) may conflict on a
-/// `shared` parameter pair. The same integer as testing
-/// [`ParamFootprint::conflicts`] on all `t·(t−1)` pairs, in
-/// `O(t·⌈t/64⌉·|shared|)` once `b` is indexed.
-fn conflicting_pairs(
-    fa: &PerThread,
-    ib: &[ParamIndex],
-    shared: &[(usize, usize)],
-    words: usize,
-) -> u64 {
-    let mut row = vec![0u64; words];
-    let mut hits = 0u64;
-    for (i, fps) in fa.rows().enumerate() {
-        row.fill(0);
-        for &(pa, pb) in shared {
-            let (x, y) = (&fps[pa], &ib[pb]);
-            if let Some(w) = x.write {
-                y.read.or_overlapping(w, &mut row);
-                y.write.or_overlapping(w, &mut row);
-            }
-            if let Some(r) = x.read {
-                y.write.or_overlapping(r, &mut row);
-            }
-        }
-        row[i / 64] &= !(1 << (i % 64));
-        hits += row.iter().map(|w| u64::from(w.count_ones())).sum::<u64>();
-    }
-    hits
-}
-
 fn collect_blocks(program: &Program, threads: u32) -> Vec<BlockData> {
     let exact = threads <= MAX_EXACT_THREADS;
     let sym_tid = if threads <= 1 { Interval::exact(0) } else { Interval::new(0, threads - 1) };
@@ -958,25 +788,17 @@ fn collect_blocks(program: &Program, threads: u32) -> Vec<BlockData> {
         let sym =
             dedupe_atomics(footprint::kernel_footprint(kernel, sym_tid, threads).atomics, nparams);
         let raw = count_kernel(kernel, sym_tid, threads);
-        // Each thread's footprints go straight into its row of every
-        // block's table.
+        // Each thread's row of block footprints is split into every
+        // block's table; a kernel without blocks needs no per-thread run.
         let mut per_thread: Vec<PerThread> = Vec::new();
-        if exact {
+        if exact && !sym.is_empty() {
             per_thread.resize_with(sym.len(), || PerThread::new(threads, nparams));
-            for t in 0..threads {
-                let atomics = dedupe_atomics(
-                    footprint::kernel_footprint(kernel, Interval::exact(t), threads).atomics,
-                    nparams,
-                );
-                for ((span, _), table) in sym.iter().zip(&mut per_thread) {
-                    match atomics.iter().find(|(s, _)| s.start == span.start) {
-                        Some((_, fps)) => table.fps.extend_from_slice(fps),
-                        None => {
-                            table.fps.resize(table.fps.len() + nparams, ParamFootprint::default())
-                        }
-                    }
+            let starts: Vec<u32> = sym.iter().map(|(span, _)| span.start).collect();
+            footprint::thread_block_rows(kernel, &starts, threads, |row| {
+                for (b, table) in per_thread.iter_mut().enumerate() {
+                    table.fps.extend_from_slice(&row[b * nparams..][..nparams]);
                 }
-            }
+            });
         }
         let mut per_thread = per_thread.into_iter();
         for (bi, (span, fps)) in sym.iter().enumerate() {
@@ -999,56 +821,6 @@ fn collect_blocks(program: &Program, threads: u32) -> Vec<BlockData> {
         }
     }
     out
-}
-
-fn build_graph(blocks: &[BlockData], threads: u32) -> ConflictGraph {
-    let mut edges = Vec::new();
-    let t = threads as usize;
-    // Two blocks of the same thread execute sequentially and cannot
-    // conflict; only distinct-thread pairs matter.
-    if t < 2 {
-        return ConflictGraph { nodes: blocks.len(), edges };
-    }
-    let words = t.div_ceil(64);
-    // One block's index is alive at a time: `b` is indexed once and met
-    // by every `a <= b`.
-    for (b, bb) in blocks.iter().enumerate() {
-        let ib = bb.per_thread.as_ref().map(|pt| index_block(pt, words));
-        for (a, ba) in blocks.iter().enumerate().take(b + 1) {
-            let shared = shared_params(ba, bb);
-            if !shared.iter().any(|&(i, j)| ba.sym[i].conflicts(&bb.sym[j])) {
-                continue;
-            }
-            let rate = match (&ba.per_thread, &ib) {
-                (Some(fa), Some(ib)) => {
-                    let hits = conflicting_pairs(fa, ib, &shared, words);
-                    hits as f64 / (t as f64 * (t as f64 - 1.0))
-                }
-                _ => 1.0,
-            };
-            if rate <= 0.0 {
-                continue;
-            }
-            let mut arrays = Vec::new();
-            let mut overlap = 0u64;
-            for &(i, j) in &shared {
-                let (fp, other) = (&ba.sym[i], &bb.sym[j]);
-                if fp.conflicts(other) {
-                    arrays.push(ba.param_names[i].clone());
-                    if let (Some(x), Some(y)) = (fp.touched(), other.touched()) {
-                        if x.overlaps(y) {
-                            let lo = x.lo.max(y.lo) as u64;
-                            let hi = x.hi.min(y.hi) as u64;
-                            overlap = overlap.saturating_add(hi - lo + 1);
-                        }
-                    }
-                }
-            }
-            edges.push(ConflictEdge { a, b, rate, overlap, arrays });
-        }
-    }
-    edges.sort_by_key(|e| (e.a, e.b));
-    ConflictGraph { nodes: blocks.len(), edges }
 }
 
 // ---------------------------------------------------------------------------
@@ -1586,277 +1358,5 @@ mod tests {
         w.end_object();
         let json = w.finish();
         assert!(json.contains("\"recommended\""));
-    }
-
-    // -- Exactness gate: the indexed count against the pairwise definition.
-
-    fn fp_for_name<'a>(
-        names: &[String],
-        fps: &'a [ParamFootprint],
-        name: &str,
-    ) -> Option<&'a ParamFootprint> {
-        names.iter().position(|n| n == name).map(|i| &fps[i])
-    }
-
-    /// May-conflict over the shared parameter names of two footprint sets.
-    fn sets_conflict(
-        an: &[String],
-        a: &[ParamFootprint],
-        bn: &[String],
-        b: &[ParamFootprint],
-    ) -> bool {
-        an.iter()
-            .enumerate()
-            .any(|(i, name)| fp_for_name(bn, b, name).is_some_and(|other| a[i].conflicts(other)))
-    }
-
-    /// The exact rate's definition: every ordered distinct-thread pair,
-    /// every parameter looked up by name.
-    fn pairwise_hits(ba: &BlockData, bb: &BlockData) -> u64 {
-        let (fa, fb) = (ba.per_thread.as_ref().unwrap(), bb.per_thread.as_ref().unwrap());
-        let mut hits = 0u64;
-        for (i, fi) in fa.rows().enumerate() {
-            for (j, fj) in fb.rows().enumerate() {
-                if i != j && sets_conflict(&ba.param_names, fi, &bb.param_names, fj) {
-                    hits += 1;
-                }
-            }
-        }
-        hits
-    }
-
-    /// The conflict graph by name lookups, given each block pair's
-    /// [`pairwise_hits`].
-    fn reference_graph(
-        blocks: &[BlockData],
-        threads: u32,
-        hits: impl Fn(usize, usize) -> u64,
-    ) -> Vec<(usize, usize, u64, u64, String)> {
-        let t = threads as f64;
-        let mut edges = Vec::new();
-        for a in 0..blocks.len() {
-            for b in a..blocks.len() {
-                let (ba, bb) = (&blocks[a], &blocks[b]);
-                if threads < 2 || !sets_conflict(&ba.param_names, &ba.sym, &bb.param_names, &bb.sym)
-                {
-                    continue;
-                }
-                let rate = match ba.per_thread {
-                    Some(_) => hits(a, b) as f64 / (t * (t - 1.0)),
-                    None => 1.0,
-                };
-                if rate <= 0.0 {
-                    continue;
-                }
-                let (mut arrays, mut overlap) = (Vec::new(), 0u64);
-                for (name, fp) in ba.named_sym() {
-                    let Some(other) = fp_for_name(&bb.param_names, &bb.sym, name) else { continue };
-                    if fp.conflicts(other) {
-                        arrays.push(name);
-                        if let (Some(x), Some(y)) = (fp.touched(), other.touched()) {
-                            if x.overlaps(y) {
-                                overlap += x.hi.min(y.hi) as u64 - x.lo.max(y.lo) as u64 + 1;
-                            }
-                        }
-                    }
-                }
-                edges.push((a, b, rate.to_bits(), overlap, arrays.join(",")));
-            }
-        }
-        edges
-    }
-
-    const GATE_THREADS: [u32; 9] = [1, 2, 3, 63, 64, 65, 255, 256, 512];
-
-    /// Asserts, at every [`GATE_THREADS`] count and on every block pair,
-    /// that [`conflicting_pairs`] equals [`pairwise_hits`], and that the
-    /// graph equals [`reference_graph`] with rates compared bit for bit.
-    fn assert_exact(name: &str, src: &str) {
-        let program = crate::compile(src).unwrap_or_else(|e| panic!("{name}: {e}"));
-        for threads in GATE_THREADS {
-            let blocks = collect_blocks(&program, threads);
-            let words = (threads as usize).div_ceil(64);
-            let mut slow = vec![vec![0u64; blocks.len()]; blocks.len()];
-            for (b, bb) in blocks.iter().enumerate() {
-                let ib = index_block(bb.per_thread.as_ref().unwrap(), words);
-                for (a, ba) in blocks.iter().enumerate().take(b + 1) {
-                    let shared = shared_params(ba, bb);
-                    let fast =
-                        conflicting_pairs(ba.per_thread.as_ref().unwrap(), &ib, &shared, words);
-                    slow[a][b] = pairwise_hits(ba, bb);
-                    assert_eq!(fast, slow[a][b], "{name}: blocks {a}, {b} at {threads} threads");
-                }
-            }
-            let graph: Vec<_> = build_graph(&blocks, threads)
-                .edges
-                .iter()
-                .map(|e| (e.a, e.b, e.rate.to_bits(), e.overlap, e.arrays.join(",")))
-                .collect();
-            let want = reference_graph(&blocks, threads, |a, b| slow[a][b]);
-            assert_eq!(graph, want, "{name} at {threads} threads");
-        }
-    }
-
-    #[test]
-    fn exact_rates_match_pairwise_on_the_fixture_corpus() {
-        const CORPUS: [(&str, &str); 17] = [
-            ("divergent_atomic_bug", include_str!("../tests/fixtures/divergent_atomic_bug.txl")),
-            (
-                "divergent_atomic_clean",
-                include_str!("../tests/fixtures/divergent_atomic_clean.txl"),
-            ),
-            (
-                "divergent_atomic_fixed",
-                include_str!("../tests/fixtures/divergent_atomic_fixed.txl"),
-            ),
-            ("footprint_order_bug", include_str!("../tests/fixtures/footprint_order_bug.txl")),
-            ("footprint_order_clean", include_str!("../tests/fixtures/footprint_order_clean.txl")),
-            ("footprint_order_fixed", include_str!("../tests/fixtures/footprint_order_fixed.txl")),
-            ("overflow_writeset_bug", include_str!("../tests/fixtures/overflow_writeset_bug.txl")),
-            (
-                "overflow_writeset_clean",
-                include_str!("../tests/fixtures/overflow_writeset_clean.txl"),
-            ),
-            (
-                "overflow_writeset_fixed",
-                include_str!("../tests/fixtures/overflow_writeset_fixed.txl"),
-            ),
-            ("unsorted_locks_bug", include_str!("../tests/fixtures/unsorted_locks_bug.txl")),
-            ("unsorted_locks_clean", include_str!("../tests/fixtures/unsorted_locks_clean.txl")),
-            ("unsorted_locks_fixed", include_str!("../tests/fixtures/unsorted_locks_fixed.txl")),
-            ("unwakeable_retry_bug", include_str!("../tests/fixtures/unwakeable_retry_bug.txl")),
-            (
-                "unwakeable_retry_clean",
-                include_str!("../tests/fixtures/unwakeable_retry_clean.txl"),
-            ),
-            ("weak_isolation_bug", include_str!("../tests/fixtures/weak_isolation_bug.txl")),
-            ("weak_isolation_clean", include_str!("../tests/fixtures/weak_isolation_clean.txl")),
-            ("weak_isolation_fixed", include_str!("../tests/fixtures/weak_isolation_fixed.txl")),
-        ];
-        for (name, src) in CORPUS {
-            assert_exact(name, src);
-        }
-    }
-
-    #[test]
-    fn exact_rates_match_pairwise_on_edge_shapes() {
-        let programs = [
-            // The disjoint stripes tm-verify's litmus runs.
-            (
-                "stripes",
-                "kernel stripes(data: array) {
-                     let base = tid() * 4;
-                     atomic { data[base] = data[base] + 1; }
-                     atomic { data[base + 1] = data[base + 1] + 1; }
-                     atomic { data[base + 2] = data[base + 2] + 1; }
-                 }",
-            ),
-            // tm-serve's bump: a data-dependent index, so a TOP hull.
-            (
-                "bump",
-                "kernel bump(args: array, data: array) {
-                     let k = args[tid()];
-                     atomic { data[k] = data[k] + 1; }
-                 }",
-            ),
-            // A read-only side against a write-only side, by name.
-            (
-                "read_vs_write",
-                "kernel reader(table: array, out: array) {
-                     let x = 0;
-                     atomic { x = table[tid() % 8] + table[(tid() + 3) % 8]; }
-                     out[tid()] = x;
-                 }
-                 kernel writer(table: array) {
-                     atomic { table[tid() % 4 + 2] = 1; }
-                 }",
-            ),
-            // `N - tid` wraps below zero past N: exact points, then TOP.
-            (
-                "reversed",
-                "kernel rev(a: array) {
-                     atomic { a[100 - tid()] = a[tid() % 16]; }
-                 }",
-            ),
-            // A stride and a residue class, with a declared length
-            // clamping the stride.
-            (
-                "modular",
-                "kernel modular(a: array[40], b: array) {
-                     atomic { a[tid() * 3] = b[tid() % 5]; }
-                     atomic { b[tid() % 7] = a[tid() % 3]; }
-                 }",
-            ),
-            // One name at different parameter positions in two kernels,
-            // and a parameter only one kernel takes.
-            (
-                "positions",
-                "kernel first(x: array, shared: array) {
-                     atomic { shared[tid() % 4] = x[tid()]; }
-                 }
-                 kernel second(y: array, z: array, shared: array, x: array) {
-                     atomic { x[tid() % 9] = shared[tid() / 2] + y[0]; }
-                     atomic { z[0] = shared[3]; }
-                 }",
-            ),
-            // A loop-widened hull and a block without arrays.
-            (
-                "widened",
-                "kernel widened(a: array) {
-                     let i = tid();
-                     atomic {
-                         while i < 1000 { a[i] = 0; i = i * 2 + 1; }
-                     }
-                     let s = 0;
-                     atomic { s = s + 1; }
-                     a[0] = s;
-                 }",
-            ),
-        ];
-        for (name, src) in programs {
-            assert_exact(name, src);
-        }
-    }
-
-    /// Seeded hulls — absent, TOP, points and duplicate bounds — and
-    /// queries against the brute-force overlap set.
-    #[test]
-    fn hull_index_matches_brute_force() {
-        let mut seed = 0x5eed_u64;
-        let mut next = |n: u64| gpu_sim::rng::splitmix64(&mut seed) % n;
-        for n in [1usize, 63, 64, 65, 512] {
-            let interval = |next: &mut dyn FnMut(u64) -> u64| match next(8) {
-                0 => Interval::TOP,
-                1 => Interval::exact(next(16) as u32),
-                2 => Interval::new(u32::MAX - next(4) as u32, u32::MAX),
-                _ => {
-                    let lo = next(40) as u32;
-                    Interval::new(lo, lo + next(12) as u32)
-                }
-            };
-            let hulls: Vec<Option<Interval>> =
-                (0..n).map(|_| (next(5) != 0).then(|| interval(&mut next))).collect();
-            let words = n.div_ceil(64);
-            let index = HullIndex::new(hulls.iter().copied(), words);
-            for q in 0..400 {
-                let query = interval(&mut next);
-                // Bits already set stay set: the index only ORs.
-                let preset = q % 2 == 0;
-                let mut got = vec![if preset { 1u64 } else { 0 }; words];
-                index.or_overlapping(query, &mut got);
-                let mut want = vec![if preset { 1u64 } else { 0 }; words];
-                for (t, h) in hulls.iter().enumerate() {
-                    if h.is_some_and(|h| h.overlaps(query)) {
-                        want[t / 64] |= 1 << (t % 64);
-                    }
-                }
-                assert_eq!(got, want, "n={n} query={query:?}");
-            }
-        }
-        // No hulls at all: nothing overlaps, not even TOP.
-        let empty = HullIndex::new([None, None].into_iter(), 1);
-        let mut out = [0u64];
-        empty.or_overlapping(Interval::TOP, &mut out);
-        assert_eq!(out, [0]);
     }
 }
