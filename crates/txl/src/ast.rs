@@ -210,6 +210,9 @@ pub struct Kernel {
     pub body: Vec<Stmt>,
     /// Number of local slots (filled by the checker).
     pub n_slots: usize,
+    /// Whether the body reads `tid()` anywhere (filled by the checker).
+    /// Without it every thread runs the same abstract execution.
+    pub uses_tid: bool,
 }
 
 /// A parsed program: one or more kernels.

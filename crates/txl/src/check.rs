@@ -32,6 +32,7 @@ struct Checker<'k> {
     /// Scope stack: each frame maps a name to its slot.
     scopes: Vec<HashMap<String, usize>>,
     n_slots: usize,
+    uses_tid: bool,
     in_atomic: bool,
 }
 
@@ -50,10 +51,12 @@ fn check_kernel(kernel: &mut Kernel) -> Result<(), TxlError> {
         params,
         scopes: vec![HashMap::new()],
         n_slots: 0,
+        uses_tid: false,
         in_atomic: false,
     };
     ck.block(&mut kernel.body)?;
     kernel.n_slots = ck.n_slots;
+    kernel.uses_tid = ck.uses_tid;
     Ok(())
 }
 
@@ -139,7 +142,11 @@ impl Checker<'_> {
 
     fn expr(&mut self, expr: &mut Expr) -> Result<(), TxlError> {
         match expr {
-            Expr::Int(_) | Expr::Tid | Expr::NThreads => Ok(()),
+            Expr::Int(_) | Expr::NThreads => Ok(()),
+            Expr::Tid => {
+                self.uses_tid = true;
+                Ok(())
+            }
             Expr::Var { name, slot } => match self.lookup(name) {
                 Some(s) => {
                     *slot = s;
@@ -190,6 +197,16 @@ mod tests {
         assert_eq!(k.n_slots, 2);
         let Stmt::Store { param, .. } = &k.body[2] else { panic!() };
         assert_eq!(*param, 0);
+    }
+
+    #[test]
+    fn records_whether_a_kernel_reads_tid() {
+        let uses = |body: &str| {
+            checked(&format!("kernel k(a: array) {{ {body} }}")).unwrap().kernels[0].uses_tid
+        };
+        assert!(!uses("let x = nthreads(); atomic { a[rand(x)] = 1; }"));
+        assert!(uses("let x = 0; while x < 3 { if tid() { x = 1; } x = x + 1; }"));
+        assert!(uses("atomic { a[0] = !(a[1] + tid()); }"));
     }
 
     #[test]

@@ -26,6 +26,7 @@ use crate::ast::{BinOp, Expr, Kernel, Program, Stmt};
 use crate::error::TxlError;
 use crate::footprint::{self, Interval, ParamFootprint};
 use crate::token::Span;
+use gpu_sim::rng::mix64;
 use gpu_sim::JsonWriter;
 use gpu_stm::Variant;
 use std::collections::BTreeSet;
@@ -758,30 +759,93 @@ impl BlockData {
     }
 }
 
-/// One block's exact footprints: per thread, one per kernel parameter,
-/// in one thread-major table.
+/// One block's exact footprints, one per kernel parameter a thread,
+/// with threads of equal rows grouped: each distinct row once, in
+/// first-seen order, the number of threads holding it, and each thread's
+/// group. A block indexed by `tid() % k` keeps at most `k` rows however
+/// many threads run it.
 struct PerThread {
-    threads: usize,
     nparams: usize,
+    /// The distinct rows, `nparams` footprints each.
     fps: Vec<ParamFootprint>,
+    /// Threads holding each distinct row.
+    weight: Vec<u64>,
+    /// Each thread's distinct row, in `tid` order.
+    group: Vec<u32>,
 }
+
+/// An empty slot of a [`PerThread::push`] table.
+const NO_GROUP: u32 = u32::MAX;
 
 impl PerThread {
     fn new(threads: u32, nparams: usize) -> PerThread {
-        let threads = threads as usize;
-        PerThread { threads, nparams, fps: Vec::with_capacity(threads * nparams) }
+        let group = Vec::with_capacity(threads as usize);
+        PerThread { nparams, fps: Vec::new(), weight: Vec::new(), group }
     }
 
-    /// Each thread's footprints, in `tid` order.
-    fn rows(&self) -> impl Iterator<Item = &[ParamFootprint]> {
-        (0..self.threads).map(|t| &self.fps[t * self.nparams..][..self.nparams])
+    /// Number of distinct rows.
+    fn groups(&self) -> usize {
+        self.weight.len()
     }
+
+    /// Whether every thread holds a row of its own.
+    fn all_distinct(&self) -> bool {
+        self.groups() == self.group.len()
+    }
+
+    fn row(&self, g: usize) -> &[ParamFootprint] {
+        &self.fps[g * self.nparams..][..self.nparams]
+    }
+
+    /// Each distinct row, in first-seen order.
+    fn rows(&self) -> impl Iterator<Item = &[ParamFootprint]> {
+        (0..self.groups()).map(|g| self.row(g))
+    }
+
+    /// Appends the next thread's `row` to the group of an equal row, else
+    /// to a new group. `slots`, at least twice as long as the threads and
+    /// a power of two, is this block's open-addressing table of groups by
+    /// [`row_hash`], [`NO_GROUP`] where empty. A row equal to the last
+    /// thread's skips the table.
+    fn push(&mut self, row: &[ParamFootprint], slots: &mut [u32]) {
+        let g = match self.group.last() {
+            Some(&g) if self.row(g as usize) == row => g,
+            _ => {
+                let mask = slots.len() - 1;
+                let mut i = row_hash(row) as usize & mask;
+                loop {
+                    match slots[i] {
+                        NO_GROUP => {
+                            let g = self.groups() as u32;
+                            slots[i] = g;
+                            self.fps.extend_from_slice(row);
+                            self.weight.push(0);
+                            break g;
+                        }
+                        g if self.row(g as usize) == row => break g,
+                        _ => i = (i + 1) & mask,
+                    }
+                }
+            }
+        };
+        self.weight[g as usize] += 1;
+        self.group.push(g);
+    }
+}
+
+/// A row's [`PerThread::push`] table key: each footprint's two hulls as
+/// `lo << 32 | hi` words (absent: all ones), folded by [`mix64`].
+fn row_hash(row: &[ParamFootprint]) -> u64 {
+    let word =
+        |iv: Option<Interval>| iv.map_or(u64::MAX, |iv| u64::from(iv.lo) << 32 | u64::from(iv.hi));
+    row.iter().fold(0, |h, fp| mix64(h ^ word(fp.read) ^ word(fp.write).rotate_left(1)))
 }
 
 fn collect_blocks(program: &Program, threads: u32) -> Vec<BlockData> {
     let exact = threads <= MAX_EXACT_THREADS;
     let sym_tid = if threads <= 1 { Interval::exact(0) } else { Interval::new(0, threads - 1) };
     let mut out = Vec::new();
+    let mut slots = Vec::new();
     for kernel in program.kernels.iter() {
         let names: Vec<String> = kernel.params.iter().map(|p| p.name.clone()).collect();
         let nparams = names.len();
@@ -789,14 +853,20 @@ fn collect_blocks(program: &Program, threads: u32) -> Vec<BlockData> {
             dedupe_atomics(footprint::kernel_footprint(kernel, sym_tid, threads).atomics, nparams);
         let raw = count_kernel(kernel, sym_tid, threads);
         // Each thread's row of block footprints is split into every
-        // block's table; a kernel without blocks needs no per-thread run.
+        // block's grouped table; a kernel without blocks needs no
+        // per-thread run.
         let mut per_thread: Vec<PerThread> = Vec::new();
         if exact && !sym.is_empty() {
             per_thread.resize_with(sym.len(), || PerThread::new(threads, nparams));
             let starts: Vec<u32> = sym.iter().map(|(span, _)| span.start).collect();
+            let table = (2 * threads as usize).next_power_of_two();
+            slots.clear();
+            slots.resize(sym.len() * table, NO_GROUP);
             footprint::thread_block_rows(kernel, &starts, threads, |row| {
-                for (b, table) in per_thread.iter_mut().enumerate() {
-                    table.fps.extend_from_slice(&row[b * nparams..][..nparams]);
+                for ((b, pt), slots) in
+                    per_thread.iter_mut().enumerate().zip(slots.chunks_exact_mut(table))
+                {
+                    pt.push(&row[b * nparams..][..nparams], slots);
                 }
             });
         }
@@ -887,10 +957,11 @@ fn rank_variants(inputs: &[ModelInput], threads: u32) -> Vec<VariantScore> {
     let mut scores: Vec<VariantScore> = Variant::ALL
         .into_iter()
         .map(|kind| {
-            let total: f64 = inputs
+            // Folded from `0.0`: a program without blocks would sum to `-0.0`.
+            let total = inputs
                 .iter()
                 .map(|m| m.execs * threads as f64 * per_tx_cycles(kind, m, threads))
-                .sum();
+                .fold(0.0, |sum, c| sum + c);
             VariantScore { variant: kind, predicted_cycles: total }
         })
         .collect();
@@ -936,7 +1007,7 @@ pub fn analyze_program(program: &Program, cfg: &CostConfig) -> StaticProfile {
     let mut inputs = Vec::with_capacity(blocks.len());
     for (i, b) in blocks.iter().enumerate() {
         // Per-transaction hull widths: exact per-thread widths when
-        // available (max over threads), else the symbolic hull.
+        // available (max over the distinct rows), else the symbolic hull.
         let width_of = |sel: fn(&ParamFootprint) -> Option<Interval>| -> Option<u64> {
             let sum = |fps: &[ParamFootprint]| -> u64 {
                 fps.iter().filter_map(sel).map(|iv| iv.width()).sum()

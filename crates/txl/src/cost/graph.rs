@@ -2,12 +2,15 @@
 //!
 //! An edge's exact rate counts the ordered distinct-thread pairs `(i, j)`
 //! whose footprints may conflict, thread `i` running block `a` and thread
-//! `j` block `b`. Hull `[l, h]` of thread `j` overlaps hull `q` of thread
-//! `i` iff `l <= q.hi` and `h >= q.lo`: a prefix of `b`'s threads sorted
-//! by `l`, ANDed with a suffix of them sorted by `h`. `b` keeps one bitset
-//! per cut point ([`HullIndex`]), and walking `a`'s threads in their own
-//! bound orders against `b`'s sorted bounds finds every thread's two cut
-//! points in one linear merge each ([`or_overlapping`]).
+//! `j` block `b`. Threads with equal rows form one group
+//! ([`PerThread`]), so the walk runs over each block's distinct rows and
+//! weighs a conflicting pair of rows by its groups' sizes. Hull `[l, h]`
+//! of row `y` overlaps hull `q` of row `x` iff `l <= q.hi` and
+//! `h >= q.lo`: a prefix of `b`'s rows sorted by `l`, ANDed with a suffix
+//! of them sorted by `h`. `b` keeps one bitset per cut point
+//! ([`HullIndex`]), and walking `a`'s rows in their own bound orders
+//! against `b`'s sorted bounds finds every row's two cut points in one
+//! linear merge each ([`or_overlapping`]).
 
 use super::{BlockData, PerThread};
 use crate::footprint::Interval;
@@ -52,9 +55,10 @@ impl ConflictGraph {
     }
 
     /// Sum of incident edge rates — the contention score TL006
-    /// thresholds on.
+    /// thresholds on. Folded from `0.0`: an empty `f64` sum is `-0.0`,
+    /// which would print as `-0.000`.
     pub fn weighted_degree(&self, n: usize) -> f64 {
-        self.edges.iter().filter(|e| e.a == n || e.b == n).map(|e| e.rate).sum()
+        self.edges.iter().filter(|e| e.a == n || e.b == n).fold(0.0, |sum, e| sum + e.rate)
     }
 }
 
@@ -69,31 +73,31 @@ fn shared_params(a: &BlockData, b: &BlockData) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// `bound << 32 | thread`: entries sort by bound, then thread.
-fn pack(bound: u32, thread: usize) -> u64 {
-    u64::from(bound) << 32 | thread as u64
+/// `bound << 32 | group`: entries sort by bound, then group.
+fn pack(bound: u32, group: usize) -> u64 {
+    u64::from(bound) << 32 | group as u64
 }
 
-fn thread_of(entry: u64) -> usize {
+fn group_of(entry: u64) -> usize {
     entry as u32 as usize
 }
 
-/// The threads of one block with a hull in one (parameter, read|write),
-/// sorted by each bound, as [`pack`]ed entries. Threads with no hull are
-/// in neither order.
+/// The distinct rows of one block with a hull in one (parameter,
+/// read|write), sorted by each bound, as [`pack`]ed entries. Rows with no
+/// hull are in neither order.
 struct Hulls {
     by_lo: Vec<u64>,
     by_hi: Vec<u64>,
 }
 
 impl Hulls {
-    /// Orders `hulls[t]`, thread `t`'s hull.
+    /// Orders `hulls[g]`, distinct row `g`'s hull.
     fn new(hulls: impl Iterator<Item = Option<Interval>>) -> Hulls {
         let n = hulls.size_hint().0;
         let mut h = Hulls { by_lo: Vec::with_capacity(n), by_hi: Vec::with_capacity(n) };
-        for (t, iv) in hulls.enumerate().filter_map(|(t, h)| Some((t, h?))) {
-            h.by_lo.push(pack(iv.lo, t));
-            h.by_hi.push(pack(iv.hi, t));
+        for (g, iv) in hulls.enumerate().filter_map(|(g, h)| Some((g, h?))) {
+            h.by_lo.push(pack(iv.lo, g));
+            h.by_hi.push(pack(iv.hi, g));
         }
         h.by_lo.sort_unstable();
         h.by_hi.sort_unstable();
@@ -121,7 +125,7 @@ fn block_hulls(pt: &PerThread) -> Vec<ParamHulls> {
 }
 
 /// The cut-point bitsets over one [`Hulls`], `words` words a row: prefix
-/// row `k` holds the threads of `by_lo[..k]`, suffix row `k` those of
+/// row `k` holds the groups of `by_lo[..k]`, suffix row `k` those of
 /// `by_hi[k..]`. Prefix row 0 and the last suffix row are empty.
 #[derive(Default)]
 struct HullIndex {
@@ -145,8 +149,8 @@ impl HullIndex {
         for (k, &e) in h.by_lo.iter().enumerate() {
             let (done, next) = self.prefix.split_at_mut((k + 1) * words);
             next[..words].copy_from_slice(&done[k * words..]);
-            let t = thread_of(e);
-            next[t / 64] |= 1 << (t % 64);
+            let g = group_of(e);
+            next[g / 64] |= 1 << (g % 64);
         }
         self.suffix.clear();
         self.suffix.resize(rows * words, 0);
@@ -154,8 +158,8 @@ impl HullIndex {
             let (row, after) = self.suffix.split_at_mut((k + 1) * words);
             let row = &mut row[k * words..];
             row.copy_from_slice(&after[..words]);
-            let t = thread_of(e);
-            row[t / 64] |= 1 << (t % 64);
+            let g = group_of(e);
+            row[g / 64] |= 1 << (g % 64);
         }
     }
 }
@@ -178,8 +182,10 @@ fn reset_index(out: &mut Vec<ParamIndex>, nparams: usize) {
 }
 
 /// One block pair's working set, reused from pair to pair: each of `a`'s
-/// threads' two cut points, and the `t × words` matrix whose row `i`
-/// collects the threads of `b` that may conflict with thread `i` of `a`.
+/// distinct rows' two cut points, and the `rows × words` matrix whose row
+/// `x` collects the distinct rows of `b` that may conflict with `a`'s row
+/// `x`. Sized by distinct rows, never by threads.
+#[derive(Default)]
 struct Walk {
     words: usize,
     starts: Vec<u32>,
@@ -188,26 +194,31 @@ struct Walk {
 }
 
 impl Walk {
-    fn new(threads: usize) -> Walk {
-        let words = threads.div_ceil(64);
-        Walk {
-            words,
-            starts: vec![0; threads],
-            ends: vec![0; threads],
-            matrix: vec![0; threads * words],
-        }
+    /// Readies the buffers for `rows` queried rows against `indexed`
+    /// indexed ones, the matrix cleared.
+    fn reset(&mut self, rows: usize, indexed: usize) {
+        self.words = indexed.div_ceil(64);
+        self.starts.resize(rows, 0);
+        self.ends.resize(rows, 0);
+        self.matrix.clear();
+        self.matrix.resize(rows * self.words, 0);
+    }
+
+    /// Whether `a`'s row `x` may conflict with `b`'s row `y`.
+    fn hit(&self, x: usize, y: usize) -> bool {
+        self.matrix[x * self.words + y / 64] >> (y % 64) & 1 == 1
     }
 }
 
-/// ORs into matrix row `i`, for each thread `i` of `qs`, the threads of
-/// `hs` (indexed as `index`, built here if not ready) whose hull
-/// overlaps thread `i`'s.
+/// ORs into matrix row `x`, for each row `x` of `qs`, the rows of `hs`
+/// (indexed as `index`, built here if not ready) whose hull overlaps row
+/// `x`'s.
 ///
-/// Row `i` gains `prefix[s] & suffix[e]`, where `s` counts `hs`' lower
+/// Row `x` gains `prefix[s] & suffix[e]`, where `s` counts `hs`' lower
 /// bounds `<= q.hi` and `e` its upper bounds `< q.lo`. Walking `qs.by_hi`
 /// up `hs.by_lo`, and `qs.by_lo` up `hs.by_hi`, finds every `s` and `e`
-/// in one merge each: `O(|qs| + |hs|)` steps, then `words` ANDs a thread.
-/// A hull that overlaps nothing meets an empty row, so no thread branches.
+/// in one merge each: `O(|qs| + |hs|)` steps, then `words` ANDs a row.
+/// A hull that overlaps nothing meets an empty row, so no row branches.
 fn or_overlapping(qs: &Hulls, hs: &Hulls, index: &mut HullIndex, walk: &mut Walk) {
     if qs.is_empty() || hs.is_empty() {
         return;
@@ -221,7 +232,7 @@ fn or_overlapping(qs: &Hulls, hs: &Hulls, index: &mut HullIndex, walk: &mut Walk
         while s < n && hs.by_lo[s] <= hi {
             s += 1;
         }
-        walk.starts[thread_of(q)] = s as u32;
+        walk.starts[group_of(q)] = s as u32;
     }
     let mut e = 0;
     for &q in &qs.by_lo {
@@ -230,48 +241,69 @@ fn or_overlapping(qs: &Hulls, hs: &Hulls, index: &mut HullIndex, walk: &mut Walk
         while e < n && hs.by_hi[e] < lo {
             e += 1;
         }
-        walk.ends[thread_of(q)] = e as u32;
+        walk.ends[group_of(q)] = e as u32;
     }
     for &q in &qs.by_lo {
-        let i = thread_of(q);
-        let prefix = &index.prefix[walk.starts[i] as usize * words..][..words];
-        let suffix = &index.suffix[walk.ends[i] as usize * words..][..words];
-        let row = &mut walk.matrix[i * words..][..words];
+        let x = group_of(q);
+        let prefix = &index.prefix[walk.starts[x] as usize * words..][..words];
+        let suffix = &index.suffix[walk.ends[x] as usize * words..][..words];
+        let row = &mut walk.matrix[x * words..][..words];
         for ((m, p), s) in row.iter_mut().zip(prefix).zip(suffix) {
             *m |= p & s;
         }
     }
 }
 
+/// One block's grouped rows and their bound orders.
+type Side<'a> = (&'a PerThread, &'a [ParamHulls]);
+
 /// The exact edge rate's numerator: ordered distinct-thread pairs
-/// `(i, j)` where thread `i` running block `a` (orders `ha`) and thread
-/// `j` running block `b` (orders `hb`, indexed as `ib`) may conflict on a
-/// `shared` parameter pair. The same integer as testing
+/// `(i, j)` where thread `i` running block `a` and thread `j` running
+/// block `b` (its orders indexed as `ib`) may conflict on a `shared`
+/// parameter pair. The same integer as testing
 /// [`ParamFootprint::conflicts`](crate::footprint::ParamFootprint::conflicts)
-/// on all `t·(t−1)` pairs, in `O(t·⌈t/64⌉·|shared|)`.
+/// on all `t·(t−1)` pairs: each conflicting pair of distinct rows counts
+/// the product of its groups' sizes, less the threads whose own two rows
+/// conflict. `O(ra·⌈rb/64⌉·|shared| + t)` for `ra` and `rb` distinct rows.
 fn conflicting_pairs(
-    ha: &[ParamHulls],
-    hb: &[ParamHulls],
+    (pa, ha): Side,
+    (pb, hb): Side,
     ib: &mut [ParamIndex],
     shared: &[(usize, usize)],
     walk: &mut Walk,
 ) -> u64 {
-    walk.matrix.fill(0);
-    for &(pa, pb) in shared {
-        let (x, y, iy) = (&ha[pa], &hb[pb], &mut ib[pb]);
+    walk.reset(pa.groups(), pb.groups());
+    for &(p, q) in shared {
+        let (x, y, iy) = (&ha[p], &hb[q], &mut ib[q]);
         or_overlapping(&x.write, &y.read, &mut iy.read, walk);
         or_overlapping(&x.write, &y.write, &mut iy.write, walk);
         or_overlapping(&x.read, &y.write, &mut iy.write, walk);
     }
-    let words = walk.words;
-    walk.matrix
-        .chunks_exact_mut(words)
-        .enumerate()
-        .map(|(i, row)| {
-            row[i / 64] &= !(1 << (i % 64));
-            row.iter().map(|w| u64::from(w.count_ones())).sum::<u64>()
+    let weighed: u64 = walk
+        .matrix
+        .chunks_exact(walk.words)
+        .zip(&pa.weight)
+        .map(|(row, &wa)| {
+            // Every row of `b` distinct: each set bit weighs 1.
+            let hits: u64 = if pb.all_distinct() {
+                row.iter().map(|w| u64::from(w.count_ones())).sum()
+            } else {
+                let mut hits = 0;
+                for (k, &word) in row.iter().enumerate() {
+                    let mut bits = word;
+                    while bits != 0 {
+                        hits += pb.weight[k * 64 + bits.trailing_zeros() as usize];
+                        bits &= bits - 1;
+                    }
+                }
+                hits
+            };
+            wa * hits
         })
-        .sum()
+        .sum();
+    let same_thread =
+        pa.group.iter().zip(&pb.group).filter(|&(&x, &y)| walk.hit(x as usize, y as usize)).count();
+    weighed - same_thread as u64
 }
 
 /// The conflict graph of `blocks` at `threads` threads.
@@ -286,13 +318,13 @@ pub(super) fn build_graph(blocks: &[BlockData], threads: u32) -> ConflictGraph {
     // Every block's bound orders stay alive for the blocks it meets as
     // `a`; the bitsets exist for one `b` at a time, each table built
     // when a pair first queries it, in buffers reused from one `b` to
-    // the next. The walk's `t`-sized buffers are made by the first exact
-    // pair: past `MAX_EXACT_THREADS` no block has per-thread rows and
-    // nothing here grows with `t`.
+    // the next. Every buffer is sized by distinct rows: past
+    // `MAX_EXACT_THREADS` no block has any and nothing here grows with
+    // `t`.
     let hulls: Vec<Option<Vec<ParamHulls>>> =
         blocks.iter().map(|bl| bl.per_thread.as_ref().map(block_hulls)).collect();
     let mut ib = Vec::new();
-    let mut walk = None;
+    let mut walk = Walk::default();
     for (b, bb) in blocks.iter().enumerate() {
         reset_index(&mut ib, bb.param_names.len());
         for (a, ba) in blocks.iter().enumerate().take(b + 1) {
@@ -300,10 +332,9 @@ pub(super) fn build_graph(blocks: &[BlockData], threads: u32) -> ConflictGraph {
             if !shared.iter().any(|&(i, j)| ba.sym[i].conflicts(&bb.sym[j])) {
                 continue;
             }
-            let rate = match (&hulls[a], &hulls[b]) {
-                (Some(ha), Some(hb)) => {
-                    let walk = walk.get_or_insert_with(|| Walk::new(t));
-                    let hits = conflicting_pairs(ha, hb, &mut ib, &shared, walk);
+            let rate = match (&ba.per_thread, &hulls[a], &bb.per_thread, &hulls[b]) {
+                (Some(pa), Some(ha), Some(pb), Some(hb)) => {
+                    let hits = conflicting_pairs((pa, ha), (pb, hb), &mut ib, &shared, &mut walk);
                     hits as f64 / (t as f64 * (t as f64 - 1.0))
                 }
                 _ => 1.0,
@@ -335,10 +366,62 @@ pub(super) fn build_graph(blocks: &[BlockData], threads: u32) -> ConflictGraph {
 
 #[cfg(test)]
 mod tests {
-    use super::super::{collect_blocks, dedupe_atomics};
+    use super::super::{
+        analyze_source, collect_blocks, dedupe_atomics, render_text, write_profile_json, CostConfig,
+    };
     use super::*;
     use crate::footprint::{kernel_footprint, ParamFootprint};
     use crate::token::Span;
+    use gpu_sim::JsonWriter;
+
+    /// The programs `txl_passes` analyzes: the 17 lint fixtures, and
+    /// copies of `tm_verify::STRIPES_SRC` and `tm_serve::TXL_BUMP` (crates
+    /// that depend on this one).
+    const CORPUS: [(&str, &str); 19] = [
+        ("divergent_atomic_bug", include_str!("../../tests/fixtures/divergent_atomic_bug.txl")),
+        ("divergent_atomic_clean", include_str!("../../tests/fixtures/divergent_atomic_clean.txl")),
+        ("divergent_atomic_fixed", include_str!("../../tests/fixtures/divergent_atomic_fixed.txl")),
+        ("footprint_order_bug", include_str!("../../tests/fixtures/footprint_order_bug.txl")),
+        ("footprint_order_clean", include_str!("../../tests/fixtures/footprint_order_clean.txl")),
+        ("footprint_order_fixed", include_str!("../../tests/fixtures/footprint_order_fixed.txl")),
+        ("overflow_writeset_bug", include_str!("../../tests/fixtures/overflow_writeset_bug.txl")),
+        (
+            "overflow_writeset_clean",
+            include_str!("../../tests/fixtures/overflow_writeset_clean.txl"),
+        ),
+        (
+            "overflow_writeset_fixed",
+            include_str!("../../tests/fixtures/overflow_writeset_fixed.txl"),
+        ),
+        ("unsorted_locks_bug", include_str!("../../tests/fixtures/unsorted_locks_bug.txl")),
+        ("unsorted_locks_clean", include_str!("../../tests/fixtures/unsorted_locks_clean.txl")),
+        ("unsorted_locks_fixed", include_str!("../../tests/fixtures/unsorted_locks_fixed.txl")),
+        ("unwakeable_retry_bug", include_str!("../../tests/fixtures/unwakeable_retry_bug.txl")),
+        ("unwakeable_retry_clean", include_str!("../../tests/fixtures/unwakeable_retry_clean.txl")),
+        ("weak_isolation_bug", include_str!("../../tests/fixtures/weak_isolation_bug.txl")),
+        ("weak_isolation_clean", include_str!("../../tests/fixtures/weak_isolation_clean.txl")),
+        ("weak_isolation_fixed", include_str!("../../tests/fixtures/weak_isolation_fixed.txl")),
+        (
+            "STRIPES_SRC",
+            "kernel stripes(data: array) {
+    let base = tid() * 4;
+    atomic { data[base] = data[base] + 1; }
+    atomic { data[base + 1] = data[base + 1] + 1; }
+    atomic { data[base + 2] = data[base + 2] + 1; }
+}",
+        ),
+        (
+            "TXL_BUMP",
+            "
+kernel bump(args: array, data: array) {
+    let k = args[tid()];
+    atomic {
+        data[k] = data[k] + 1;
+    }
+}
+",
+        ),
+    ];
 
     // -- Exactness gate: the walk's count against the pairwise definition.
 
@@ -362,8 +445,14 @@ mod tests {
             .any(|(i, name)| fp_for_name(bn, b, name).is_some_and(|other| a[i].conflicts(other)))
     }
 
-    /// A block's per-thread table with equal rows grouped: each distinct
-    /// row, in first-seen order, with the number of threads holding it.
+    /// Each thread's row of `table`, in `tid` order.
+    fn thread_rows(table: &PerThread) -> impl Iterator<Item = &[ParamFootprint]> {
+        table.group.iter().map(|&g| table.row(g as usize))
+    }
+
+    /// A block's per-thread rows grouped again, apart from
+    /// [`PerThread::push`]: each distinct row, in first-seen order, with
+    /// the number of threads holding it.
     struct Rows<'a> {
         table: &'a PerThread,
         distinct: Vec<(&'a [ParamFootprint], u64)>,
@@ -374,7 +463,7 @@ mod tests {
             let table = block.per_thread.as_ref().unwrap();
             let mut ids = std::collections::HashMap::new();
             let mut distinct: Vec<(&[ParamFootprint], u64)> = Vec::new();
-            for row in table.rows() {
+            for row in thread_rows(table) {
                 let id = *ids.entry(row).or_insert_with(|| {
                     distinct.push((row, 0));
                     distinct.len() - 1
@@ -411,8 +500,10 @@ mod tests {
                 }
             }
         }
-        let same_thread =
-            ra.table.rows().zip(rb.table.rows()).filter(|(fi, fj)| conflict(fi, fj)).count();
+        let same_thread = thread_rows(ra.table)
+            .zip(thread_rows(rb.table))
+            .filter(|(fi, fj)| conflict(fi, fj))
+            .count();
         hits - same_thread as u64
     }
 
@@ -462,9 +553,10 @@ mod tests {
     /// Asserts, on every block pair, that [`conflicting_pairs`] equals
     /// [`pairwise_hits`]; returns the counts, `[a][b]` for `a <= b`.
     fn assert_counts(name: &str, blocks: &[BlockData], threads: u32) -> Vec<Vec<u64>> {
-        let mut walk = Walk::new(threads as usize);
-        let hulls: Vec<_> =
-            blocks.iter().map(|bl| block_hulls(bl.per_thread.as_ref().unwrap())).collect();
+        let mut walk = Walk::default();
+        let tables: Vec<&PerThread> =
+            blocks.iter().map(|bl| bl.per_thread.as_ref().unwrap()).collect();
+        let hulls: Vec<_> = tables.iter().map(|pt| block_hulls(pt)).collect();
         let rows: Vec<_> = blocks.iter().map(Rows::new).collect();
         let mut ib = Vec::new();
         let mut slow = vec![vec![0u64; blocks.len()]; blocks.len()];
@@ -472,7 +564,13 @@ mod tests {
             reset_index(&mut ib, bb.param_names.len());
             for (a, ba) in blocks.iter().enumerate().take(b + 1) {
                 let shared = shared_params(ba, bb);
-                let fast = conflicting_pairs(&hulls[a], &hulls[b], &mut ib, &shared, &mut walk);
+                let fast = conflicting_pairs(
+                    (tables[a], &hulls[a]),
+                    (tables[b], &hulls[b]),
+                    &mut ib,
+                    &shared,
+                    &mut walk,
+                );
                 slow[a][b] = pairwise_hits(ba, &rows[a], bb, &rows[b]);
                 assert_eq!(fast, slow[a][b], "{name}: blocks {a}, {b} at {threads} threads");
             }
@@ -500,75 +598,42 @@ mod tests {
 
     #[test]
     fn exact_rates_match_pairwise_on_the_fixture_corpus() {
-        const CORPUS: [(&str, &str); 17] = [
-            ("divergent_atomic_bug", include_str!("../../tests/fixtures/divergent_atomic_bug.txl")),
-            (
-                "divergent_atomic_clean",
-                include_str!("../../tests/fixtures/divergent_atomic_clean.txl"),
-            ),
-            (
-                "divergent_atomic_fixed",
-                include_str!("../../tests/fixtures/divergent_atomic_fixed.txl"),
-            ),
-            ("footprint_order_bug", include_str!("../../tests/fixtures/footprint_order_bug.txl")),
-            (
-                "footprint_order_clean",
-                include_str!("../../tests/fixtures/footprint_order_clean.txl"),
-            ),
-            (
-                "footprint_order_fixed",
-                include_str!("../../tests/fixtures/footprint_order_fixed.txl"),
-            ),
-            (
-                "overflow_writeset_bug",
-                include_str!("../../tests/fixtures/overflow_writeset_bug.txl"),
-            ),
-            (
-                "overflow_writeset_clean",
-                include_str!("../../tests/fixtures/overflow_writeset_clean.txl"),
-            ),
-            (
-                "overflow_writeset_fixed",
-                include_str!("../../tests/fixtures/overflow_writeset_fixed.txl"),
-            ),
-            ("unsorted_locks_bug", include_str!("../../tests/fixtures/unsorted_locks_bug.txl")),
-            ("unsorted_locks_clean", include_str!("../../tests/fixtures/unsorted_locks_clean.txl")),
-            ("unsorted_locks_fixed", include_str!("../../tests/fixtures/unsorted_locks_fixed.txl")),
-            ("unwakeable_retry_bug", include_str!("../../tests/fixtures/unwakeable_retry_bug.txl")),
-            (
-                "unwakeable_retry_clean",
-                include_str!("../../tests/fixtures/unwakeable_retry_clean.txl"),
-            ),
-            ("weak_isolation_bug", include_str!("../../tests/fixtures/weak_isolation_bug.txl")),
-            ("weak_isolation_clean", include_str!("../../tests/fixtures/weak_isolation_clean.txl")),
-            ("weak_isolation_fixed", include_str!("../../tests/fixtures/weak_isolation_fixed.txl")),
-        ];
         for (name, src) in CORPUS {
             assert_exact(name, src);
         }
     }
 
+    /// No rendered profile holds a negative number, so no `-0.000`: a
+    /// block without edges has degree `0.000`, and a program without
+    /// blocks ranks every variant at `0`.
+    #[test]
+    fn no_output_prints_a_negative_zero() {
+        for (name, src) in CORPUS {
+            for threads in [1, 2, 3, 256] {
+                let cfg = CostConfig { threads, write_set_capacity: None };
+                let profile = analyze_source(src, &cfg).unwrap();
+                assert!(
+                    profile.tx.iter().all(|t| t.conflict_degree.is_sign_positive())
+                        && profile.ranking.iter().all(|v| v.predicted_cycles.is_sign_positive()),
+                    "{name} at {threads} threads"
+                );
+                let mut json = JsonWriter::new();
+                json.begin_object();
+                write_profile_json(&mut json, &profile);
+                json.end_object();
+                for out in [render_text(&profile), json.finish()] {
+                    let negative =
+                        out.as_bytes().windows(2).any(|w| w[0] == b'-' && w[1].is_ascii_digit());
+                    assert!(!negative, "{name} at {threads} threads:\n{out}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn exact_rates_match_pairwise_on_edge_shapes() {
+        // The disjoint stripes and the data-dependent bump are in CORPUS.
         let programs = [
-            // The disjoint stripes tm-verify's litmus runs.
-            (
-                "stripes",
-                "kernel stripes(data: array) {
-                     let base = tid() * 4;
-                     atomic { data[base] = data[base] + 1; }
-                     atomic { data[base + 1] = data[base + 1] + 1; }
-                     atomic { data[base + 2] = data[base + 2] + 1; }
-                 }",
-            ),
-            // tm-serve's bump: a data-dependent index, so a TOP hull.
-            (
-                "bump",
-                "kernel bump(args: array, data: array) {
-                     let k = args[tid()];
-                     atomic { data[k] = data[k] + 1; }
-                 }",
-            ),
             // A read-only side against a write-only side, by name.
             (
                 "read_vs_write",
@@ -656,8 +721,8 @@ mod tests {
     }
 
     /// Seeded hulls — absent, TOP, points and duplicate bounds — walked
-    /// as queries against seeded indexed hulls, and compared with the
-    /// brute-force overlap sets.
+    /// as queries against seeded indexed hulls (one distinct row each),
+    /// and compared with the brute-force overlap sets.
     #[test]
     fn overlap_walk_matches_brute_force() {
         let mut seed = 0x5eed_u64;
@@ -679,7 +744,8 @@ mod tests {
                 let (queries, indexed) = (hulls(&mut next), hulls(&mut next));
                 let (qs, hs) =
                     (Hulls::new(queries.iter().copied()), Hulls::new(indexed.iter().copied()));
-                let mut walk = Walk::new(n);
+                let mut walk = Walk::default();
+                walk.reset(n, n);
                 let words = walk.words;
                 let mut index = HullIndex::default();
                 // Bits already set stay set: the walk only ORs.
@@ -701,7 +767,8 @@ mod tests {
         // No hulls at all: nothing overlaps, not even TOP.
         let (qs, hs) =
             (Hulls::new([Some(Interval::TOP)].into_iter()), Hulls::new([None].into_iter()));
-        let mut walk = Walk::new(1);
+        let mut walk = Walk::default();
+        walk.reset(1, 1);
         or_overlapping(&qs, &hs, &mut HullIndex::default(), &mut walk);
         assert_eq!(walk.matrix, [0]);
     }
@@ -710,7 +777,9 @@ mod tests {
 
     /// Kernel generator: one splitmix64 stream, as in
     /// `tests/analyze_vs_dynamic.rs`, but with the shapes that make hulls
-    /// differ from thread to thread (branches, loops, strides, wraps).
+    /// differ from thread to thread (branches, loops, strides, wraps),
+    /// that make runs of threads share a row (`tid() / k`), and kernels
+    /// that never read `tid()`.
     struct Gen(u64);
 
     impl Gen {
@@ -724,7 +793,7 @@ mod tests {
 
         /// An index expression over `tid()`, the locals `i` and `x`.
         fn index(&mut self) -> String {
-            match self.below(8) {
+            match self.below(9) {
                 // A hot word every thread touches.
                 0 => self.below(4).to_string(),
                 // `tid() % k` stripes.
@@ -735,6 +804,8 @@ mod tests {
                 4 => format!("{} - tid()", 40 + self.below(100)),
                 5 => format!("rand({})", 1 + self.below(16)),
                 6 => "i".into(),
+                // Runs of consecutive threads with one row.
+                7 => format!("tid() / {}", 2 + self.below(63)),
                 _ => "x".into(),
             }
         }
@@ -815,6 +886,13 @@ mod tests {
                     body.push(' ');
                     body += &self.stmt(&params);
                 }
+                // One kernel in four never reads `tid()`: every thread
+                // shares one row, from the one-run path.
+                if self.below(4) == 0 {
+                    let k = self.below(17);
+                    let free = if k == 0 { "3".into() } else { format!("rand({k})") };
+                    body = body.replace("tid()", &free);
+                }
                 src += &format!("kernel k{k}({}) {{ {body} }}\n", decls.join(", "));
             }
             src
@@ -856,7 +934,8 @@ mod tests {
             let none = vec![ParamFootprint::default(); kernel.params.len()];
             for bl in blocks.iter().filter(|b| b.kernel == kernel.name) {
                 let table = bl.per_thread.as_ref().unwrap();
-                for (t, (got, atomics)) in table.rows().zip(whole).enumerate() {
+                assert_eq!(table.group.len(), threads as usize);
+                for (t, (got, atomics)) in thread_rows(table).zip(whole).enumerate() {
                     let want = atomics.iter().find(|(s, _)| s.start == bl.span.start);
                     assert_eq!(
                         got,
@@ -874,6 +953,10 @@ mod tests {
     fn exact_rows_and_rates_match_on_generated_kernels() {
         let mut g = Gen(0x7e57_b10c);
         let mut blocks_seen = [0usize; GATE_THREADS.len()];
+        // Blocks of tid-free kernels, blocks with a row shared by several
+        // threads, and blocks whose every thread has its own row, at 256
+        // threads.
+        let (mut tid_free, mut heavy, mut distinct) = (0, 0, 0);
         for n in 0..200 {
             let src = g.program();
             let name = format!("generated #{n}:\n{src}");
@@ -890,8 +973,17 @@ mod tests {
                 assert_counts(&name, &blocks, threads);
                 blocks_seen[GATE_THREADS.iter().position(|&t| t == threads).unwrap()] +=
                     blocks.len();
+                if threads == 256 {
+                    for bl in &blocks {
+                        let pt = bl.per_thread.as_ref().unwrap();
+                        tid_free += usize::from(!program.kernel(&bl.kernel).unwrap().uses_tid);
+                        heavy += usize::from(pt.weight.iter().any(|&w| w > 1));
+                        distinct += usize::from(pt.all_distinct());
+                    }
+                }
             }
         }
         assert!(blocks_seen.iter().all(|&b| b > 0), "a count saw no block: {blocks_seen:?}");
+        assert!(tid_free > 0 && heavy > 0 && distinct > 0, "{tid_free} {heavy} {distinct}");
     }
 }

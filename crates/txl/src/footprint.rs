@@ -493,7 +493,9 @@ pub fn kernel_footprint(kernel: &Kernel, tid: Interval, nthreads: u32) -> Kernel
 /// every abstract execution of it joined. The same hulls as
 /// [`kernel_footprint`] at `tid`, its `atomics` joined by span; one row
 /// and one env pool serve every thread, and the whole-kernel hulls and
-/// first-access orders are not built.
+/// first-access orders are not built. A kernel that never reads `tid()`
+/// ([`Kernel::uses_tid`]) runs the same abstract execution in every
+/// thread, so it is interpreted once and that row goes to every thread.
 pub(crate) fn thread_block_rows(
     kernel: &Kernel,
     starts: &[u32],
@@ -503,12 +505,15 @@ pub(crate) fn thread_block_rows(
     let nparams = kernel.params.len();
     let mut row = vec![ParamFootprint::default(); starts.len() * nparams];
     let mut pool = Vec::new();
+    let runs = if kernel.uses_tid { nthreads } else { nthreads.min(1) };
     for tid in 0..nthreads {
-        row.fill(ParamFootprint::default());
-        let rec = BlockRow { starts, nparams, row: &mut row, open: None };
-        let tid = Interval::exact(tid);
-        let mut a = Analyzer { kernel, tid, nthreads, rec, pool: &mut pool, in_atomic: false };
-        a.run();
+        if tid < runs {
+            row.fill(ParamFootprint::default());
+            let rec = BlockRow { starts, nparams, row: &mut row, open: None };
+            let tid = Interval::exact(tid);
+            let mut a = Analyzer { kernel, tid, nthreads, rec, pool: &mut pool, in_atomic: false };
+            a.run();
+        }
         each(&row);
     }
 }
@@ -727,6 +732,67 @@ mod tests {
         let f = kernel_footprint(only(&p), Interval::exact(0), 1);
         let w = f.params[0].write.expect("unconditional store recorded");
         assert!(w.lo == 0, "a[0] must be in the hull");
+    }
+
+    /// Every thread's [`thread_block_rows`] row, one `Vec` a thread, over
+    /// the kernel's `atomic` blocks.
+    fn block_rows(k: &Kernel, threads: u32) -> Vec<Vec<ParamFootprint>> {
+        let mut starts: Vec<u32> = kernel_footprint(k, Interval::TOP, threads)
+            .atomics
+            .iter()
+            .map(|a| a.span.start)
+            .collect();
+        starts.sort_unstable();
+        starts.dedup();
+        let mut rows = Vec::new();
+        thread_block_rows(k, &starts, threads, |row| rows.push(row.to_vec()));
+        rows
+    }
+
+    /// A kernel that never reads `tid()` is interpreted once, and every
+    /// thread gets the rows a run per thread would have given it, with
+    /// `nthreads()` and `rand()` in and around its blocks.
+    #[test]
+    fn tid_free_kernels_share_the_per_thread_rows() {
+        let programs = [
+            "kernel last(a: array) { atomic { a[nthreads() - 1] = a[0] + 1; } }",
+            "kernel mixed(a: array, b: array[40]) {
+                 let i = rand(nthreads());
+                 atomic { a[i % 8] = b[rand(4)]; }
+                 while i < 10 { atomic { b[i * 3] = a[nthreads() / 2]; } i = i + 1; }
+                 if rand(2) { atomic { let x = a[i]; } }
+             }",
+            "kernel none(a: array) { a[rand(nthreads())] = 1; }",
+        ];
+        for src in programs {
+            let p = kernel(src);
+            let k = only(&p);
+            assert!(!k.uses_tid, "{src}");
+            let mut per_thread = k.clone();
+            per_thread.uses_tid = true;
+            for threads in [1, 2, 65, 256, 512] {
+                let rows = block_rows(k, threads);
+                assert_eq!(rows.len(), threads as usize);
+                assert_eq!(rows, block_rows(&per_thread, threads), "{src} at {threads} threads");
+            }
+        }
+    }
+
+    /// `tid()` read only outside the `atomic` block still reaches its
+    /// index through a local, so the kernel takes the per-thread path.
+    #[test]
+    fn tid_outside_atomic_blocks_keeps_rows_per_thread() {
+        let p = kernel("kernel s(a: array) { let i = tid() % 4; atomic { a[i] = a[i] + 1; } }");
+        let k = only(&p);
+        assert!(k.uses_tid);
+        for threads in [1, 2, 65, 256, 512] {
+            let rows = block_rows(k, threads);
+            assert_eq!(rows.len(), threads as usize);
+            for (t, row) in rows.iter().enumerate() {
+                let at = Some(Interval::exact(t as u32 % 4));
+                assert_eq!(row, &[ParamFootprint { read: at, write: at }], "thread {t}");
+            }
+        }
     }
 
     /// Negative stride (descending induction): the hull must cover every

@@ -174,7 +174,7 @@ impl Parser {
         }
         self.expect(&Tok::RParen)?;
         let body = self.block()?;
-        Ok(Kernel { name, params, body, n_slots: 0 })
+        Ok(Kernel { name, params, body, n_slots: 0, uses_tid: false })
     }
 
     fn block(&mut self) -> Result<Vec<Stmt>, TxlError> {
